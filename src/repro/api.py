@@ -134,7 +134,6 @@ class _ArtifactCache:
             return {"hits": self.hits, "misses": self.misses,
                     "evictions": self.evictions,
                     "entries": len(self._entries),
-                    "size": len(self._entries),
                     "capacity": self.capacity}
 
 
@@ -249,7 +248,7 @@ def default_session() -> Session:
 
 def cache_stats() -> Dict[str, int]:
     """Artifact-cache counters: ``hits``, ``misses``, ``evictions``,
-    ``entries`` (plus the legacy ``size`` alias and ``capacity``)."""
+    ``entries`` and ``capacity``."""
     return _DEFAULT_SESSION.cache_stats()
 
 

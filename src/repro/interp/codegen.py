@@ -27,11 +27,13 @@ generation play of PyCUDA/PyOpenCL, applied to our own interpreter:
   their own closures.
 
 * **Mode variants.**  A function is compiled per (address space,
-  hooks-armed) pair: globals resolve to host or device addresses,
-  stores compile in the kernel pointer-store restriction only for GPU
-  code, and armed ``mem_hooks`` select hook-calling load/store
-  closures so the communication sanitizer observes the same stream of
-  events as under the tree-walker.
+  hooks-armed, guarded) triple: globals resolve to host or device
+  addresses, stores compile in the kernel pointer-store restriction
+  only for GPU code, and armed ``mem_hooks`` select hook-calling
+  load/store closures so the communication sanitizer observes the
+  same stream of events as under the tree-walker.  Guarded (host code
+  under a streams write-back guard) also takes the hook-calling
+  closures, which consult the guard first.
 
 * **Compile-time undefined-register detection.**  The structural
   verifier only checks that every operand is defined *somewhere*; the
@@ -200,9 +202,12 @@ def _make_load(R, d, p, memory, codec, i1):
     return op
 
 
-def _make_load_hooked(R, d, p, load_scalar, type_, machine, size):
+def _make_load_hooked(R, d, p, load_scalar, type_, machine, size,
+                      pending, guard):
     def op():
         address = R[p]
+        if pending:
+            guard(machine, "load", address, size)
         for hook in machine.mem_hooks:
             hook(machine, "load", address, size)
         R[d] = load_scalar(address, type_)
@@ -280,9 +285,11 @@ def _make_store_ptr(R, v, p, memory, codec, on_device_stack, fname):
 
 
 def _make_store_hooked(R, v, p, store_scalar, type_, machine, size,
-                       on_device_stack, fname):
+                       on_device_stack, fname, pending, guard):
     def op():
         address = R[p]
+        if pending:
+            guard(machine, "store", address, size)
         for hook in machine.mem_hooks:
             hook(machine, "store", address, size)
         if on_device_stack is not None and not on_device_stack(address):
@@ -633,9 +640,10 @@ def _make_unreachable(fname):
 # -- the compiler ------------------------------------------------------------
 
 class _Compiler:
-    """Translates one function for one (mode, hooked) pair."""
+    """Translates one function for one (mode, hooked, guarded) triple."""
 
-    def __init__(self, machine, fn: Function, mode: str, hooked: bool):
+    def __init__(self, machine, fn: Function, mode: str, hooked: bool,
+                 guarded: bool):
         if fn.is_declaration:
             raise InterpError(f"cannot compile declaration @{fn.name}")
         if mode not in ("cpu", "gpu"):
@@ -644,6 +652,10 @@ class _Compiler:
         self.fn = fn
         self.mode = mode
         self.hooked = hooked
+        #: Guarded code runs every access through the hooked ops,
+        #: which call the write-back guard first.
+        self.pending, self.guard = machine.writeback_guard if guarded \
+            else (None, None)
         self.memory = machine.device.memory if mode == "gpu" \
             else machine.cpu_memory
         self.slots: Dict[Value, int] = {}
@@ -703,12 +715,14 @@ class _Compiler:
     def _compile_inst(self, inst: Instruction, R) -> Callable:
         machine, mode = self.machine, self.mode
         memory = self.memory
+        slow = self.hooked or self.guard is not None
         if isinstance(inst, Load):
             d, p = self._slot(inst), self._slot(inst.pointer)
-            if self.hooked:
+            if slow:
                 return _make_load_hooked(R, d, p, memory.load_scalar,
                                          inst.type, machine,
-                                         inst.type.size)
+                                         inst.type.size, self.pending,
+                                         self.guard)
             i1 = isinstance(inst.type, IntType) and inst.type.bits == 1
             return _make_load(R, d, p, memory, scalar_struct(inst.type),
                               i1)
@@ -719,10 +733,11 @@ class _Compiler:
             if mode == "gpu" and stored.is_pointer:
                 on_stack = machine.device.memory.segment(
                     "device-stack").contains
-            if self.hooked:
+            if slow:
                 return _make_store_hooked(
                     R, v, p, memory.store_scalar, stored,
-                    machine, stored.size, on_stack, self.fn.name)
+                    machine, stored.size, on_stack, self.fn.name,
+                    self.pending, self.guard)
             codec = scalar_struct(stored)
             if isinstance(stored, IntType):
                 return _make_store_int(R, v, p, memory, codec,
@@ -946,7 +961,9 @@ def _make_unterminated(fname: str, bname: str):
     return op
 
 
-def compile_function(machine, fn: Function, mode: str,
-                     hooked: bool) -> CompiledFunction:
-    """Translate ``fn`` into threaded code for one machine and mode."""
-    return _Compiler(machine, fn, mode, hooked).compile()
+def compile_function(machine, fn: Function, mode: str, hooked: bool,
+                     guarded: bool = False) -> CompiledFunction:
+    """Translate ``fn`` into threaded code for one machine and mode;
+    ``guarded`` code checks ``machine.writeback_guard`` before every
+    load/store."""
+    return _Compiler(machine, fn, mode, hooked, guarded).compile()

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import struct
 import weakref
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..errors import CgcmUnsupportedError, InterpError
 from ..gpu.device import GpuDevice
@@ -156,7 +156,8 @@ class Machine:
         #: Dynamic count of interpreted IR instructions (both engines;
         #: the compiled engine bumps it once per basic-block entry).
         self.executed_instructions = 0
-        #: Compiled-code cache: (function, mode, hooked) -> CompiledFunction.
+        #: Compiled-code cache: (function, mode, armed hook set,
+        #: guarded) -> compiled callable.
         self._compiled: Dict[tuple, Callable] = {}
         self.kernel_launch_count = 0
         #: Admission gate run before each launch, set by the resilient
@@ -179,11 +180,21 @@ class Machine:
         self.frame_exit_hooks: List[Callable] = []
         #: Hooks fired on heap activity: ``hook(machine, kind, addr, size)``.
         self.heap_hooks: List[Callable] = []
-        #: Hooks fired before every interpreted load/store:
+        #: Observers fired before every interpreted load/store:
         #: ``hook(machine, kind, address, size)`` with kind "load" or
-        #: "store".  Empty by default so the interpreter's hot path only
-        #: pays one truthiness check; the sanitizer attaches here.
+        #: "store".  Observers only (the sanitizer attaches here): they
+        #: never change modelled time, and arming one selects the
+        #: hook-calling compiled variants.  Empty by default so the
+        #: hot path pays nothing.
         self.mem_hooks: List[Callable] = []
+        #: Streams write-back guard, armed by the runtime before the
+        #: run: ``(pending, guard)``, the runtime's dict of in-flight
+        #: DtoH write-backs and ``guard(machine, kind, address,
+        #: size)``, which stalls the host until an overlapping one
+        #: lands.  Only host-mode accesses consult it (device addresses
+        #: never overlap a host region), ahead of ``mem_hooks`` and only
+        #: while ``pending`` is non-empty.  None = no guard.
+        self.writeback_guard: Optional[Tuple[Dict, Callable]] = None
         #: Multi-GPU grid placement: called as ``scheduler(kernel,
         #: grid, args, total_ops, max_ops, duration)`` after the grid's
         #: cost is known.  Returning True means the scheduler placed
@@ -307,19 +318,23 @@ class Machine:
         guarantees a body compiled while one combination of
         sanitizer/fault/trace hooks was armed is never reused under a
         different combination -- and an unhooked body is never reused
-        once hooks arm.
+        once hooks arm.  CPU-mode variants of a machine with a
+        ``writeback_guard`` are *guarded*: they check the guard before
+        every load/store.  GPU-mode variants never are.
         """
-        key = (fn, self._mode, tuple(self.mem_hooks))
+        guarded = self.writeback_guard is not None and self._mode == "cpu"
+        key = (fn, self._mode, tuple(self.mem_hooks), guarded)
         code = self._compiled.get(key)
         if code is None:
             hooked = bool(self.mem_hooks)
             if self.engine == "source":
                 from .srcgen import compile_function_source
                 code = compile_function_source(self, fn, self._mode,
-                                               hooked)
+                                               hooked, guarded)
             else:
                 from .codegen import compile_function
-                code = compile_function(self, fn, self._mode, hooked)
+                code = compile_function(self, fn, self._mode, hooked,
+                                        guarded)
             self._compiled[key] = code
         return code
 
@@ -376,12 +391,18 @@ class Machine:
         block = frame.function.entry_block
         regs = frame.regs
         evaluate = self.eval
+        # A frame's mode is fixed for its lifetime, so the host-only
+        # write-back guard resolves once per activation.
+        guard = self.writeback_guard if self._mode != "gpu" else None
+        pending = guard[0] if guard is not None else None
         while True:
             for inst in block.instructions:
                 self.executed_instructions += 1
                 self.charge_ops(_OP_COSTS.get(inst.opcode, 1))
                 if isinstance(inst, Load):
                     address = evaluate(inst.pointer, frame)
+                    if pending:
+                        guard[1](self, "load", int(address), inst.type.size)
                     if self.mem_hooks:
                         for hook in self.mem_hooks:
                             hook(self, "load", int(address), inst.type.size)
@@ -390,6 +411,9 @@ class Machine:
                 elif isinstance(inst, Store):
                     value = evaluate(inst.value, frame)
                     address = evaluate(inst.pointer, frame)
+                    if pending:
+                        guard[1](self, "store", int(address),
+                                 inst.value.type.size)
                     if self.mem_hooks:
                         for hook in self.mem_hooks:
                             hook(self, "store", int(address),

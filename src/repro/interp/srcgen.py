@@ -4,9 +4,9 @@ The closure engine (:mod:`repro.interp.codegen`) removed the
 tree-walker's isinstance dispatch but still pays one Python *call* per
 dynamic instruction plus register-list traffic around it.  This module
 goes the rest of the way down the PyCUDA run-time code-generation
-road: each IR function is translated **once per (mode, hook-set)**
-into real Python source, ``compile()``-d, ``exec``-d, and cached on
-the machine.
+road: each IR function is translated **once per (mode, hook-set,
+guarded)** into real Python source, ``compile()``-d, ``exec``-d, and
+cached on the machine.
 
 * **Registers are locals.**  Arguments unpack into ``a0..aN``,
   instruction results assign ``r0..rN``; every operand read is a
@@ -46,6 +46,14 @@ the machine.
   variant emits no hook plumbing at all, so the hot path carries zero
   per-instruction hook overhead.  Variants are cached per hook-set
   identity (see ``Machine.compiled_for``).
+
+* **Host-only write-back guard.**  Under streams the runtime arms
+  ``Machine.writeback_guard``.  CPU-mode code of such a machine is
+  compiled *guarded*: each load/store first runs ``if _pw: _wg(...)``
+  (one truthiness test of the baked pending-write-back dict while
+  nothing is in flight) and then the unchanged typed-view fast path.
+  GPU-mode code is never guarded -- device addresses cannot overlap a
+  host region -- so kernels keep the unhooked fast path.
 
 The tree-walker remains the reference semantics; the equivalence
 suites hold this engine to byte-identical observables and
@@ -100,15 +108,18 @@ def _make_slow_load(memory, codec, i1: bool):
 
 
 #: Emission + ``compile()`` are the dominant fixed costs for short
-#: runs, and the emitted *text* for one (function, mode, hooked)
-#: triple is fully deterministic -- global addresses come from the
-#: module's layout, name counters from emission order.  Machine-bound
-#: state rides in the exec namespace, never in the code object, so
-#: each cache entry stores ``(source, code object, builders)`` where
-#: ``builders`` maps every baked name to a ``(machine, memory) ->
-#: value`` recipe; later machines skip emission and compilation and
-#: only rebuild the namespace.  Keyed weakly by function so corpora
-#: of throwaway fuzz modules don't accumulate.
+#: runs, and the emitted *text* for one function under one (mode,
+#: hooked, guarded) key is fully deterministic -- global addresses
+#: come from the module's layout, name counters from emission order.
+#: Machine-bound state rides in the exec namespace, never in the code
+#: object, so each cache entry stores ``(source, code object,
+#: builders)`` where ``builders`` maps every baked name to a
+#: ``(machine, memory) -> value`` recipe; later machines skip emission
+#: and compilation and only rebuild the namespace.  Keyed weakly by
+#: function so corpora of throwaway fuzz modules don't accumulate;
+#: for that, no recipe may hold an IR function (callees and kernels
+#: resolve by name through ``machine.module``), since every function
+#: reaches its whole module and so the key.
 _CODE_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -303,9 +314,11 @@ def _make_slow_store(memory, codec):
 
 
 class _SourceCompiler:
-    """Emits and compiles Python source for one (function, mode, hooks)."""
+    """Emits and compiles Python source for one (function, mode, hooks,
+    guarded)."""
 
-    def __init__(self, machine, fn: Function, mode: str, hooked: bool):
+    def __init__(self, machine, fn: Function, mode: str, hooked: bool,
+                 guarded: bool):
         if fn.is_declaration:
             raise InterpError(f"cannot compile declaration @{fn.name}")
         if mode not in ("cpu", "gpu"):
@@ -314,6 +327,7 @@ class _SourceCompiler:
         self.fn = fn
         self.mode = mode
         self.hooked = hooked
+        self.guarded = guarded
         self.memory = machine.device.memory if mode == "gpu" \
             else machine.cpu_memory
         self.charge_attr = "_gpu_ops" if mode == "gpu" \
@@ -353,6 +367,9 @@ class _SourceCompiler:
         if hooked:
             self.builders["_lds"] = lambda m, mem: mem.load_scalar
             self.builders["_sts"] = lambda m, mem: mem.store_scalar
+        if guarded:
+            self.builders["_pw"] = lambda m, mem: m.writeback_guard[0]
+            self.builders["_wg"] = lambda m, mem: m.writeback_guard[1]
 
     # -- emission plumbing --------------------------------------------------
 
@@ -369,22 +386,27 @@ class _SourceCompiler:
             self.builders[name] = _const(obj)
         return name
 
+    def _helper(self, prefix: str, key: tuple, build) -> str:
+        """A stable default-argument name for one deduped
+        ``(machine, memory) -> value`` recipe."""
+        name = self._helpers.get(key)
+        if name is None:
+            name = f"{prefix}{len(self.builders)}"
+            self.builders[name] = build
+            self._helpers[key] = name
+        return name
+
     def _slow_helper(self, kind: str, type_) -> str:
         """The deduped codec-fallback helper for one access shape."""
         codec = scalar_struct(type_)
         i1 = isinstance(type_, IntType) and type_.bits == 1
         key = (kind, codec.format, i1 if kind == "ld" else False)
-        name = self._helpers.get(key)
-        if name is None:
-            name = f"_{kind}{len(self.builders)}"
-            if kind == "ld":
-                self.builders[name] = \
-                    lambda m, mem, c=codec, f=i1: _make_slow_load(mem, c, f)
-            else:
-                self.builders[name] = \
-                    lambda m, mem, c=codec: _make_slow_store(mem, c)
-            self._helpers[key] = name
-        return name
+        if kind == "ld":
+            return self._helper(
+                "_ld", key,
+                lambda m, mem, c=codec, f=i1: _make_slow_load(mem, c, f))
+        return self._helper(
+            "_st", key, lambda m, mem, c=codec: _make_slow_store(mem, c))
 
     # -- operand references -------------------------------------------------
 
@@ -441,10 +463,18 @@ class _SourceCompiler:
         self._sites.append(name)
         return name, k
 
+    def _emit_guard(self, kind: str, pointer: str, size: int) -> None:
+        """The host write-back guard ahead of one access: a single
+        truthiness test while no write-back is in flight."""
+        if self.guarded:
+            self._emit("if _pw:")
+            self._emit(f"    _wg(M, \"{kind}\", {pointer}, {size})")
+
     def _emit_load(self, inst: Load) -> None:
         dest = self.names[inst]
         pointer = self._ref(inst.pointer)
         type_ = inst.type
+        self._emit_guard("load", pointer, type_.size)
         if self.hooked:
             self._emit("for _h in M.mem_hooks:")
             self._emit(f"    _h(M, \"load\", {pointer}, {type_.size})")
@@ -470,6 +500,7 @@ class _SourceCompiler:
         pointer = self._ref(inst.pointer)
         value = self._ref(inst.value)
         type_ = inst.value.type
+        self._emit_guard("store", pointer, type_.size)
         if self.hooked:
             self._emit("for _h in M.mem_hooks:")
             self._emit(f"    _h(M, \"store\", {pointer}, {type_.size})")
@@ -663,13 +694,9 @@ class _SourceCompiler:
                 # allocated length (and the -1 disarmed value sends
                 # every fill down the slow path).
                 cs, k = self._site()
-                key = ("fl", size)
-                helper = self._helpers.get(key)
-                if helper is None:
-                    helper = f"_fl{len(self.builders)}"
-                    self.builders[helper] = \
-                        lambda m, mem, s=size: _make_slow_fill(mem, s)
-                    self._helpers[key] = helper
+                helper = self._helper(
+                    "_fl", ("fl", size),
+                    lambda m, mem, s=size: _make_slow_fill(mem, s))
                 zeros = self._bake("_Z", bytes(size))
                 self._emit(f"_o = {dest} - {cs}.base")
                 self._emit(f"if 0 <= _o and _o + {size} <= {cs}.hi1 + 1:")
@@ -691,55 +718,45 @@ class _SourceCompiler:
 
     def _emit_call(self, inst: Call) -> None:
         arg_list = ", ".join(self._ref(a) for a in inst.args)
+        name = inst.callee.name
+        gpu = self.mode == "gpu"
         if _pure_call(inst):
             # Pure-math external: direct positional dispatch; the
             # modelled cost rode in with the fused segment charge.
-            key = ("p", inst.callee.name)
-            callee = self._helpers.get(key)
-            if callee is None:
-                callee = f"_p{len(self.builders)}"
-                self.builders[callee] = \
-                    lambda m, mem, \
-                    n=inst.callee.name: _make_pure_external(m, n)
-                self._helpers[key] = callee
-            call = f"{callee}({arg_list})"
+            callee = self._helper(
+                "_p", ("p", name),
+                lambda m, mem, n=name: _make_pure_external(m, n))
         elif inst.callee.is_declaration:
             # Externals dispatch through a baked per-name thunk: no
             # frame, no call depth, mode resolved at codegen time.
-            key = ("x", inst.callee.name)
-            callee = self._helpers.get(key)
-            if callee is None:
-                callee = f"_x{len(self.builders)}"
-                self.builders[callee] = \
-                    lambda m, mem, n=inst.callee.name, \
-                    g=(self.mode == "gpu"): _make_external_thunk(m, n, g)
-                self._helpers[key] = callee
-            call = f"{callee}({arg_list})"
+            callee = self._helper(
+                "_x", ("x", name),
+                lambda m, mem, n=name, g=gpu: _make_external_thunk(m, n, g))
         else:
             if len(inst.args) != len(inst.callee.args):
                 # Static arity mismatch: defer to runtime like the
                 # tree-walker (the block's charges still land first).
-                message = (f"@{inst.callee.name}: expected "
+                message = (f"@{name}: expected "
                            f"{len(inst.callee.args)} args, got "
                            f"{len(inst.args)}")
                 self._emit(f"raise _IE({message!r})")
                 return
-            key = ("c", inst.callee.name)
-            callee = self._helpers.get(key)
-            if callee is None:
-                callee = f"_c{len(self.builders)}"
-                self.builders[callee] = \
-                    lambda m, mem, f=inst.callee, \
-                    g=(self.mode == "gpu"): _make_call_thunk(m, f, g)
-                self._helpers[key] = callee
-            call = f"{callee}({arg_list})"
+            # Resolved by name: a cached recipe holding the callee
+            # would keep its module, and so the cache key, alive.
+            callee = self._helper(
+                "_c", ("c", name),
+                lambda m, mem, n=name, g=gpu:
+                _make_call_thunk(m, m.module.get_function(n), g))
+        call = f"{callee}({arg_list})"
         if inst.produces_value:
             self._emit(f"{self.names[inst]} = {call}")
         else:
             self._emit(call)
 
     def _emit_launch(self, inst: LaunchKernel) -> None:
-        kernel = self._bake("_K", inst.kernel)
+        kernel = self._helper(
+            "_K", ("k", inst.kernel.name),
+            lambda m, mem, n=inst.kernel.name: m.module.get_function(n))
         arg_list = ", ".join(self._ref(a) for a in inst.args)
         self._emit(f"_launch({kernel}, int({self._ref(inst.grid)}), "
                    f"[{arg_list}])")
@@ -1020,14 +1037,15 @@ class _SourceCompiler:
         header = f"def __srcgen(args, *, {params}):"
         source = "\n".join([header] + prologue + body) + "\n"
         tag = f"<srcgen @{fn.name}:{self.mode}" \
-            + (":hooked>" if self.hooked else ">")
+            + (":hooked" if self.hooked else "") \
+            + (":guarded>" if self.guarded else ">")
         code_obj = compile(source, tag, "exec")
         return source, code_obj, self.builders
 
 
-def _instantiate(machine, fn: Function, mode: str, hooked: bool,
-                 entry) -> "object":
+def _instantiate(machine, fn: Function, key: tuple, entry) -> "object":
     source, code_obj, builders = entry
+    mode, hooked, guarded = key
     memory = machine.device.memory if mode == "gpu" \
         else machine.cpu_memory
     namespace = {name: build(machine, memory)
@@ -1039,25 +1057,30 @@ def _instantiate(machine, fn: Function, mode: str, hooked: bool,
     code.function = fn
     code.mode = mode
     code.hooked = hooked
+    code.guarded = guarded
     return code
 
 
 def compile_function_source(machine, fn: Function, mode: str,
-                            hooked: bool):
+                            hooked: bool, guarded: bool = False):
     """Translate ``fn`` into compiled Python source for one machine
     and mode; the returned callable is invoked as ``code(args)``.
+    ``guarded`` code checks ``machine.writeback_guard`` before every
+    load/store.
 
     Emission and ``compile()`` happen once per (function, mode,
-    hooked) process-wide; each machine only re-instantiates the baked
-    namespace from the cached builder recipe.
+    hooked, guarded) process-wide; each machine only re-instantiates
+    the baked namespace from the cached builder recipe.
     """
     if fn.is_declaration:
         raise InterpError(f"cannot compile declaration @{fn.name}")
     if mode not in ("cpu", "gpu"):
         raise InterpError(f"cannot compile for mode {mode!r}")
     per_fn = _CODE_CACHE.setdefault(fn, {})
-    entry = per_fn.get((mode, hooked))
+    key = (mode, hooked, guarded)
+    entry = per_fn.get(key)
     if entry is None:
-        entry = _SourceCompiler(machine, fn, mode, hooked).compile()
-        per_fn[(mode, hooked)] = entry
-    return _instantiate(machine, fn, mode, hooked, entry)
+        entry = _SourceCompiler(machine, fn, mode, hooked,
+                                guarded).compile()
+        per_fn[key] = entry
+    return _instantiate(machine, fn, key, entry)

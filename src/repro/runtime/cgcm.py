@@ -120,9 +120,9 @@ class CgcmRuntime:
         self.alloc_map = AvlTreeMap()
         self.global_epoch = 0
         self._stack_regs: Dict[int, List[int]] = {}
-        #: Streams discipline: async entry points overlap, and a
-        #: load/store guard synchronizes in-flight write-backs before
-        #: the CPU touches their host region.
+        #: Streams discipline: async entry points overlap, and the
+        #: machine's host load/store guard synchronizes in-flight
+        #: write-backs before the CPU touches their host region.
         self.streams = getattr(machine, "streams", False)
         #: In-flight DtoH write-backs: unit base -> (unit end, modelled
         #: finish time of the copy on the d2h stream).
@@ -170,7 +170,8 @@ class CgcmRuntime:
         })
         machine.external_types.update(RUNTIME_SIGNATURES)
         if self.streams:
-            machine.mem_hooks.append(self._guard_mem)
+            machine.writeback_guard = (self._pending_writebacks,
+                                       self._guard_mem)
             self._wrap_memory_externals()
         #: Resilience subsystem (repro.resilience): armed whenever the
         #: device can fail (fault injector or heap cap).  The runtime
@@ -243,7 +244,7 @@ class CgcmRuntime:
     # -- streams guard -------------------------------------------------------
 
     #: Externals that read or write host memory without going through
-    #: the interpreter's load/store path (and hence the mem-hook
+    #: the interpreter's load/store path (and hence the write-back
     #: guard); under streams they synchronize pending write-backs
     #: first, exactly like a guarded load would.
     _MEMORY_EXTERNAL_NAMES = ("memcpy", "memset", "print_str", "free",
@@ -266,20 +267,19 @@ class CgcmRuntime:
 
     def _guard_mem(self, machine: Machine, kind: str, address: int,
                    size: int) -> None:
-        """mem-hook: stall the host until an overlapping in-flight
-        write-back completes before the CPU touches its region.
+        """``Machine.writeback_guard``: stall the host until an
+        overlapping in-flight write-back completes before the CPU
+        touches its region.
 
         Data is already in place (the simulator's eager-data model);
         this models the synchronize a real async implementation needs,
         charging the wait as idle time rather than modelled ops.
-        Device addresses can never overlap host regions, so kernel
-        accesses fall through the interval test untouched.
+        Device addresses can never overlap host regions, so the
+        machine consults the guard from host-mode code only, and only
+        while a write-back is pending.
         """
-        pending = self._pending_writebacks
-        if not pending:
-            return
         end = address + size
-        for base, (unit_end, _finish) in pending.items():
+        for base, (unit_end, _finish) in self._pending_writebacks.items():
             if address < unit_end and base < end:
                 self._sync_pending()
                 return

@@ -109,7 +109,7 @@ class TestNegativePaths:
         for _ in range(2):
             with pytest.raises(FrontendError):
                 api.compile_workload("int main(\n")
-        assert api.cache_stats()["size"] == 0
+        assert api.cache_stats()["entries"] == 0
 
     def test_non_string_source_rejected(self):
         with pytest.raises(ConfigError):
@@ -145,7 +145,7 @@ class TestArtifactCache:
         assert second is first
         stats = api.cache_stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
-        assert stats["size"] == 1
+        assert stats["entries"] == 1
 
     def test_equivalent_config_objects_hit(self):
         api.compile_workload(PROGRAM, CgcmConfig())
@@ -197,14 +197,14 @@ class TestArtifactCache:
         template = "int main(void) {{ print_i64({0}); return 0; }}\n"
         for index in range(api.CACHE_CAPACITY + 5):
             api.compile_workload(template.format(index))
-        assert api.cache_stats()["size"] == api.CACHE_CAPACITY
+        assert api.cache_stats()["entries"] == api.CACHE_CAPACITY
 
     def test_clear_cache_resets_counters(self):
         api.compile_workload(PROGRAM)
         api.clear_cache()
         assert api.cache_stats() == {
             "hits": 0, "misses": 0, "evictions": 0, "entries": 0,
-            "size": 0, "capacity": api.CACHE_CAPACITY}
+            "capacity": api.CACHE_CAPACITY}
 
     def test_eviction_counter_tracks_lru_drops(self):
         template = "int main(void) {{ print_i64({0}); return 0; }}\n"

@@ -5,13 +5,20 @@ compiled-cache keying regression: a sanitizer-armed run must never
 reuse an unhooked compiled body, and vice versa.
 """
 
+import gc
+import weakref
+
 import pytest
 
+from repro.api import Session
 from repro.errors import CgcmUnsupportedError, InterpError
 from repro.frontend import compile_minic
 from repro.interp import Machine
 from repro.interp.srcgen import compile_function_source
 from repro.ir import (FunctionType, I64, IRBuilder, Module, verify_module)
+from repro.ir.instructions import Call, LaunchKernel
+from repro.runtime import CgcmRuntime
+from repro.staticcheck.corpus import CORPUS
 
 
 def machine_pair(source: str):
@@ -114,6 +121,33 @@ class TestCompiledCacheKeying:
         assert first.source == second.source  # ... one cached emission
         assert first.__code__ is second.__code__
 
+    def test_dropped_workload_frees_its_module(self):
+        """The code cache is keyed weakly by function, and its recipes
+        resolve callees and kernels by name: once the workload and its
+        session are gone, nothing keeps the module alive."""
+        program = r"""
+            double A[64];
+            double twice(double x) { return x * 2.0; }
+            int main(void) {
+                for (int i = 0; i < 64; i++) A[i] = twice(i);
+                for (int i = 0; i < 64; i++) A[i] = A[i] + 1.0;
+                print_f64(A[63]);
+                return 0;
+            }
+        """
+        session = Session()
+        workload = session.compile(program)
+        insts = [inst for fn in workload.module.defined_functions()
+                 for inst in fn.instructions()]
+        assert any(isinstance(inst, LaunchKernel) for inst in insts)
+        assert any(isinstance(inst, Call) and not inst.callee.is_declaration
+                   for inst in insts)
+        assert workload.run().stdout == ("127",)
+        module = weakref.ref(workload.module)
+        del workload, session, insts
+        gc.collect()
+        assert module() is None
+
 
 class TestResultEquivalence:
     SOURCE = r"""
@@ -199,6 +233,29 @@ class TestHookedVariants:
         assert events["tree"] == events["source"]
         assert any(kind == "store" for kind, _, _ in events["tree"])
 
+    @pytest.mark.parametrize("engine", ("compiled", "source"))
+    def test_mem_hooks_fire_identically_under_streams(self, engine):
+        """With the streams write-back guard armed and firing, an
+        observer still sees the tree-walker's event stream, kernel
+        accesses included."""
+        program = next(defect.source for defect in CORPUS
+                       if defect.name == "async-use-before-sync")
+        events = {}
+        for which in ("tree", engine):
+            machine = Machine(compile_minic(program), engine=which,
+                              streams=True)
+            runtime = CgcmRuntime(machine)
+            runtime.declare_all_globals()
+            log = []
+            machine.mem_hooks.append(
+                lambda m, kind, addr, size, log=log:
+                log.append((m.mode, kind, addr, size)))
+            assert machine.run() == 0
+            events[which] = (log, machine.stdout, machine.clock.totals(),
+                             runtime.guard_syncs)
+        assert events["tree"] == events[engine]
+        assert {mode for mode, *_ in events["tree"][0]} == {"cpu", "gpu"}
+
 
 class TestGpuRestrictions:
     def test_kernel_pointer_store_rejected(self):
@@ -216,7 +273,6 @@ class TestGpuRestrictions:
             }
         """)
         machine = Machine(module, engine="source")
-        from repro.runtime import CgcmRuntime
         CgcmRuntime(machine).declare_all_globals()
         with pytest.raises(CgcmUnsupportedError, match="pointer into"):
             machine.run()
