@@ -165,8 +165,14 @@ class CountedLoop:
                 f"{self.pred} step={self.step}>")
 
 
-def recognize_counted_loop(fn: Function, loop: Loop) -> Optional[CountedLoop]:
+def recognize_counted_loop(fn: Function, loop: Loop,
+                           preds: Optional[Dict[BasicBlock,
+                                                List[BasicBlock]]] = None
+                           ) -> Optional[CountedLoop]:
     """Match ``loop`` against the canonical counted shape, or None.
+
+    ``preds`` is ``fn``'s :func:`predecessor_map`, for callers that
+    already hold one; it is built here otherwise.
 
     Requirements (sufficient for the frontend's ``for`` lowering):
 
@@ -177,7 +183,8 @@ def recognize_counted_loop(fn: Function, loop: Loop) -> Optional[CountedLoop]:
       the latch; END is loop-invariant; STEP is a positive constant,
     * the single loop exit is the header's false edge.
     """
-    preds = predecessor_map(fn)
+    if preds is None:
+        preds = predecessor_map(fn)
     preheader = loop_preheader(loop, preds)
     if preheader is None:
         return None

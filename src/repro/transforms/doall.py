@@ -37,6 +37,7 @@ from ..ir.values import Argument, Constant, GlobalVariable, Value
 from ..analysis.affine import (AccessForm, AffineContext, IvRange,
                                access_form, conflicts_across_iterations)
 from ..analysis.alias import may_alias_roots, underlying_objects
+from ..analysis.cfg import predecessor_map
 from ..analysis.loops import (CountedLoop, Loop, find_loops,
                               recognize_counted_loop)
 from .outline import clone_region, erase_blocks
@@ -52,6 +53,29 @@ class _LoopPlan:
         self.private_allocas: List[Alloca] = []
         self.value_params: List[Tuple[Alloca, Load]] = []
         self.live_ins: List[Value] = []
+
+
+class _CfgAnalyses:
+    """The analyses of one CFG version of a function.
+
+    A CFG version lasts from one outline to the next: legality analysis
+    only reads the IR, so every candidate of a version shares these,
+    and :meth:`DoallParallelizer._process_function` builds a fresh
+    holder after each outline."""
+
+    def __init__(self, fn: Function):
+        self.fn = fn
+        self.loops = find_loops(fn)  # outermost first
+        self.preds = predecessor_map(fn)
+        self.alloca_uses = _collect_alloca_uses(fn)
+        self._counted: Dict[Loop, Optional[CountedLoop]] = {}
+
+    def counted(self, loop: Loop) -> Optional[CountedLoop]:
+        """:func:`recognize_counted_loop` of ``loop``, computed once."""
+        if loop not in self._counted:
+            self._counted[loop] = recognize_counted_loop(self.fn, loop,
+                                                         self.preds)
+        return self._counted[loop]
 
 
 class DoallParallelizer:
@@ -72,24 +96,25 @@ class DoallParallelizer:
         changed = True
         while changed:
             changed = False
-            loops = find_loops(fn)  # outermost first
-            for loop in loops:
-                plan = self._analyze(fn, loop)
+            cfg = _CfgAnalyses(fn)
+            for loop in cfg.loops:
+                plan = self._analyze(cfg, loop)
                 if plan is not None:
                     self._outline(fn, plan)
                     changed = True
-                    break  # CFG changed; recompute the loop forest
+                    break  # CFG changed; recompute the analyses
 
     # -- legality analysis -------------------------------------------------
 
-    def _analyze(self, fn: Function, loop: Loop) -> Optional[_LoopPlan]:
-        counted = recognize_counted_loop(fn, loop)
+    def _analyze(self, cfg: _CfgAnalyses,
+                 loop: Loop) -> Optional[_LoopPlan]:
+        counted = cfg.counted(loop)
         if counted is None:
             return None
         if counted.start.type != I64 or counted.end.type != I64:
             return None
         plan = _LoopPlan(counted)
-        plan.body_blocks = [b for b in fn.blocks
+        plan.body_blocks = [b for b in cfg.fn.blocks
                             if b in loop.blocks and b is not loop.header]
         for block in plan.body_blocks:
             for inst in block.instructions:
@@ -99,9 +124,9 @@ class DoallParallelizer:
                         inst.callee):
                     return None
         plan.skip = self._induction_update_insts(counted, plan.body_blocks)
-        if not self._classify_allocas(fn, loop, plan):
+        if not self._classify_allocas(cfg, loop, plan):
             return None
-        if not self._dependence_test(fn, loop, plan):
+        if not self._dependence_test(cfg, loop, plan):
             return None
         self._collect_live_ins(loop, plan)
         return plan
@@ -136,12 +161,11 @@ class DoallParallelizer:
                     skip.add(operand)
         return skip
 
-    def _classify_allocas(self, fn: Function, loop: Loop,
+    def _classify_allocas(self, cfg: _CfgAnalyses, loop: Loop,
                           plan: _LoopPlan) -> bool:
         counted = plan.counted
-        alloca_uses = _collect_alloca_uses(fn)
         body_set = set(plan.body_blocks)
-        for alloca, uses in alloca_uses.items():
+        for alloca, uses in cfg.alloca_uses.items():
             if alloca is counted.ivar:
                 continue
             body_uses = [u for u in uses if u.parent in body_set
@@ -158,19 +182,19 @@ class DoallParallelizer:
                 continue
             if outside_uses:
                 return False  # reduction or cross-iteration scalar
-            if not _written_before_read(alloca, plan):
+            if not _written_before_read(alloca, plan, cfg.preds):
                 return False
             plan.private_allocas.append(alloca)
         return True
 
-    def _dependence_test(self, fn: Function, loop: Loop,
+    def _dependence_test(self, cfg: _CfgAnalyses, loop: Loop,
                          plan: _LoopPlan) -> bool:
         counted = plan.counted
         handled = {counted.ivar}
         handled.update(plan.private_allocas)
         handled.update(a for a, _ in plan.value_params)
-        inner_ranges = _inner_iv_ranges(fn, loop)
-        fixed_ranges = _enclosing_iv_ranges(fn, loop)
+        fixed_ranges = _enclosing_iv_ranges(cfg, loop)
+        inner_ranges = _inner_iv_ranges(cfg, loop, fixed_ranges)
         outer_range = None
         if isinstance(counted.start, Constant) \
                 and isinstance(counted.end, Constant):
@@ -392,20 +416,21 @@ def _is_direct_scalar(alloca: Alloca, uses: List[Instruction]) -> bool:
     return True
 
 
-def _inner_iv_ranges(fn: Function, loop: Loop) -> Dict[Alloca, IvRange]:
+def _inner_iv_ranges(cfg: _CfgAnalyses, loop: Loop,
+                     enclosing: Dict[Alloca, IvRange]
+                     ) -> Dict[Alloca, IvRange]:
     """Value ranges for induction variables of counted loops nested
     (at any depth) inside ``loop``.
 
     Non-constant bounds (``for (j = k+1; j < N; ...)``) are widened to
-    an interval using the ranges of enclosing induction variables --
-    sound, because widening an inner range can only make the conflict
-    test *more* conservative."""
-    enclosing = _enclosing_iv_ranges(fn, loop)
+    an interval using ``enclosing``, the ranges of enclosing induction
+    variables -- sound, because widening an inner range can only make
+    the conflict test *more* conservative."""
     ranges: Dict[Alloca, IvRange] = {}
-    for inner in find_loops(fn):
+    for inner in cfg.loops:
         if inner is loop or not (inner.blocks < loop.blocks):
             continue
-        counted = recognize_counted_loop(fn, inner)
+        counted = cfg.counted(inner)
         if counted is None:
             continue
         widened = _widened_range(counted, enclosing)
@@ -461,20 +486,20 @@ def inst_is_int_cast(value: Value) -> bool:
                                                       "trunc")
 
 
-def _enclosing_iv_ranges(fn: Function, loop: Loop) -> Dict[Alloca, IvRange]:
+def _enclosing_iv_ranges(cfg: _CfgAnalyses,
+                         loop: Loop) -> Dict[Alloca, IvRange]:
     """Value ranges for induction variables of counted loops that
     *enclose* ``loop`` (their value is fixed across the candidate's
     iterations, so equal coefficients cancel in the conflict test).
 
-    Processed outermost-first so that an inner enclosing loop's
-    symbolic bounds (``j = k+1``) can be widened over the ranges of
-    the loops around it."""
-    enclosing = [outer for outer in find_loops(fn)
-                 if loop.blocks < outer.blocks]
-    enclosing.sort(key=lambda l: l.depth)
+    Processed outermost-first (the order of ``cfg.loops``) so that an
+    inner enclosing loop's symbolic bounds (``j = k+1``) can be widened
+    over the ranges of the loops around it."""
     ranges: Dict[Alloca, IvRange] = {}
-    for outer in enclosing:
-        counted = recognize_counted_loop(fn, outer)
+    for outer in cfg.loops:
+        if not (loop.blocks < outer.blocks):
+            continue
+        counted = cfg.counted(outer)
         if counted is None:
             continue
         widened = _widened_range(counted, ranges)
@@ -483,7 +508,8 @@ def _enclosing_iv_ranges(fn: Function, loop: Loop) -> Dict[Alloca, IvRange]:
     return ranges
 
 
-def _written_before_read(alloca: Alloca, plan: _LoopPlan) -> bool:
+def _written_before_read(alloca: Alloca, plan: _LoopPlan,
+                         preds: Dict[BasicBlock, List[BasicBlock]]) -> bool:
     """Forward must-analysis over the body subgraph (back edge cut):
     on every path through one iteration, is ``alloca`` stored before
     it is loaded?"""
@@ -498,8 +524,8 @@ def _written_before_read(alloca: Alloca, plan: _LoopPlan) -> bool:
             if block is first_body:
                 state = False
             else:
-                preds = [p for p in block.predecessors() if p in body_set]
-                state = bool(preds) and all(defined_out[p] for p in preds)
+                inside = [p for p in preds[block] if p in body_set]
+                state = bool(inside) and all(defined_out[p] for p in inside)
             for inst in block.instructions:
                 if inst in plan.skip:
                     continue

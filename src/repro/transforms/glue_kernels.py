@@ -53,6 +53,35 @@ CONTRACT = PassContract(stage="glue-kernels", launches="grow")
 _DEFAULT_MAX_INSTRUCTIONS = 60
 
 
+class _CfgAnalyses:
+    """The analyses of one CFG version of a function.
+
+    A CFG version lasts from one outline to the next: candidate
+    analysis only reads the IR, so every candidate of a version shares
+    these, and :meth:`GlueKernels._process_function` builds a fresh
+    holder after each outline."""
+
+    def __init__(self, fn: Function):
+        self.fn = fn
+        self.loops = find_loops(fn)  # outermost first
+        self.preds = predecessor_map(fn)
+        #: Instruction -> the instructions using it as an operand, in
+        #: block order, each listed once.
+        self.users: Dict[Instruction, List[Instruction]] = {}
+        for inst in fn.instructions():
+            for operand in inst.operands:
+                if isinstance(operand, Instruction):
+                    users = self.users.setdefault(operand, [])
+                    if not users or users[-1] is not inst:
+                        users.append(inst)
+
+    def used_outside(self, value: Instruction,
+                     region: Set[Instruction]) -> bool:
+        """Does an instruction outside ``region`` use ``value``?"""
+        return any(user not in region
+                   for user in self.users.get(value, ()))
+
+
 class GlueKernels:
     """Outlines promotion-blocking CPU snippets into 1-thread kernels."""
 
@@ -74,27 +103,28 @@ class GlueKernels:
         changed = True
         while changed:
             changed = False
-            for loop in find_loops(fn):
+            cfg = _CfgAnalyses(fn)
+            for loop in cfg.loops:
                 if not _contains_launch(loop):
                     continue
-                if self._glue_inner_loop(fn, loop):
+                if self._glue_inner_loop(cfg, loop):
                     changed = True
                     break
-                if self._glue_straight_line(fn, loop):
+                if self._glue_straight_line(cfg, loop):
                     changed = True
                     break
 
     # -- straight-line runs ------------------------------------------------
 
-    def _glue_straight_line(self, fn: Function, loop: Loop) -> bool:
-        for block in [b for b in fn.blocks if b in loop.blocks]:
-            run = self._find_run(fn, block)
+    def _glue_straight_line(self, cfg: _CfgAnalyses, loop: Loop) -> bool:
+        for block in [b for b in cfg.fn.blocks if b in loop.blocks]:
+            run = self._find_run(cfg, block)
             if run is not None:
-                self._outline_run(fn, block, run)
+                self._outline_run(cfg, block, run)
                 return True
         return False
 
-    def _find_run(self, fn: Function,
+    def _find_run(self, cfg: _CfgAnalyses,
                   block: BasicBlock) -> Optional[Tuple[int, int]]:
         """A qualifying [start, stop) instruction run, or None.
 
@@ -114,15 +144,15 @@ class GlueKernels:
             while stop < len(instructions) \
                     and _glue_safe(instructions[stop]):
                 stop += 1
-            for chunk_start, chunk_stop in self._chunks(fn, block, start,
+            for chunk_start, chunk_stop in self._chunks(cfg, block, start,
                                                         stop):
                 chunk = instructions[chunk_start:chunk_stop]
-                if self._run_qualifies(fn, block, chunk):
+                if self._run_qualifies(cfg, block, chunk):
                     return (chunk_start, chunk_stop)
             start = stop
         return None
 
-    def _chunks(self, fn: Function, block: BasicBlock, start: int,
+    def _chunks(self, cfg: _CfgAnalyses, block: BasicBlock, start: int,
                 stop: int) -> List[Tuple[int, int]]:
         """Split [start, stop) at instructions that cannot be outlined."""
         instructions = block.instructions
@@ -136,10 +166,7 @@ class GlueKernels:
                                                       Alloca):
                 separator = True
             elif inst.produces_value:
-                for other in fn.instructions():
-                    if other not in maximal and inst in other.operands:
-                        separator = True
-                        break
+                separator = cfg.used_outside(inst, maximal)
             if separator:
                 if current < index:
                     chunks.append((current, index))
@@ -165,7 +192,7 @@ class GlueKernels:
             stop -= 1
         return (start, stop)
 
-    def _run_qualifies(self, fn: Function, block: BasicBlock,
+    def _run_qualifies(self, cfg: _CfgAnalyses, block: BasicBlock,
                        run: Sequence[Instruction]) -> bool:
         if not run or len(run) > self.max_instructions:
             return False
@@ -185,21 +212,17 @@ class GlueKernels:
                     if not isinstance(root, (GlobalVariable, Call)):
                         return False
             elif isinstance(inst, Load):
-                if self._slot_load(fn, inst, run) is not None:
+                if self._slot_load(cfg, inst, run) is not None:
                     continue
                 for root in underlying_objects(inst.pointer):
                     if not isinstance(root, (GlobalVariable, Call)):
                         return False
-        for inst in fn.instructions():
-            if inst in defined:
-                continue
-            for operand in inst.operands:
-                if operand in defined:
-                    return False  # a defined register escapes the run
-        return self._unblocks_promotion(fn, block, run)
+        if any(cfg.used_outside(inst, defined) for inst in run):
+            return False  # a defined register escapes the run
+        return self._unblocks_promotion(cfg, block, run)
 
     @staticmethod
-    def _slot_load(fn: Function, inst: Load,
+    def _slot_load(cfg: _CfgAnalyses, inst: Load,
                    run: Sequence[Instruction]) -> Optional[Alloca]:
         """The scalar stack slot this load reads, if it qualifies for
         pass-by-value (direct slot, not written inside the run)."""
@@ -208,7 +231,7 @@ class GlueKernels:
             return None
         if not pointer.allocated_type.is_scalar:
             return None
-        uses = [u for u in fn.instructions() if pointer in u.operands]
+        uses = cfg.users.get(pointer, [])
         if not _is_direct_scalar_alloca(pointer, uses):
             return None
         run_set = set(run)
@@ -217,15 +240,16 @@ class GlueKernels:
                 return None  # written inside the run: value would go stale
         return pointer
 
-    def _outline_run(self, fn: Function, block: BasicBlock,
+    def _outline_run(self, cfg: _CfgAnalyses, block: BasicBlock,
                      run: Tuple[int, int]) -> None:
+        fn = cfg.fn
         start, stop = run
         instructions = block.instructions[start:stop]
         # Loads of scalar stack slots become by-value parameters: the
         # CPU evaluates them just before the launch.
         slot_loads = [inst for inst in instructions
                       if isinstance(inst, Load)
-                      and self._slot_load(fn, inst, instructions)
+                      and self._slot_load(cfg, inst, instructions)
                       is not None]
         remaining = [inst for inst in instructions
                      if inst not in slot_loads]
@@ -261,7 +285,7 @@ class GlueKernels:
             inst.parent = None
         self.launches.append(launch)
 
-    def _unblocks_promotion(self, fn: Function, block: BasicBlock,
+    def _unblocks_promotion(self, cfg: _CfgAnalyses, block: BasicBlock,
                             region: Sequence[Instruction]) -> bool:
         """Is this region the *only* CPU code in its enclosing
         launch-containing loop that touches some mapped allocation
@@ -270,7 +294,7 @@ class GlueKernels:
         launch would be pure overhead."""
         from ..analysis.modref import ModRefAnalysis
         enclosing = None
-        for loop in find_loops(fn):
+        for loop in cfg.loops:
             if block in loop.blocks and _contains_launch(loop):
                 if enclosing is None \
                         or len(loop.blocks) < len(enclosing.blocks):
@@ -304,8 +328,8 @@ class GlueKernels:
 
     # -- inner loops --------------------------------------------------------------
 
-    def _glue_inner_loop(self, fn: Function, loop: Loop) -> bool:
-        for inner in find_loops(fn):
+    def _glue_inner_loop(self, cfg: _CfgAnalyses, loop: Loop) -> bool:
+        for inner in cfg.loops:
             if not (inner.blocks < loop.blocks):
                 continue
             # Only glue loops sitting *directly* between the launches
@@ -314,36 +338,36 @@ class GlueKernels:
             if inner.parent is None or inner.parent.header \
                     is not loop.header:
                 continue
-            plan = self._analyze_inner_loop(fn, loop, inner)
+            plan = self._analyze_inner_loop(cfg, loop, inner)
             if plan is not None:
-                self._outline_inner_loop(fn, *plan)
+                self._outline_inner_loop(cfg, *plan)
                 return True
         return False
 
-    def _analyze_inner_loop(self, fn: Function, outer: Loop, inner: Loop):
-        plan = self._analyze_inner_loop_shape(fn, outer, inner,
+    def _analyze_inner_loop(self, cfg: _CfgAnalyses, outer: Loop,
+                            inner: Loop):
+        plan = self._analyze_inner_loop_shape(cfg, outer, inner,
                                               extend_exit=True)
         if plan is not None:
             return plan
-        return self._analyze_inner_loop_shape(fn, outer, inner,
+        return self._analyze_inner_loop_shape(cfg, outer, inner,
                                               extend_exit=False)
 
-    def _analyze_inner_loop_shape(self, fn: Function, outer: Loop,
+    def _analyze_inner_loop_shape(self, cfg: _CfgAnalyses, outer: Loop,
                                   inner: Loop, extend_exit: bool):
         if _contains_launch(inner):
             return None
         size = sum(len(b.instructions) for b in inner.blocks)
         if size > self.max_instructions:
             return None
-        preds = predecessor_map(fn)
-        preheader = loop_preheader(inner, preds)
+        preheader = loop_preheader(inner, cfg.preds)
         if preheader is None or preheader not in outer.blocks:
             return None
         exit_targets = {to for _, to in inner.exit_edges()}
         if len(exit_targets) != 1:
             return None
         exit_block = next(iter(exit_targets))
-        if any(p not in inner.blocks for p in exit_block.predecessors()):
+        if any(p not in inner.blocks for p in cfg.preds[exit_block]):
             return None
         for block in inner.blocks:
             for inst in block.instructions:
@@ -378,14 +402,12 @@ class GlueKernels:
             cut = None
             for index, inst in enumerate(exit_prefix):
                 if inst.produces_value \
-                        and self._value_used_outside(fn, inst, region_set):
+                        and cfg.used_outside(inst, region_set):
                     cut = index
                     break
                 if isinstance(inst, Store) \
                         and isinstance(inst.pointer, Alloca) \
-                        and self._value_used_outside(fn, inst.pointer,
-                                                     region_set |
-                                                     {inst.pointer}):
+                        and cfg.used_outside(inst.pointer, region_set):
                     # Writing a stack scalar that outlives the region
                     # (e.g. the next loop's induction init) must stay
                     # on the CPU.
@@ -403,7 +425,9 @@ class GlueKernels:
         # outline time); read-only ones become value parameters;
         # anything else disqualifies.
         value_params: List[Alloca] = []
-        for alloca, uses in _alloca_uses(fn).items():
+        for alloca, uses in cfg.users.items():
+            if not isinstance(alloca, Alloca):
+                continue
             region_uses = [u for u in uses if u in region_set]
             if not region_uses:
                 continue
@@ -420,25 +444,12 @@ class GlueKernels:
             return None
 
         # No register defined in the region may be used outside it.
-        for inst in fn.instructions():
-            if inst in region_set:
-                continue
-            for operand in inst.operands:
-                if operand in region_set:
-                    return None
-        if not self._unblocks_promotion(fn, preheader, region_insts):
+        if any(cfg.used_outside(inst, region_set) for inst in region_insts):
+            return None
+        if not self._unblocks_promotion(cfg, preheader, region_insts):
             return None
         return (outer, inner, preheader, suffix, exit_prefix,
                 exit_block, value_params, region_insts)
-
-    def _value_used_outside(self, fn: Function, value: Value,
-                            region: Set[Instruction]) -> bool:
-        for inst in fn.instructions():
-            if inst in region:
-                continue
-            if value in inst.operands:
-                return True
-        return False
 
     def _preheader_suffix(self, preheader: BasicBlock) -> List[Instruction]:
         suffix: List[Instruction] = []
@@ -450,13 +461,15 @@ class GlueKernels:
         suffix.reverse()
         return suffix
 
-    def _outline_inner_loop(self, fn: Function, outer: Loop, inner: Loop,
+    def _outline_inner_loop(self, cfg: _CfgAnalyses, outer: Loop,
+                            inner: Loop,
                             preheader: BasicBlock,
                             suffix: List[Instruction],
                             exit_prefix: List[Instruction],
                             exit_block: BasicBlock,
                             value_params: List[Alloca],
                             region_insts: List[Instruction]) -> None:
+        fn = cfg.fn
         region_set = set(region_insts)
         live_ins: List[Value] = []
         seen: Set[Value] = set(value_params)
@@ -473,7 +486,7 @@ class GlueKernels:
                     live_ins.append(operand)
         # Allocas whose every use is in the region: clone, not param.
         internal_allocas = [v for v in live_ins if isinstance(v, Alloca)
-                            and _all_uses_inside(fn, v, region_set)]
+                            and not cfg.used_outside(v, region_set)]
         live_ins = [v for v in live_ins if v not in internal_allocas]
 
         value_types = [a.allocated_type for a in value_params]
@@ -598,15 +611,6 @@ def _region_live_ins(instructions: Sequence[Instruction]) -> List[Value]:
     return ordered
 
 
-def _alloca_uses(fn: Function) -> Dict[Alloca, List[Instruction]]:
-    uses: Dict[Alloca, List[Instruction]] = {}
-    for inst in fn.instructions():
-        for operand in inst.operands:
-            if isinstance(operand, Alloca):
-                uses.setdefault(operand, []).append(inst)
-    return uses
-
-
 def _is_direct_scalar_alloca(alloca: Alloca,
                              uses: List[Instruction]) -> bool:
     if not alloca.allocated_type.is_scalar:
@@ -621,14 +625,4 @@ def _is_direct_scalar_alloca(alloca: Alloca,
                 and use.value is not alloca:
             continue
         return False
-    return True
-
-
-def _all_uses_inside(fn: Function, value: Value,
-                     region: Set[Instruction]) -> bool:
-    for inst in fn.instructions():
-        if inst in region or inst is value:
-            continue
-        if value in inst.operands:
-            return False
     return True

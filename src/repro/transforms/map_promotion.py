@@ -163,7 +163,7 @@ class MapPromotion:
         preheader = loop_preheader(loop, preds)
         if preheader is None:
             return False
-        exit_block = self._single_exit_block(loop)
+        exit_block = self._single_exit_block(loop, preds)
         if exit_block is None:
             return False
         modref = ModRefAnalysis()
@@ -185,14 +185,16 @@ class MapPromotion:
             changed = True
         return changed
 
-    def _single_exit_block(self, loop: Loop) -> Optional[BasicBlock]:
+    def _single_exit_block(self, loop: Loop,
+                           preds: Dict[BasicBlock, List[BasicBlock]]
+                           ) -> Optional[BasicBlock]:
         """The unique exit target whose predecessors all lie in the
         loop (safe to place unmap/release at its top)."""
         targets = {to for _, to in loop.exit_edges()}
         if len(targets) != 1:
             return None
         target = next(iter(targets))
-        for pred in target.predecessors():
+        for pred in preds[target]:
             if pred not in loop.blocks:
                 return None
         return target
