@@ -190,6 +190,11 @@ def compare_engines(result_tree: ExecutionResult,
     if tree_clock != other_clock:
         mismatches.append(f"simulated clock: tree {tree_clock}, "
                           f"other {other_clock}")
+    if result_tree.critical_path_seconds \
+            != result_other.critical_path_seconds:
+        mismatches.append(
+            f"critical path: tree {result_tree.critical_path_seconds}, "
+            f"other {result_other.critical_path_seconds}")
     if result_tree.counters != result_other.counters:
         mismatches.append("clock counters differ")
     if result_tree.instructions != result_other.instructions:

@@ -61,8 +61,8 @@ from ..ir.instructions import (Alloca, BinaryOp, Branch, Call, Cast, Compare,
                                Unreachable)
 from ..ir.types import ArrayType, FloatType, IntType, PointerType, StructType
 from ..ir.values import Constant, GlobalVariable, UndefValue, Value
-from ..memory.flatmem import scalar_struct
-from .machine import (_DIV_EXTRA, _OP_COSTS, _round_f32, _trunc_div_float,
+from ..memory.flatmem import round_f32, scalar_struct
+from .machine import (_DIV_EXTRA, _OP_COSTS, _trunc_div_float,
                       _trunc_div_int)
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -241,6 +241,7 @@ def _make_store_int(R, v, p, memory, codec, mask, hi, span):
 def _make_store_float(R, v, p, memory, codec):
     size = codec.size
     pack_into = codec.pack_into
+    f32 = size == 4
 
     def op():
         address = R[p]
@@ -255,7 +256,8 @@ def _make_store_float(R, v, p, memory, codec):
                 f"overruns segment {segment.name}", address)
         if end > len(segment.data):
             segment.grow_to(end)
-        pack_into(segment.data, offset, R[v])
+        pack_into(segment.data, offset,
+                  round_f32(R[v]) if f32 else R[v])
     return op
 
 
@@ -515,7 +517,7 @@ def _make_zext(R, d, s, src_mask, mask, hi, span):
 
 def _make_round_f32(R, d, s):
     def op():
-        R[d] = _round_f32(R[s])
+        R[d] = round_f32(R[s])
     return op
 
 

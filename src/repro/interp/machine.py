@@ -33,7 +33,6 @@ clock-for-clock indistinguishable from the tree-walker (see
 from __future__ import annotations
 
 import math
-import struct
 import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -49,7 +48,7 @@ from ..ir.module import Module
 from ..ir.types import ArrayType, FloatType, IntType, PointerType, StructType
 from ..ir.values import (Argument, Constant, GlobalVariable, UndefValue,
                          Value)
-from ..memory.flatmem import FlatMemory
+from ..memory.flatmem import FlatMemory, round_f32
 from ..memory.heap import Heap
 from ..memory.layout import GlobalLayout, STACK_BASE, make_cpu_memory
 from .externals import (ExitProgram, GPU_SAFE, call_cost, default_externals,
@@ -67,8 +66,6 @@ MAX_CALL_DEPTH = 256
 
 #: Engines :class:`Machine` can execute IR with.
 ENGINES = ("tree", "compiled", "source")
-
-_F32_STRUCT = struct.Struct("<f")
 
 
 class Frame:
@@ -594,7 +591,7 @@ class Machine:
             return to_type.wrap(int(value))
         if kind in ("fptrunc", "fpext"):
             if to_type == FloatType(32):
-                return _round_f32(float(value))
+                return round_f32(float(value))
             return float(value)
         if kind == "sitofp":
             return float(int(value))
@@ -773,10 +770,3 @@ def _trunc_div_int(lhs: int, rhs: int) -> int:
 
 def _trunc_div_float(lhs: float, rhs: float) -> float:
     return math.trunc(lhs / rhs)
-
-
-def _round_f32(value: float) -> float:
-    # The format is pre-compiled once at module load; per-call
-    # struct.pack("<f", ...) re-parses the format string on every
-    # float32 rounding, which sits on the cast hot path.
-    return _F32_STRUCT.unpack(_F32_STRUCT.pack(value))[0]

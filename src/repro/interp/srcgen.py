@@ -40,6 +40,24 @@ cached on the machine.
   *local* (``_cs``), not on the memory object, so the common case
   never leaves the frame.
 
+* **Non-escaping stack slots are locals.**  MiniC keeps every local
+  variable in an ``alloca`` (the modelled clock charges each of its
+  loads and stores), so without this a loop counter round-trips
+  through the stack segment on every access.  In the unhooked
+  variants a scalar slot -- constant count 1, an int, pointer or
+  float, its address used only as the pointer operand of loads and
+  stores of exactly that type -- lives in a Python local ``sK``: a
+  store assigns what memory would read back (the int wrap, the f32
+  rounding), a load reads the local.  No other instruction can reach
+  such a slot's bytes, so nothing observable moves.  The alloca keeps
+  its effects -- the stack-pointer bump and the zero-fill -- so later
+  addresses, stack-overflow faults and memory bytes stay put; guarded
+  variants still test the write-back guard ahead of every promoted
+  access, because the runtime does not retire a declared alloca's
+  pending write-back at frame exit and a new slot at that address
+  must still trigger the sync.  Hooked variants keep the memory path,
+  so observers see every access.
+
 * **Hook specialization at codegen time.**  Armed ``mem_hooks``
   select a hook-calling load/store emission (and the sanitizer then
   observes exactly the tree-walker's event stream); the unhooked
@@ -73,14 +91,15 @@ from ..ir.instructions import (Alloca, BinaryOp, Branch, Call, Cast, Compare,
                                CondBranch, GetElementPtr, Instruction,
                                LaunchKernel, Load, Return, Select, Store,
                                Unreachable)
-from ..ir.types import ArrayType, FloatType, IntType, StructType
+from ..ir.types import (ArrayType, FloatType, IntType, PointerType,
+                        StructType)
 from ..ir.values import Constant, GlobalVariable, UndefValue, Value
-from ..memory.flatmem import VIEW_ACCESS, scalar_format, scalar_struct
+from ..memory.flatmem import (VIEW_ACCESS, round_f32, scalar_format,
+                              scalar_struct)
 from .codegen import _int_params, check_definitions
 from .externals import GPU_SAFE, call_cost
 from .machine import (_DIV_EXTRA, _OP_COSTS, Frame, MAX_CALL_DEPTH,
-                      needs_frame, _round_f32, _trunc_div_float,
-                      _trunc_div_int)
+                      needs_frame, _trunc_div_float, _trunc_div_int)
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _INF = float("inf")
@@ -305,11 +324,16 @@ def _make_slow_store(memory, codec):
     returns the located segment."""
     size = codec.size
     pack_into = codec.pack_into
-
-    def slow_store(address, value):
-        segment, offset = memory.scalar_span(address, size)
-        pack_into(segment.data, offset, value)
-        return segment
+    if codec.format == "<f":
+        def slow_store(address, value):
+            segment, offset = memory.scalar_span(address, size)
+            pack_into(segment.data, offset, round_f32(value))
+            return segment
+    else:
+        def slow_store(address, value):
+            segment, offset = memory.scalar_span(address, size)
+            pack_into(segment.data, offset, value)
+            return segment
     return slow_store
 
 
@@ -349,7 +373,7 @@ class _SourceCompiler:
             "_CUE": _const(CgcmUnsupportedError),
             "_tdi": _const(_trunc_div_int),
             "_tdf": _const(_trunc_div_float),
-            "_rf32": _const(_round_f32),
+            "_rf32": _const(round_f32),
             "_INF": _const(_INF),
             "_NINF": _const(_NINF),
             "_NAN": _const(float("nan")),
@@ -361,6 +385,8 @@ class _SourceCompiler:
         #: fusion); they get no dispatch index and their terminator's
         #: predecessor emits their body in place.
         self._inlined: set = set()
+        #: Promoted stack slots: alloca -> the local holding its value.
+        self._slots: Dict[Alloca, str] = {}
         if mode == "gpu":
             self.builders["_onds"] = lambda m, mem: \
                 m.device.memory.segment("device-stack").contains
@@ -441,6 +467,90 @@ class _SourceCompiler:
             f"@{self.fn.name}: operand {value!r} is not a constant, "
             "global, or local definition")
 
+    # -- stack-slot promotion -----------------------------------------------
+
+    def _promoted_slots(self) -> Dict[Alloca, str]:
+        """Name a Python local for each non-escaping scalar stack slot.
+
+        A slot qualifies when its alloca has constant count 1, holds an
+        int, a pointer or a float, and its address is only ever the
+        pointer operand of a load or store of exactly that type: no
+        other instruction can then reach its bytes, so the value may
+        live in a local while the alloca keeps its memory effects.
+        """
+        scalars = (IntType, PointerType, FloatType)
+        slots = {inst: inst.allocated_type for inst in self.fn.instructions()
+                 if isinstance(inst, Alloca)
+                 and isinstance(inst.count, Constant)
+                 and inst.count.value == 1
+                 and isinstance(inst.allocated_type, scalars)}
+        escaped = set()
+        for inst in self.fn.instructions():
+            for position, operand in enumerate(inst.operands):
+                type_ = slots.get(operand)
+                if type_ is None:
+                    continue
+                if isinstance(inst, Load):
+                    fits = inst.type == type_
+                elif isinstance(inst, Store):
+                    fits = position == 1 and inst.value.type == type_
+                else:
+                    fits = False
+                if not fits:
+                    escaped.add(operand)
+        kept = [alloca for alloca in slots if alloca not in escaped]
+        return {alloca: f"s{k}" for k, alloca in enumerate(kept)}
+
+    def _stores_as_is(self, value: Value, type_, depth: int = 3) -> bool:
+        """Whether ``value`` as emitted already reads back unchanged
+        from a ``type_`` store, so a promoted store needs no wrap or
+        rounding.  Int results are wrapped to their type where they
+        are defined; float results are Python floats only by
+        construction (an undef or bitcast operand can be an int)."""
+        if isinstance(value, (Load, Alloca, GlobalVariable)):
+            return True
+        if isinstance(type_, FloatType):
+            if isinstance(value, Cast):
+                return value.kind in ("fptrunc", "fpext") \
+                    or (type_.bits == 64 and value.kind == "sitofp")
+            if type_.bits == 32:
+                return False
+            if isinstance(value, Constant):
+                return True
+            if isinstance(value, BinaryOp):
+                return value.op in ("div", "rem") or depth > 0 and any(
+                    self._stores_as_is(operand, type_, depth - 1)
+                    for operand in (value.lhs, value.rhs))
+            return False
+        if isinstance(value, Cast):
+            return type_.is_pointer \
+                or value.kind not in ("bitcast", "inttoptr")
+        return isinstance(value, (BinaryOp, Compare))
+
+    def _emit_slot_store(self, slot: str, value: Value, type_) -> None:
+        """Assign a promoted slot what a load would read back after
+        the store: the value wrapped or rounded to the slot's type."""
+        if isinstance(value, Constant):
+            raw = value.value
+            if isinstance(type_, FloatType):
+                if type_.bits == 32:
+                    raw = round_f32(raw)
+            else:
+                mask, high, span = _int_params(type_)
+                raw &= mask
+                if span and raw > high:
+                    raw -= span
+            self._emit(f"{slot} = {self._literal(raw)}")
+            return
+        ref = self._ref(value)
+        if self._stores_as_is(value, type_):
+            self._emit(f"{slot} = {ref}")
+        elif isinstance(type_, FloatType):
+            convert = "_rf32" if type_.bits == 32 else "float"
+            self._emit(f"{slot} = {convert}({ref})")
+        else:
+            self._emit_wrapped(slot, ref, type_)
+
     # -- memory access ------------------------------------------------------
 
     def _site(self) -> Tuple[str, int]:
@@ -448,9 +558,9 @@ class _SourceCompiler:
 
         Access sites are overwhelmingly monomorphic (a given load in a
         given function keeps hitting the same segment), but *adjacent*
-        sites often alternate segments -- an inner loop interleaving
-        stack-slot counters with heap array elements would thrash any
-        single shared cache.  Per-site locals make each site's hit
+        sites often alternate segments -- an inner loop reading a
+        global array and a heap array, or a local array beside
+        either, would thrash any single shared cache.  Per-site locals make each site's hit
         rate independent of its neighbours, and each site's last
         segment persists across activations in the baked ``_cc`` list
         (one slot per site, re-read in the prologue) so even
@@ -475,6 +585,10 @@ class _SourceCompiler:
         pointer = self._ref(inst.pointer)
         type_ = inst.type
         self._emit_guard("load", pointer, type_.size)
+        slot = self._slots.get(inst.pointer)
+        if slot is not None:
+            self._emit(f"{dest} = {slot}")
+            return
         if self.hooked:
             self._emit("for _h in M.mem_hooks:")
             self._emit(f"    _h(M, \"load\", {pointer}, {type_.size})")
@@ -511,6 +625,10 @@ class _SourceCompiler:
             return
         if self.mode == "gpu" and type_.is_pointer:
             self._emit_pointer_guard(pointer)
+        slot = self._slots.get(inst.pointer)
+        if slot is not None:
+            self._emit_slot_store(slot, inst.value, type_)
+            return
         cs, k = self._site()
         view, hi, shift, amask = VIEW_ACCESS[scalar_format(type_)[-1]]
         index = "_o" if shift == 0 else f"_o >> {shift}"
@@ -704,6 +822,11 @@ class _SourceCompiler:
                 self._emit("else:")
                 self._emit(f"    {cs} = {helper}({dest})")
                 self._emit(f"    _cc[{k}] = {cs}")
+            slot = self._slots.get(inst)
+            if slot is not None:
+                zero = 0.0 if isinstance(inst.allocated_type, FloatType) \
+                    else 0
+                self._emit(f"{slot} = {zero!r}")
             return
         self._emit(f"_n = {count}")
         self._emit("if _n < 0:")
@@ -985,6 +1108,8 @@ class _SourceCompiler:
     def compile(self):
         fn = self.fn
         check_definitions(fn)
+        if not self.hooked:
+            self._slots = self._promoted_slots()
         for i, arg in enumerate(fn.args):
             self.names[arg] = f"a{i}"
         serial = 0

@@ -79,9 +79,10 @@ class Instruction(Value):
 class Alloca(Instruction):
     """Reserve ``count`` x ``allocated_type`` bytes in the stack frame.
 
-    The result is the address of the first element.  Each dynamic
-    execution of an alloca in the entry block reuses the same slot; the
-    interpreter allocates frame slots at function entry.
+    The result is the address of the first element.  Every engine
+    allocates when the alloca executes, not at function entry: each
+    dynamic execution bumps the frame's stack pointer and zero-fills
+    fresh bytes, and the function's return releases them all.
     """
 
     opcode = "alloca"

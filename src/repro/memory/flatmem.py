@@ -35,6 +35,7 @@ rebuilds and keep every view castable.
 
 from __future__ import annotations
 
+import math
 import struct
 import sys
 from typing import Dict, List, Optional, Union
@@ -53,6 +54,23 @@ _INT_STRUCTS = {bits: struct.Struct(fmt)
 _FLOAT_STRUCTS = {bits: struct.Struct(fmt)
                   for bits, fmt in _FLOAT_FORMATS.items()}
 _POINTER_STRUCT = struct.Struct(_POINTER_FORMAT)
+_F32_STRUCT = _FLOAT_STRUCTS[32]
+
+
+def round_f32(value: float) -> float:
+    """``value`` rounded to IEEE binary32, as a Python float.
+
+    Round to nearest, ties to even; a finite value beyond binary32's
+    range becomes +/-inf, as under a C ``(float)`` cast and a typed
+    ``'f'`` view store.  ``struct`` raises ``OverflowError`` there
+    instead, so every f32 encode path (codec stores, initializers,
+    ``fptrunc``) rounds through here first.
+    """
+    try:
+        return _F32_STRUCT.unpack(_F32_STRUCT.pack(value))[0]
+    except OverflowError:
+        return math.copysign(math.inf, value)
+
 
 #: The typed views decode native-endian; the codecs are explicitly
 #: little-endian.  They agree only on little-endian hosts, so the
@@ -255,6 +273,8 @@ class FlatMemory:
             value = type_.wrap(int(value))
         elif isinstance(type_, PointerType):
             value = int(value) & 0xFFFFFFFFFFFFFFFF
+        elif type_.bits == 32:
+            value = round_f32(float(value))
         else:
             value = float(value)
         segment = self._cached_segment

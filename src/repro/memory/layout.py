@@ -25,7 +25,7 @@ from ..ir.module import Module
 from ..ir.types import (ArrayType, FloatType, IntType, PointerType,
                         StructType, Type)
 from ..ir.values import GlobalRef, Initializer
-from .flatmem import FlatMemory, scalar_format
+from .flatmem import FlatMemory, round_f32, scalar_format
 
 GLOBALS_BASE = 0x0001_0000
 GLOBALS_CAPACITY = 64 << 20
@@ -79,6 +79,8 @@ def initializer_bytes(value_type: Type, init: Initializer,
                 return struct.pack(fmt, value_type.wrap(int(init)))
             if isinstance(value_type, PointerType):
                 return struct.pack(fmt, int(init))
+            if value_type.bits == 32:
+                return struct.pack(fmt, round_f32(float(init)))
             return struct.pack(fmt, float(init))
         raise MemoryFault(f"scalar initializer for aggregate {value_type}")
     if isinstance(init, list):

@@ -14,7 +14,9 @@ levels     sequential == unoptimized == optimized observables,
 engines    tree-walker == compiled == source engines: observables
            *and* modelled clocks (cpu/gpu/comm/critical-path/
            instructions) identical
-streams    streams-on == streams-off observables
+streams    streams-on == streams-off observables, and the streams
+           run's tree-walker and source engines agree on observables
+           and clocks (the source engine's guarded host code)
 sanitizer  CPU-vs-GPU differential run is byte-identical and the
            communication sanitizer reports zero violations
 static     the static checkers report zero errors on the
@@ -181,6 +183,13 @@ def check_source(source: str, name: str = "scenario",
         if result.critical_path_seconds > result.total_seconds * (1 + 1e-9):
             return (f"critical path {result.critical_path_seconds} "
                     f"exceeds serial sum {result.total_seconds}")
+        tree = streams.run(engine="tree")
+        if tree.observable() != result.observable():
+            return _diff("streams tree vs source observables",
+                         tree.observable(), result.observable())
+        if _clocks(tree) != _clocks(result):
+            return _diff("streams tree vs source clocks", _clocks(tree),
+                         _clocks(result))
         return None
 
     def check_sanitizer() -> Optional[str]:

@@ -3,15 +3,16 @@
 The compiled engines (closure and source codegen) exist only for
 speed; any observable difference -- stdout, exit code, final global
 bytes, dynamic instruction count, or a single bit of any
-simulated-clock lane -- is a bug.  The fast subset runs in tier-1;
-the full 24-workload sweep and the 25-program fuzz corpus are
-``slow``.
+simulated-clock lane or of the streams critical path -- is a bug.
+The fast subset runs in tier-1; the full 24-workload sweeps and the
+25-program fuzz corpus are ``slow``.
 """
 
 import pytest
 
 from repro.core import CgcmCompiler, CgcmConfig, OptLevel
 from repro.evaluation.bench import compare_engines
+from repro.gpu.topology import Topology
 from repro.workloads import ALL_WORKLOADS, get_workload, workload_names
 
 #: Small-but-diverse tier-1 subset (int, float, multi-kernel, glue).
@@ -20,13 +21,30 @@ FAST_WORKLOADS = ("atax", "nw", "kmeans", "blackscholes")
 #: Engines held to the tree-walker oracle.
 FAST_ENGINES = ("compiled", "source")
 
+#: The asynchronous columns: streams on one device (host code runs
+#: under the write-back guard) and a four-device ring.
+ASYNC_CONFIGS = {
+    "streams": CgcmConfig(streams=True),
+    "ring4": CgcmConfig(streams=True, topology=Topology.ring(4)),
+}
 
-def engine_results(name: str, level: OptLevel):
+#: Tier-1 ring subset (the ring column costs the most per workload).
+RING_WORKLOADS = ("atax", "kmeans")
+
+
+def engine_results(name: str, config: CgcmConfig):
     workload = get_workload(name)
-    compiler = CgcmCompiler(CgcmConfig(opt_level=level))
+    compiler = CgcmCompiler(config)
     report = compiler.compile_source(workload.source, workload.name)
     return {engine: compiler.execute(report, engine=engine)
             for engine in ("tree",) + FAST_ENGINES}
+
+
+def assert_engines_identical(name: str, config: CgcmConfig) -> None:
+    results = engine_results(name, config)
+    for engine in FAST_ENGINES:
+        assert compare_engines(results["tree"], results[engine]) == (), \
+            engine
 
 
 @pytest.mark.parametrize("name", FAST_WORKLOADS)
@@ -34,28 +52,34 @@ def engine_results(name: str, level: OptLevel):
                          [OptLevel.SEQUENTIAL, OptLevel.OPTIMIZED],
                          ids=lambda l: l.value)
 def test_engines_identical_fast(name, level):
-    results = engine_results(name, level)
-    for engine in FAST_ENGINES:
-        assert compare_engines(results["tree"], results[engine]) == (), \
-            engine
+    assert_engines_identical(name, CgcmConfig(opt_level=level))
+
+
+@pytest.mark.parametrize("name,column",
+                         [(name, "streams") for name in FAST_WORKLOADS]
+                         + [(name, "ring4") for name in RING_WORKLOADS])
+def test_engines_identical_async_fast(name, column):
+    assert_engines_identical(name, ASYNC_CONFIGS[column])
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", workload_names())
 def test_engines_identical_all_workloads(name):
-    results = engine_results(name, OptLevel.OPTIMIZED)
-    for engine in FAST_ENGINES:
-        assert compare_engines(results["tree"], results[engine]) == (), \
-            engine
+    assert_engines_identical(name, CgcmConfig(opt_level=OptLevel.OPTIMIZED))
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", workload_names())
 def test_engines_identical_unoptimized(name):
-    results = engine_results(name, OptLevel.UNOPTIMIZED)
-    for engine in FAST_ENGINES:
-        assert compare_engines(results["tree"], results[engine]) == (), \
-            engine
+    assert_engines_identical(name,
+                             CgcmConfig(opt_level=OptLevel.UNOPTIMIZED))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("column", sorted(ASYNC_CONFIGS))
+@pytest.mark.parametrize("name", workload_names())
+def test_engines_identical_async_all_workloads(name, column):
+    assert_engines_identical(name, ASYNC_CONFIGS[column])
 
 
 @pytest.mark.slow

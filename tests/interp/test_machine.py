@@ -5,6 +5,7 @@ import pytest
 from repro.errors import InterpError, MemoryFault
 from repro.frontend import compile_minic
 from repro.interp import Machine
+from repro.interp.machine import ENGINES
 from repro.ir import parse_module
 
 
@@ -87,6 +88,58 @@ class TestFloatSemantics:
             return 0;
         }""")
         assert out == ["4", "2.5", "1024", "3"]
+
+
+class TestFloat32Overflow:
+    """A finite value beyond binary32's range becomes +/-inf wherever
+    it is encoded as f32 -- stack slot, global element, cold store
+    site, cast, initializer -- on every engine."""
+
+    PROGRAMS = {
+        "local_loop": (r"""
+            int main(void) {
+                float x = 1.0f;
+                for (int i = 0; i < 3; i++) x = x * 1e30f;
+                print_f64(x);
+                return 0;
+            }""", "inf"),
+        "global_loop": (r"""
+            float G[2];
+            int main(void) {
+                G[1] = 1.0f;
+                for (int i = 0; i < 3; i++) G[1] = G[1] * 1e30f;
+                print_f64(G[1]);
+                return 0;
+            }""", "inf"),
+        "cold_store": (r"""
+            int main(void) {
+                float a[1];
+                a[0] = 1e30f;
+                a[0] = a[0] * -1e30f;
+                print_f64(a[0]);
+                return 0;
+            }""", "-inf"),
+        "cast": (r"""
+            int main(void) {
+                double d = 1e300;
+                print_f64((float) d);
+                return 0;
+            }""", "inf"),
+        "initializer": (r"""
+            float G = 1e300;
+            int main(void) {
+                print_f64(G);
+                return 0;
+            }""", "inf"),
+    }
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_overflow_becomes_inf(self, name, engine):
+        source, expected = self.PROGRAMS[name]
+        machine = Machine(compile_minic(source), engine=engine)
+        assert machine.run() == 0
+        assert machine.stdout == [expected]
 
 
 class TestControlFlow:

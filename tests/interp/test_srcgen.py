@@ -1,22 +1,25 @@
 """Source-engine unit tests: emission, caching, hook variants.
 
 Mirrors ``test_codegen.py`` for the srcgen engine and adds the
-compiled-cache keying regression: a sanitizer-armed run must never
-reuse an unhooked compiled body, and vice versa.
+compiled-cache keying regression (a sanitizer-armed run must never
+reuse an unhooked compiled body, and vice versa) and the stack-slot
+promotion rules.
 """
 
 import gc
+import re
 import weakref
 
 import pytest
 
 from repro.api import Session
+from repro.core import CgcmCompiler, CgcmConfig, OptLevel
 from repro.errors import CgcmUnsupportedError, InterpError
 from repro.frontend import compile_minic
 from repro.interp import Machine
-from repro.interp.srcgen import compile_function_source
+from repro.interp.srcgen import _SourceCompiler, compile_function_source
 from repro.ir import (FunctionType, I64, IRBuilder, Module, verify_module)
-from repro.ir.instructions import Call, LaunchKernel
+from repro.ir.instructions import Alloca, Call, LaunchKernel, Load, Store
 from repro.runtime import CgcmRuntime
 from repro.staticcheck.corpus import CORPUS
 
@@ -255,6 +258,199 @@ class TestHookedVariants:
                              runtime.guard_syncs)
         assert events["tree"] == events[engine]
         assert {mode for mode, *_ in events["tree"][0]} == {"cpu", "gpu"}
+
+
+def same_run(tree, source):
+    """Both machines ran: identical stdout, clocks and instruction
+    count."""
+    assert tree.run() == source.run()
+    assert tree.stdout == source.stdout
+    assert tree.clock.totals() == source.clock.totals()
+    assert tree.executed_instructions == source.executed_instructions
+
+
+def promoted_names(machine, name):
+    """IR names of the allocas the unhooked CPU variant of function
+    ``name`` keeps in Python locals."""
+    fn = machine.module.get_function(name)
+    compiler = _SourceCompiler(machine, fn, "cpu", False, False)
+    return {alloca.name for alloca in compiler._promoted_slots()}
+
+
+class TestSlotPromotion:
+    """Non-escaping scalar stack slots live in Python locals in the
+    unhooked variants; every other slot keeps the memory path."""
+
+    COUNTER = r"""
+        int main(void) {
+            long s = 0;
+            for (long i = 0; i < 6; i++) s += i * i;
+            print_i64(s);
+            return 0;
+        }
+    """
+
+    #: Loads and stores that keep the memory path: a typed-view index
+    #: or the codec fallback helper.
+    MEMORY_ACCESS = re.compile(r"_cs\d+\.v[bhiqQfd]\[|_(ld|st)\d+\(")
+    SLOT_ASSIGN = re.compile(r"^\s*s\d+ = ", re.M)
+
+    def test_counter_and_accumulator_use_no_segment_site(self):
+        machine = Machine(compile_minic(self.COUNTER), engine="source")
+        fn = machine.module.get_function("main")
+        code = compile_function_source(machine, fn, "cpu", False)
+        allocas = [i for i in fn.instructions() if isinstance(i, Alloca)]
+        # The only segment sites left are the allocas' zero-fills.
+        assert len(set(re.findall(r"_cs\d+", code.source))) == len(allocas)
+        assert not self.MEMORY_ACCESS.search(code.source)
+        assert promoted_names(machine, "main") == {"s.addr", "i.addr"}
+        same_run(Machine(compile_minic(self.COUNTER), engine="tree"),
+                 machine)
+        assert machine.stdout == ["55"]
+
+    ESCAPES = {
+        "address_passed_to_call": (r"""
+            void bump(long *p) { *p = *p + 3; }
+            int main(void) {
+                long x = 1;
+                for (long i = 0; i < 4; i++) bump(&x);
+                print_i64(x);
+                return 0;
+            }""", "x.addr", "i.addr"),
+        "address_stored_in_pointer": (r"""
+            int main(void) {
+                long y = 5;
+                long *q = &y;
+                for (long i = 0; i < 4; i++) *q = *q + i;
+                print_i64(y);
+                return 0;
+            }""", "y.addr", "q.addr"),
+        "local_array": (r"""
+            int main(void) {
+                long a[4];
+                long s = 0;
+                for (long i = 0; i < 4; i++) a[i] = i * 7;
+                for (long i = 0; i < 4; i++) s += a[i];
+                print_i64(s);
+                return 0;
+            }""", "a.addr", "s.addr"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ESCAPES))
+    def test_escaping_slots_keep_the_memory_path(self, name):
+        program, escaped, promoted = self.ESCAPES[name]
+        tree, source = machine_pair(program)
+        names = promoted_names(source, "main")
+        assert escaped not in names and promoted in names
+        same_run(tree, source)
+
+    #: ``smooth`` has its scratch array preallocated by the caller's
+    #: ``declareAlloca`` under the optimized pipeline; recursive
+    #: ``spin`` keeps its own.
+    DECLARED = {
+        "smooth": r"""
+            void smooth(long n) {
+                double tmp[16];
+                for (int i = 0; i < 16; i++) tmp[i] = i * n;
+                double s = 0.0;
+                for (int i = 0; i < 16; i++) s += tmp[i];
+                print_f64(s);
+            }
+            int main(void) {
+                for (int t = 0; t < 3; t++) smooth(t);
+                return 0;
+            }""",
+        "spin": r"""
+            double out[8];
+            void spin(long depth) {
+                double tmp[8];
+                for (int i = 0; i < 8; i++) tmp[i] = depth;
+                for (int i = 0; i < 8; i++) out[i] = out[i] + tmp[i];
+                if (depth > 0) spin(depth - 1);
+            }
+            int main(void) { spin(2); print_f64(out[0]); return 0; }""",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DECLARED))
+    def test_declared_allocas_keep_the_memory_path(self, name):
+        compiler = CgcmCompiler(CgcmConfig(opt_level=OptLevel.OPTIMIZED))
+        report = compiler.compile_source(self.DECLARED[name], name)
+        assert any(isinstance(i, Call) and i.callee.name == "declareAlloca"
+                   for fn in report.module.defined_functions()
+                   for i in fn.instructions())
+        # The scalar locals are promoted; the declared array is runtime
+        # stack memory that kernels reach through its mapping.
+        names = promoted_names(Machine(report.module, engine="source"),
+                               name)
+        assert names and not any(n.startswith("tmp") for n in names)
+        tree = compiler.execute(report, engine="tree")
+        other = compiler.execute(report, engine="source")
+        assert other.observable() == tree.observable()
+        assert (other.cpu_seconds, other.gpu_seconds, other.comm_seconds,
+                other.instructions) == (tree.cpu_seconds, tree.gpu_seconds,
+                                        tree.comm_seconds, tree.instructions)
+
+    WRAPS = {
+        # Three stores past the char range.
+        "char": (r"""
+            int main(void) {
+                char c = 100;
+                c = c + 100;
+                c = c + 100;
+                c = c + 100;
+                print_i64(c);
+                return 0;
+            }""", "c.addr", "-112"),
+        # An external result one past the i64 range.
+        "call_result": (r"""
+            int main(void) {
+                long m = -9223372036854775807 - 1;
+                long a = abs_i64(m);
+                print_i64(a);
+                return 0;
+            }""", "a.addr", "-9223372036854775808"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(WRAPS))
+    def test_slot_stores_wrap_like_memory(self, name):
+        program, slot, expected = self.WRAPS[name]
+        tree, source = machine_pair(program)
+        assert slot in promoted_names(source, "main")
+        same_run(tree, source)
+        assert source.stdout == [expected]
+
+    def test_hooked_variants_never_promote(self):
+        machine = Machine(compile_minic(self.COUNTER), engine="source")
+        fn = machine.module.get_function("main")
+        plain = compile_function_source(machine, fn, "cpu", False)
+        hooked = compile_function_source(machine, fn, "cpu", True)
+        assert self.SLOT_ASSIGN.search(plain.source)
+        assert not self.SLOT_ASSIGN.search(hooked.source)
+        insts = list(fn.instructions())
+        assert hooked.source.count("_lds(") == \
+            sum(isinstance(i, Load) for i in insts)
+        assert hooked.source.count("_sts(") == \
+            sum(isinstance(i, Store) for i in insts)
+
+    def test_guarded_variants_guard_every_promoted_access(self):
+        """With a write-back pending, every access -- promoted slots
+        included -- consults the guard exactly where the tree-walker
+        does, with the slot's stack address."""
+        runs = {}
+        for engine in ("tree", "source"):
+            machine = Machine(compile_minic(self.COUNTER), engine=engine)
+            log = []
+            machine.writeback_guard = (
+                {0: None}, lambda m, kind, address, size, log=log:
+                log.append((kind, address, size)))
+            assert machine.run() == 0
+            runs[engine] = (log, machine.stdout, machine.clock.totals(),
+                            machine.executed_instructions)
+        assert runs["tree"] == runs["source"]
+        code = machine.compiled_for(machine.module.get_function("main"))
+        assert code.guarded and self.SLOT_ASSIGN.search(code.source)
+        stack = machine.cpu_memory.segment("stack")
+        assert all(stack.contains(address) for _, address, _ in runs["tree"][0])
 
 
 class TestGpuRestrictions:

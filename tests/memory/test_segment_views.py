@@ -10,12 +10,12 @@ including unaligned addresses and cross-address-space slice copies.
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ir import F32, F64, I1, I8, I16, I32, I64, RAW_PTR
 from repro.memory import make_cpu_memory
-from repro.memory.flatmem import copy_across, scalar_struct
+from repro.memory.flatmem import copy_across, round_f32, scalar_struct
 from repro.memory.layout import HEAP_BASE
 
 SCALAR_TYPES = (I1, I8, I16, I32, I64, F32, F64, RAW_PTR)
@@ -63,6 +63,25 @@ def test_store_typed_matches_codec_store(access):
         assert math.isnan(decoded_view)
     else:
         assert decoded_view == decoded_codec
+
+
+@given(st.floats(allow_nan=False))
+@example(3.4028234663852886e38)   # largest binary32
+@example(3.4028235677973366e38)   # halfway to 2**128: rounds to inf
+@example(-1e300)
+@settings(max_examples=300, deadline=None)
+def test_f32_codec_store_rounds_like_the_typed_view(value):
+    """Every f64 value, in binary32 range or not: the codec store
+    rounds through ``round_f32`` to the bytes of the typed view's C
+    cast, overflowing to +/-inf instead of raising."""
+    legacy = make_cpu_memory()
+    typed = make_cpu_memory()
+    for memory in (legacy, typed):
+        memory.write(HEAP_BASE, bytes(8))  # arms the typed views
+    legacy.store_scalar(HEAP_BASE, F32, value)
+    typed.store_typed(HEAP_BASE, F32, value)
+    assert legacy.read(HEAP_BASE, 4) == typed.read(HEAP_BASE, 4)
+    assert legacy.load_scalar(HEAP_BASE, F32) == round_f32(value)
 
 
 @given(typed_accesses())
