@@ -150,11 +150,14 @@ class Machine:
         self._frame_stack: List[Frame] = []
         self._pending_cpu_ops = 0
         self._gpu_ops = 0
-        #: Dynamic count of interpreted IR instructions (both engines;
-        #: the compiled engine bumps it once per basic-block entry).
+        #: Dynamic count of interpreted IR instructions: the
+        #: tree-walker bumps it per instruction, the ahead-of-time
+        #: engines by a fused segment's length as it starts (a
+        #: source-engine grid variant writes its threads' counts back
+        #: once per launch), so totals match except after a fault.
         self.executed_instructions = 0
         #: Compiled-code cache: (function, mode, armed hook set,
-        #: guarded) -> compiled callable.
+        #: guarded, grid) -> compiled callable.
         self._compiled: Dict[tuple, Callable] = {}
         self.kernel_launch_count = 0
         #: Admission gate run before each launch, set by the resilient
@@ -174,6 +177,9 @@ class Machine:
         #: launch costs here to re-price batched grid dispatches.
         self.launch_cost_hooks: List[Callable] = []
         #: Hooks fired when a function returns: ``hook(machine, frame_id)``.
+        #: Source-engine kernel threads take a frame id but fire none:
+        #: the hooks only retire ``declareAlloca`` registrations, and
+        #: that entry point is host-only, so a thread never owns one.
         self.frame_exit_hooks: List[Callable] = []
         #: Hooks fired on heap activity: ``hook(machine, kind, addr, size)``.
         self.heap_hooks: List[Callable] = []
@@ -304,7 +310,7 @@ class Machine:
                 hook(self, frame.frame_id)
             self._depth -= 1
 
-    def compiled_for(self, fn: Function):
+    def compiled_for(self, fn: Function, grid: bool = False):
         """The cached compiled variant of ``fn`` for the current mode.
 
         Variants are keyed by (function, mode, armed hook *set*):
@@ -317,17 +323,18 @@ class Machine:
         different combination -- and an unhooked body is never reused
         once hooks arm.  CPU-mode variants of a machine with a
         ``writeback_guard`` are *guarded*: they check the guard before
-        every load/store.  GPU-mode variants never are.
+        every load/store.  GPU-mode variants never are.  ``grid``
+        selects the source engine's whole-grid variant of a kernel.
         """
         guarded = self.writeback_guard is not None and self._mode == "cpu"
-        key = (fn, self._mode, tuple(self.mem_hooks), guarded)
+        key = (fn, self._mode, tuple(self.mem_hooks), guarded, grid)
         code = self._compiled.get(key)
         if code is None:
             hooked = bool(self.mem_hooks)
             if self.engine == "source":
                 from .srcgen import compile_function_source
                 code = compile_function_source(self, fn, self._mode,
-                                               hooked, guarded)
+                                               hooked, guarded, grid)
             else:
                 from .codegen import compile_function
                 code = compile_function(self, fn, self._mode, hooked,
@@ -691,16 +698,19 @@ class Machine:
 
     def _run_grid_compiled(self, kernel: Function, grid: int,
                            args: List[Union[int, float]]) -> int:
-        """Per-thread kernel loop for the ahead-of-time engines.
+        """Kernel grid for the ahead-of-time engines; returns the max
+        per-thread op count for the GPU time model.
 
-        Inlines the compiled-code path of :meth:`call` -- the
-        per-thread bookkeeping (depth, stack pointer, frame,
-        ``frame_exit_hooks``) is identical, but the callee
-        resolution, arity check, and depth test hoist out of the
-        loop.  The compiled body is re-resolved if the armed hook
+        The source engine runs the launch as one call of the kernel's
+        grid variant, which loops over the threads itself (see
+        :mod:`repro.interp.srcgen`).  The per-thread loop below serves
+        only the closure engine.  It inlines the compiled-code path of
+        :meth:`call` -- the per-thread bookkeeping (depth, stack
+        pointer, frame, ``frame_exit_hooks``) is identical, but the
+        callee resolution, arity check, and depth test hoist out of
+        the loop.  The compiled body is re-resolved if the armed hook
         set changes mid-grid, matching what per-thread
-        :meth:`compiled_for` lookups would select.  Returns the
-        max per-thread op count for the GPU time model.
+        :meth:`compiled_for` lookups would select.
         """
         if len(args) + 1 != len(kernel.args):
             raise InterpError(f"@{kernel.name}: expected "
@@ -708,6 +718,13 @@ class Machine:
                               f"{len(args) + 1}")
         if self._depth >= MAX_CALL_DEPTH:
             raise InterpError(f"call depth exceeded at @{kernel.name}")
+        if self.engine == "source":
+            code = self.compiled_for(kernel, grid=True)
+            self._depth += 1
+            try:
+                return code(grid, args)
+            finally:
+                self._depth -= 1
         code = self.compiled_for(kernel)
         snapshot = list(self.mem_hooks)
         stack = self._frame_stack

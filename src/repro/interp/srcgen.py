@@ -5,8 +5,8 @@ tree-walker's isinstance dispatch but still pays one Python *call* per
 dynamic instruction plus register-list traffic around it.  This module
 goes the rest of the way down the PyCUDA run-time code-generation
 road: each IR function is translated **once per (mode, hook-set,
-guarded)** into real Python source, ``compile()``-d, ``exec``-d, and
-cached on the machine.
+guarded, grid)** into real Python source, ``compile()``-d,
+``exec``-d, and cached on the machine.
 
 * **Registers are locals.**  Arguments unpack into ``a0..aN``,
   instruction results assign ``r0..rN``; every operand read is a
@@ -73,6 +73,18 @@ cached on the machine.
   GPU-mode code is never guarded -- device addresses cannot overlap a
   host region -- so kernels keep the unhooked fast path.
 
+* **Kernels run whole grids.**  A launch calls the kernel's *grid*
+  variant once: the emitted body wrapped in ``for a0 in range(grid):``
+  with a ``return`` turned into a ``break`` to the next thread.  The
+  non-tid arguments and the access sites' segment caches are unpacked
+  once per launch, fused charges and the device stack pointer live in
+  locals, and a ``finally`` writes the op, instruction and frame-id
+  tallies back once.  Each thread still takes its frame id, but gets
+  no ``Frame`` and fires no exit hooks: only the host-only
+  ``declareAlloca`` reads frames or registers anything the hooks
+  retire.  A kernel that reaches a defined callee or a nested launch
+  uses the machine's op count and stack pointer instead, as those do.
+
 The tree-walker remains the reference semantics; the equivalence
 suites hold this engine to byte-identical observables and
 clock-for-clock equal timestamps across the workload sweep and the
@@ -128,8 +140,9 @@ def _make_slow_load(memory, codec, i1: bool):
 
 #: Emission + ``compile()`` are the dominant fixed costs for short
 #: runs, and the emitted *text* for one function under one (mode,
-#: hooked, guarded) key is fully deterministic -- global addresses
-#: come from the module's layout, name counters from emission order.
+#: hooked, guarded, grid) key is fully deterministic -- global
+#: addresses come from the module's layout, name counters from
+#: emission order.
 #: Machine-bound state rides in the exec namespace, never in the code
 #: object, so each cache entry stores ``(source, code object,
 #: builders)`` where ``builders`` maps every baked name to a
@@ -339,10 +352,10 @@ def _make_slow_store(memory, codec):
 
 class _SourceCompiler:
     """Emits and compiles Python source for one (function, mode, hooks,
-    guarded)."""
+    guarded, grid)."""
 
     def __init__(self, machine, fn: Function, mode: str, hooked: bool,
-                 guarded: bool):
+                 guarded: bool, grid: bool = False):
         if fn.is_declaration:
             raise InterpError(f"cannot compile declaration @{fn.name}")
         if mode not in ("cpu", "gpu"):
@@ -352,10 +365,29 @@ class _SourceCompiler:
         self.mode = mode
         self.hooked = hooked
         self.guarded = guarded
+        self.grid = grid
         self.memory = machine.device.memory if mode == "gpu" \
             else machine.cpu_memory
-        self.charge_attr = "_gpu_ops" if mode == "gpu" \
-            else "_pending_cpu_ops"
+        #: A grid variant whose threads can reach code that uses the
+        #: machine's counters -- a defined callee or a nested launch,
+        #: which also resets the op count -- charges ``M._gpu_ops``
+        #: directly, takes each thread's ops as the difference and
+        #: allocates from ``M._gpu_sp``.  Any other grid variant keeps
+        #: the charges (``_go`` per thread, ``_ei`` per launch) and the
+        #: stack pointer (``_sp``) in locals, since nothing else reads
+        #: them until the grid ends.
+        self.reaches_out = grid and any(
+            isinstance(inst, LaunchKernel)
+            or (isinstance(inst, Call) and not inst.callee.is_declaration)
+            for inst in fn.instructions())
+        local = grid and not self.reaches_out
+        if mode == "cpu":
+            self.charge, self.sp = "M._pending_cpu_ops", "M._cpu_sp"
+        elif local:
+            self.charge, self.sp = "_go", "_sp"
+        else:
+            self.charge, self.sp = "M._gpu_ops", "M._gpu_sp"
+        self.counter = "_ei" if grid else "M.executed_instructions"
         self.names: Dict[Value, str] = {}
         self.lines: List[str] = []
         self.indent = 1
@@ -573,6 +605,13 @@ class _SourceCompiler:
         self._sites.append(name)
         return name, k
 
+    def _emit_site_kept(self, cs: str, k: int) -> None:
+        """After a slow-path trip, keep the site's new segment for the
+        next activation; a grid variant keeps every site once, when
+        the launch ends."""
+        if not self.grid:
+            self._emit(f"    _cc[{k}] = {cs}")
+
     def _emit_guard(self, kind: str, pointer: str, size: int) -> None:
         """The host write-back guard ahead of one access: a single
         truthiness test while no write-back is in flight."""
@@ -608,7 +647,7 @@ class _SourceCompiler:
         self._emit("else:")
         self._emit(f"    {dest}, {cs} = "
                    f"{self._slow_helper('ld', type_)}({pointer})")
-        self._emit(f"    _cc[{k}] = {cs}")
+        self._emit_site_kept(cs, k)
 
     def _emit_store(self, inst: Store) -> None:
         pointer = self._ref(inst.pointer)
@@ -649,7 +688,7 @@ class _SourceCompiler:
         self._emit("else:")
         self._emit(f"    {cs} = {self._slow_helper('st', type_)}"
                    f"({pointer}, {stored})")
-        self._emit(f"    _cc[{k}] = {cs}")
+        self._emit_site_kept(cs, k)
 
     def _emit_pointer_guard(self, pointer: str) -> None:
         self._emit(f"if not _onds({pointer}):")
@@ -712,7 +751,7 @@ class _SourceCompiler:
         self._emit_wrapped(dest, raw, inst.type)
 
     def _emit_charge_div(self) -> None:
-        self._emit(f"M.{self.charge_attr} += {_DIV_EXTRA}")
+        self._emit(f"{self.charge} += {_DIV_EXTRA}")
 
     def _emit_cast(self, inst: Cast) -> None:
         dest = self.names[inst]
@@ -794,17 +833,17 @@ class _SourceCompiler:
         count = self._ref(inst.count)
         elem_size = inst.allocated_type.size
         align = max(inst.allocated_type.align, 8)
-        sp = "_gpu_sp" if self.mode == "gpu" else "_cpu_sp"
+        sp = self.sp
         if align & (align - 1) == 0:
-            aligned = f"(M.{sp} + {align - 1}) & {-align}"
+            aligned = f"({sp} + {align - 1}) & {-align}"
         else:
-            aligned = f"(M.{sp} + {align - 1}) // {align} * {align}"
+            aligned = f"({sp} + {align - 1}) // {align} * {align}"
         if isinstance(inst.count, Constant):
             size = elem_size * int(inst.count.value)
             if size < 0:
                 raise InterpError("alloca with negative count")
             self._emit(f"{dest} = {aligned}")
-            self._emit(f"M.{sp} = {dest} + {size}")
+            self._emit(f"{sp} = {dest} + {size}")
             if size:
                 # Zero the frame slot inline: a slice-assign of baked
                 # zeros while the bytes are already allocated, the
@@ -821,7 +860,7 @@ class _SourceCompiler:
                 self._emit(f"    {cs}.data[_o:_o + {size}] = {zeros}")
                 self._emit("else:")
                 self._emit(f"    {cs} = {helper}({dest})")
-                self._emit(f"    _cc[{k}] = {cs}")
+                self._emit_site_kept(cs, k)
             slot = self._slots.get(inst)
             if slot is not None:
                 zero = 0.0 if isinstance(inst.allocated_type, FloatType) \
@@ -833,7 +872,7 @@ class _SourceCompiler:
         self._emit("    raise _IE(\"alloca with negative count\")")
         self._emit(f"_sz = _n * {elem_size}")
         self._emit(f"{dest} = {aligned}")
-        self._emit(f"M.{sp} = {dest} + _sz")
+        self._emit(f"{sp} = {dest} + _sz")
         self._emit("if _sz:")
         self._emit(f"    _fill({dest}, _sz, 0)")
 
@@ -927,7 +966,10 @@ class _SourceCompiler:
                            f"else {index[false_b]}")
                 self._emit("continue")
         elif isinstance(inst, Return):
-            if inst.value is None:
+            if self.grid:
+                # Kernels return void: the thread ends, the grid goes on.
+                self._emit("break")
+            elif inst.value is None:
                 self._emit("return None")
             else:
                 self._emit(f"return {self._ref(inst.value)}")
@@ -979,8 +1021,8 @@ class _SourceCompiler:
         def flush() -> None:
             if not pending:
                 return
-            self._emit(f"M.{self.charge_attr} += {pending_cost}")
-            self._emit(f"M.executed_instructions += {len(pending)}")
+            self._emit(f"{self.charge} += {pending_cost}")
+            self._emit(f"{self.counter} += {len(pending)}")
             for inst in pending:
                 self._emit_inst(inst, index)
 
@@ -1127,10 +1169,17 @@ class _SourceCompiler:
         dispatch = [block for block in self._dispatch_order()
                     if block not in self._inlined]
         index = {block: i for i, block in enumerate(dispatch)}
+        # A grid variant's body sits in the thread loop (see
+        # ``_grid_lines``), where a return breaks to the next thread.
+        self.indent = 3 if self.grid else 1
         if len(dispatch) == 1 and not preds.get(fn.entry_block, 0):
             # Every successor chain fused into the entry and nothing
             # jumps back to it: the function is straight-line (plus
-            # structured conditionals) -- no dispatch loop at all.
+            # structured conditionals) -- no dispatch loop at all,
+            # except a one-pass loop for a grid thread to break out of.
+            if self.grid:
+                self._emit("while True:")
+                self.indent += 1
             self._emit_block_body(fn.entry_block, index)
         else:
             self._emit(f"_b = {index[fn.entry_block]}")
@@ -1144,68 +1193,132 @@ class _SourceCompiler:
             self.indent -= 1
         body = self.lines
         prologue: List[str] = []
-        if len(fn.args) == 1:
-            prologue.append("    a0, = args")
-        elif fn.args:
+        # A grid variant binds the thread id (``a0``) in its loop.
+        formals = fn.args[1:] if self.grid else fn.args
+        if formals:
             prologue.append("    " + ", ".join(
-                self.names[a] for a in fn.args) + " = args")
+                self.names[a] for a in formals)
+                + ("," if len(formals) == 1 else "") + " = args")
+        sites = ", ".join(self._sites) \
+            + ("," if len(self._sites) == 1 else "")
         if self._sites:
-            sites = len(self._sites)
             # Fresh per machine: holds that machine's segment objects.
             self.builders["_cc"] = \
-                lambda m, mem, n=sites: [mem.segments[0]] * n
-            unpack = ", ".join(self._sites)
-            if len(self._sites) == 1:
-                unpack += ","
-            prologue.append(f"    {unpack} = _cc")
+                lambda m, mem, n=len(self._sites): [mem.segments[0]] * n
+            prologue.append(f"    {sites} = _cc")
+        if self.grid:
+            body = self._grid_lines(body, sites)
         params = ", ".join(f"{name}={name}" for name in self.builders)
-        header = f"def __srcgen(args, *, {params}):"
+        header = f"def __srcgen({'grid, ' if self.grid else ''}args, " \
+            f"*, {params}):"
         source = "\n".join([header] + prologue + body) + "\n"
         tag = f"<srcgen @{fn.name}:{self.mode}" \
+            + (":grid" if self.grid else "") \
             + (":hooked" if self.hooked else "") \
             + (":guarded>" if self.guarded else ">")
         code_obj = compile(source, tag, "exec")
         return source, code_obj, self.builders
 
+    def _grid_lines(self, body: List[str], sites: str) -> List[str]:
+        """Wrap one thread's emitted body in the launch's thread loop.
+
+        Per thread: the stack pointer starts at its launch value, and
+        the thread's ops (``_go``) join the total and the running
+        maximum, which the function returns for the GPU time model.
+        A ``finally`` writes the op, instruction and frame-id tallies
+        back once (after a fault too); each thread takes one frame
+        id, so ``a0 + 1`` once the loop stops at thread ``a0``.  The
+        access sites' segments are kept for the next launch.
+        """
+        framed = any(isinstance(inst, Alloca)
+                     for inst in self.fn.instructions())
+        local = not self.reaches_out
+        lines: List[str] = []
+
+        def emit(depth: int, text: str) -> None:
+            lines.append("    " * depth + text)
+
+        if framed:
+            emit(1, "_sp0 = M._gpu_sp")
+        if local:
+            emit(1, "_ei = _mx = _tot = 0")
+            emit(1, "a0 = -1")
+        else:
+            emit(1, "_ei = _mx = 0")
+        emit(1, "try:")
+        emit(2, "for a0 in range(grid):")
+        if local:
+            emit(3, "_go = 0")
+            if framed:
+                emit(3, "_sp = _sp0")
+        else:
+            emit(3, "M._frame_counter += 1")
+            emit(3, "_g0 = M._gpu_ops")
+        lines.extend(body)
+        if local:
+            emit(3, "_tot += _go")
+        else:
+            if framed:
+                emit(3, "M._gpu_sp = _sp0")
+            emit(3, "_go = M._gpu_ops - _g0")
+        emit(3, "if _go > _mx:")
+        emit(4, "_mx = _go")
+        emit(1, "finally:")
+        emit(2, "M.executed_instructions += _ei")
+        if local:
+            emit(2, "M._gpu_ops += _tot")
+            emit(2, "M._frame_counter += a0 + 1")
+        elif framed:
+            emit(2, "M._gpu_sp = _sp0")
+        if sites:
+            emit(1, f"_cc[:] = {sites}")
+        emit(1, "return _mx")
+        return lines
+
 
 def _instantiate(machine, fn: Function, key: tuple, entry) -> "object":
     source, code_obj, builders = entry
-    mode, hooked, guarded = key
+    mode, hooked, guarded, grid = key
     memory = machine.device.memory if mode == "gpu" \
         else machine.cpu_memory
     namespace = {name: build(machine, memory)
                  for name, build in builders.items()}
     exec(code_obj, namespace)  # noqa: S102
     code = namespace["__srcgen"]
-    code.__name__ = code.__qualname__ = f"srcgen_{fn.name}_{mode}"
+    code.__name__ = code.__qualname__ = f"srcgen_{fn.name}_{mode}" \
+        + ("_grid" if grid else "")
     code.source = source
     code.function = fn
     code.mode = mode
     code.hooked = hooked
     code.guarded = guarded
+    code.grid = grid
     return code
 
 
 def compile_function_source(machine, fn: Function, mode: str,
-                            hooked: bool, guarded: bool = False):
+                            hooked: bool, guarded: bool = False,
+                            grid: bool = False):
     """Translate ``fn`` into compiled Python source for one machine
     and mode; the returned callable is invoked as ``code(args)``.
     ``guarded`` code checks ``machine.writeback_guard`` before every
-    load/store.
+    load/store.  A ``grid`` variant of a kernel runs a whole launch:
+    ``code(grid, args)`` with the operands after the thread id, and
+    returns the max per-thread op count.
 
     Emission and ``compile()`` happen once per (function, mode,
-    hooked, guarded) process-wide; each machine only re-instantiates
-    the baked namespace from the cached builder recipe.
+    hooked, guarded, grid) process-wide; each machine only
+    re-instantiates the baked namespace from the cached builder recipe.
     """
     if fn.is_declaration:
         raise InterpError(f"cannot compile declaration @{fn.name}")
     if mode not in ("cpu", "gpu"):
         raise InterpError(f"cannot compile for mode {mode!r}")
     per_fn = _CODE_CACHE.setdefault(fn, {})
-    key = (mode, hooked, guarded)
+    key = (mode, hooked, guarded, grid)
     entry = per_fn.get(key)
     if entry is None:
-        entry = _SourceCompiler(machine, fn, mode, hooked,
-                                guarded).compile()
+        entry = _SourceCompiler(machine, fn, mode, hooked, guarded,
+                                grid).compile()
         per_fn[key] = entry
     return _instantiate(machine, fn, key, entry)

@@ -18,7 +18,7 @@ device     ``0xD000_0000``     256 MiB (GPU)
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..errors import MemoryFault
 from ..ir.module import Module
@@ -88,16 +88,46 @@ def initializer_bytes(value_type: Type, init: Initializer,
     raise MemoryFault(f"unsupported initializer {init!r}")
 
 
+def _scalar_array_bytes(element: Type, items: list) -> Optional[bytes]:
+    """One ``struct.pack`` for an array of plain numbers, or None.
+
+    Each item is converted exactly as :func:`initializer_bytes`
+    converts a scalar, so the bytes -- and the exception a bad item
+    raises -- match the per-element encoding.  Pointer items must be
+    ints: a float there could fail conversion ahead of an earlier
+    item's out-of-range error.
+    """
+    if not isinstance(element, (IntType, FloatType, PointerType)):
+        return None
+    plain = (int,) if isinstance(element, PointerType) else (int, float)
+    if any(type(item) not in plain for item in items):
+        return None
+    if isinstance(element, IntType):
+        wrap = element.wrap
+        values = [wrap(int(item)) for item in items]
+    elif isinstance(element, PointerType):
+        values = items
+    elif element.bits == 32:
+        values = [round_f32(float(item)) for item in items]
+    else:
+        values = [float(item) for item in items]
+    code = scalar_format(element)[-1]
+    return struct.pack(f"<{len(values)}{code}", *values)
+
+
 def _aggregate_bytes(value_type: Type, items: list,
                      resolve: Callable[[str], int]) -> bytes:
     if isinstance(value_type, ArrayType):
         if len(items) > value_type.count:
             raise MemoryFault(
                 f"{len(items)} initializers for {value_type}")
-        parts = [initializer_bytes(value_type.element, item, resolve)
-                 for item in items]
+        data = _scalar_array_bytes(value_type.element, items)
+        if data is None:
+            data = b"".join(initializer_bytes(value_type.element, item,
+                                              resolve)
+                            for item in items)
         pad = (value_type.count - len(items)) * value_type.element.size
-        return b"".join(parts) + b"\x00" * pad
+        return data + b"\x00" * pad
     if isinstance(value_type, StructType):
         if len(items) != len(value_type.fields):
             raise MemoryFault(

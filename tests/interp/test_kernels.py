@@ -1,4 +1,9 @@
-"""Kernel execution on the simulated GPU: grids, timing, restrictions."""
+"""Kernel execution on the simulated GPU: grids, timing, restrictions.
+
+Each class runs on the tree-walker, and its ``...OnSource`` subclass
+runs the same cases on the source engine, whose launches execute as
+one generated grid function.
+"""
 
 import pytest
 
@@ -8,8 +13,8 @@ from repro.interp import Machine
 from repro.runtime import CgcmRuntime
 
 
-def run_with_runtime(source: str, record_events: bool = False):
-    machine = Machine(compile_minic(source), record_events=record_events)
+def run_with_runtime(engine: str, source: str):
+    machine = Machine(compile_minic(source), engine=engine)
     runtime = CgcmRuntime(machine)
     runtime.declare_all_globals()
     code = machine.run()
@@ -17,8 +22,10 @@ def run_with_runtime(source: str, record_events: bool = False):
 
 
 class TestGridExecution:
+    engine = "tree"
+
     def test_every_thread_runs(self):
-        machine, code = run_with_runtime("""
+        machine, code = run_with_runtime(self.engine, """
         long hits[32];
         __global__ void mark(long tid, long *h) { h[tid] = tid + 1; }
         int main(void) {
@@ -34,7 +41,7 @@ class TestGridExecution:
         assert machine.stdout == [str(sum(range(1, 33)))]
 
     def test_zero_grid_runs_no_threads(self):
-        machine, code = run_with_runtime("""
+        machine, code = run_with_runtime(self.engine, """
         long hits[4];
         __global__ void mark(long tid, long *h) { h[tid] = 1; }
         int main(void) {
@@ -48,7 +55,7 @@ class TestGridExecution:
         assert machine.stdout == ["0"]
 
     def test_kernel_allocas_are_thread_private(self):
-        machine, code = run_with_runtime("""
+        machine, code = run_with_runtime(self.engine, """
         double out[8];
         __global__ void work(long tid, double *o) {
             double acc = 0.0;
@@ -68,7 +75,7 @@ class TestGridExecution:
 
     def test_kernel_reads_global_scalar_from_named_region(self):
         """Globals referenced in kernels resolve via cuModuleGetGlobal."""
-        machine, code = run_with_runtime("""
+        machine, code = run_with_runtime(self.engine, """
         double factor;
         double xs[4];
         __global__ void scale(long tid, double *x) {
@@ -90,6 +97,8 @@ class TestGridExecution:
 
 
 class TestIsolation:
+    engine = "tree"
+
     def test_kernel_cannot_touch_host_memory(self):
         machine = Machine(compile_minic("""
         double xs[4];
@@ -98,7 +107,7 @@ class TestIsolation:
             /* Pass the raw host pointer without mapping. */
             __launch(bad, 4, xs);
             return 0;
-        }"""))
+        }"""), engine=self.engine)
         with pytest.raises(MemoryFault):
             machine.run()
 
@@ -109,7 +118,7 @@ class TestIsolation:
         int main(void) {
             double *d = (double *) map((char *) xs);
             return (int) *d;   /* CPU deref of GPU pointer */
-        }"""))
+        }"""), engine=self.engine)
         CgcmRuntime(machine).declare_all_globals()
         runtime = CgcmRuntime(machine)
         runtime.declare_all_globals()
@@ -124,7 +133,7 @@ class TestIsolation:
             char **d = (char **) mapArray((char *) slots);
             __launch(bad, 4, d);
             return 0;
-        }"""))
+        }"""), engine=self.engine)
         CgcmRuntime(machine).declare_all_globals()
         with pytest.raises(CgcmUnsupportedError, match="pointer"):
             machine.run()
@@ -132,14 +141,17 @@ class TestIsolation:
     def test_kernel_cannot_call_host_externals(self):
         machine = Machine(compile_minic("""
         __global__ void bad(long tid) { print_i64(tid); }
-        int main(void) { __launch(bad, 1); return 0; }"""))
+        int main(void) { __launch(bad, 1); return 0; }"""),
+            engine=self.engine)
         with pytest.raises(InterpError, match="host-only"):
             machine.run()
 
 
 class TestTimingModel:
+    engine = "tree"
+
     def test_gpu_time_accounts_launch_latency(self):
-        machine, _ = run_with_runtime("""
+        machine, _ = run_with_runtime(self.engine, """
         double xs[4];
         __global__ void nop(long tid, double *x) { }
         int main(void) {
@@ -157,7 +169,7 @@ class TestTimingModel:
     def test_wide_grids_amortize(self):
         """GPU time grows sublinearly until the cores saturate."""
         def gpu_time(grid):
-            machine, _ = run_with_runtime(f"""
+            machine, _ = run_with_runtime(self.engine, f"""
             double xs[{grid}];
             __global__ void work(long tid, double *x) {{
                 double a = 0.0;
@@ -178,7 +190,7 @@ class TestTimingModel:
 
     def test_comm_time_scales_with_bytes(self):
         def comm_time(n):
-            machine, _ = run_with_runtime(f"""
+            machine, _ = run_with_runtime(self.engine, f"""
             double xs[{n}];
             __global__ void nop(long tid, double *x) {{ }}
             int main(void) {{
@@ -190,3 +202,15 @@ class TestTimingModel:
             }}""")
             return machine.clock.comm_seconds
         assert comm_time(4096) > comm_time(4)
+
+
+class TestGridExecutionOnSource(TestGridExecution):
+    engine = "source"
+
+
+class TestIsolationOnSource(TestIsolation):
+    engine = "source"
+
+
+class TestTimingModelOnSource(TestTimingModel):
+    engine = "source"

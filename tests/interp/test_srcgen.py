@@ -2,8 +2,8 @@
 
 Mirrors ``test_codegen.py`` for the srcgen engine and adds the
 compiled-cache keying regression (a sanitizer-armed run must never
-reuse an unhooked compiled body, and vice versa) and the stack-slot
-promotion rules.
+reuse an unhooked compiled body, and vice versa), the stack-slot
+promotion rules, and the whole-grid kernel variant.
 """
 
 import gc
@@ -472,6 +472,171 @@ class TestGpuRestrictions:
         CgcmRuntime(machine).declare_all_globals()
         with pytest.raises(CgcmUnsupportedError, match="pointer into"):
             machine.run()
+
+
+class TestGridVariant:
+    """The source engine runs each launch as one generated grid
+    function, with the tree-walker's results, clocks and counters."""
+
+    #: Thread ``tid`` loops ``tid + 1`` times, so the slowest thread's
+    #: ops differ from the mean.
+    TRIANGULAR = r"""
+        double out[16];
+        __global__ void tri(long tid, double *o) {
+            double acc = 0.0;
+            for (long k = 0; k <= tid; k++) acc += 1.0 / (k + 1);
+            o[tid] = acc;
+        }
+        int main(void) {
+            double *d = (double *) map((char *) out);
+            __launch(tri, 16, d);
+            __launch(tri, 0, d);
+            unmap((char *) out);
+            release((char *) out);
+            print_f64(out[15]);
+            return 0;
+        }
+    """
+
+    PROGRAMS = {
+        "triangular": TRIANGULAR,
+        # The callee has locals of its own: its frames take ids
+        # between the threads', and its ops count toward its thread.
+        "device_call": r"""
+            double out[12];
+            double weigh(double x, long n) {
+                double s = 0.0;
+                for (long j = 0; j < n; j++) s += x / (j + 1);
+                return s;
+            }
+            __global__ void tri(long tid, double *o) {
+                double acc = 0.0;
+                for (long k = 0; k <= tid; k++)
+                    acc += weigh(k, tid % 3 + 1);
+                o[tid] = acc;
+            }
+            int main(void) {
+                double *d = (double *) map((char *) out);
+                __launch(tri, 12, d);
+                unmap((char *) out);
+                release((char *) out);
+                print_f64(out[11]);
+                return 0;
+            }
+        """,
+        # A launch inside a thread resets the op count mid-grid.
+        "nested_launch": r"""
+            long hits[4];
+            __global__ void inner(long tid, long *h) { h[tid] = h[tid] + 1; }
+            __global__ void outer(long tid, long *h) {
+                long n = tid + 1;
+                __launch(inner, n, h);
+            }
+            int main(void) {
+                long *d = (long *) map((char *) hits);
+                __launch(outer, 3, d);
+                unmap((char *) hits);
+                release((char *) hits);
+                print_i64(hits[0] + hits[1] * 10 + hits[2] * 100);
+                return 0;
+            }
+        """,
+    }
+
+    @staticmethod
+    def observe(program: str, engine: str, hook=None):
+        """Run ``program`` with the runtime; the machine and what the
+        engines must agree on."""
+        machine = Machine(compile_minic(program), engine=engine)
+        CgcmRuntime(machine).declare_all_globals()
+        launches = []
+        machine.launch_cost_hooks.append(
+            lambda m, name, grid, total, peak, duration:
+            launches.append((name, grid, total, peak)))
+        if hook is not None:
+            machine.mem_hooks.append(hook)
+        assert machine.run() == 0
+        return machine, (machine.stdout, machine.clock.totals(),
+                         machine.executed_instructions,
+                         machine._frame_counter, launches)
+
+    def test_launch_compiles_only_the_grid_variant(self):
+        machine, _ = self.observe(self.TRIANGULAR, "source")
+        kernel = machine.module.get_function("tri")
+        codes = [code for code in machine._compiled.values()
+                 if code.function is kernel]
+        assert codes and all(code.grid for code in codes)
+        assert "in range(grid)" in codes[0].source
+
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_matches_the_tree_walker(self, name):
+        _, tree = self.observe(self.PROGRAMS[name], "tree")
+        _, source = self.observe(self.PROGRAMS[name], "source")
+        assert source == tree
+        if name == "triangular":
+            _, _, total, peak = tree[-1][0]
+            assert peak * 16 != total
+
+    @pytest.mark.parametrize("name", ("triangular", "device_call"))
+    def test_hooked_launch_logs_the_tree_walker_events(self, name):
+        logs = {}
+        for engine in ("tree", "source"):
+            log = []
+            machine, observed = self.observe(
+                self.PROGRAMS[name], engine,
+                lambda m, kind, address, size, log=log:
+                log.append((m.mode, kind, address, size)))
+            logs[engine] = (log, observed)
+        assert logs["source"] == logs["tree"]
+        assert any(mode == "gpu" for mode, *_ in logs["tree"][0])
+        kernel = machine.module.get_function("tri")
+        assert all(code.hooked and code.grid
+                   for code in machine._compiled.values()
+                   if code.function is kernel)
+
+    #: Thread 3 divides by zero after its allocas moved the stack
+    #: pointer: in the kernel itself, or in a defined callee.
+    FAULTING = r"""
+        long out[8];
+        long divide(long a, long b) { long q = a / b; return q; }
+        __global__ void crash(long tid, long *o) {
+            long acc = 0;
+            for (long k = 0; k < 4; k++) acc += 100 / (k + 3 - tid);
+            o[tid] = acc;
+        }
+        __global__ void crash_in_call(long tid, long *o) {
+            long acc = 0;
+            for (long k = 0; k < 4; k++) acc += divide(100, k + 3 - tid);
+            o[tid] = acc;
+        }
+        int main(void) { return 0; }
+    """
+
+    @pytest.mark.parametrize("kernel", ("crash", "crash_in_call"))
+    def test_fault_in_a_middle_thread_restores_launch_state(self, kernel):
+        """Fused engines count a segment's instructions when it starts,
+        so the instruction count is compared against the closure
+        engine's per-thread loop."""
+        after = {}
+        for engine in ("tree", "compiled", "source"):
+            machine = Machine(compile_minic(self.FAULTING), engine=engine)
+            runtime = CgcmRuntime(machine)
+            runtime.declare_all_globals()
+            device = runtime.map_ptr(machine.global_address("out"))
+
+            def state():
+                return (machine._gpu_sp, machine._gpu_ops, machine._depth,
+                        machine.mode)
+
+            before = state()
+            with pytest.raises(InterpError, match="division by zero"):
+                machine.launch_evaluated(
+                    machine.module.get_function(kernel), 8, [device])
+            assert state() == before
+            after[engine] = (machine.executed_instructions,
+                             machine._frame_counter)
+        assert after["source"] == after["compiled"]
+        assert after["source"][1] == after["tree"][1]
 
 
 class TestCompileTimeChecks:

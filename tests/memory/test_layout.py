@@ -3,10 +3,12 @@
 import struct
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import MemoryFault
-from repro.ir import (ArrayType, GlobalRef, Module, StructType, F64, I8,
-                      I64, pointer_to)
+from repro.ir import (ArrayType, GlobalRef, Module, StructType, F32, F64, I1,
+                      I8, I16, I32, I64, RAW_PTR, pointer_to)
 from repro.memory import GlobalLayout, initializer_bytes, make_cpu_memory
 
 
@@ -64,6 +66,33 @@ class TestInitializerBytes:
     def test_too_many_array_items_rejected(self):
         with pytest.raises(MemoryFault):
             initializer_bytes(ArrayType(I64, 1), [1, 2], resolve_nothing)
+
+
+SCALAR_TYPES = (I1, I8, I16, I32, I64, F32, F64, RAW_PTR)
+
+
+@given(st.sampled_from(SCALAR_TYPES),
+       st.lists(st.one_of(st.integers(-2 ** 70, 2 ** 70), st.floats(),
+                          st.booleans()), max_size=12),
+       st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+@example(F32, [1.5, 3.5e38, -1e39, 1e300], 1)      # f32 overflow -> +/-inf
+@example(I8, [300, -129, 2 ** 64 + 5, 127], 0)    # integer wrap
+@example(I64, [1, float("nan")], 0)               # unconvertible item
+@example(RAW_PTR, [1, -1], 0)                     # pointer out of range
+def test_array_encoding_matches_per_element_encoding(element, items, pad):
+    """An array of scalars encodes as its elements' encodings, in
+    order, plus zero padding -- or raises what they raise."""
+    array = ArrayType(element, len(items) + pad)
+    try:
+        expected = b"".join(initializer_bytes(element, item, resolve_nothing)
+                            for item in items) + bytes(pad * element.size)
+    except Exception as error:  # noqa: BLE001 -- compared by type below
+        with pytest.raises(Exception) as raised:
+            initializer_bytes(array, items, resolve_nothing)
+        assert type(raised.value) is type(error)
+    else:
+        assert initializer_bytes(array, items, resolve_nothing) == expected
 
 
 class TestGlobalLayout:
