@@ -12,10 +12,12 @@ from .cfg import predecessor_map, reverse_postorder
 class DominatorTree:
     """Immediate dominators for every reachable block of a function."""
 
-    def __init__(self, fn: Function):
+    def __init__(self, fn: Function,
+                 preds: Optional[Dict[BasicBlock, List[BasicBlock]]] = None):
         self.function = fn
         rpo = [b for b in reverse_postorder(fn)]
-        preds = predecessor_map(fn)
+        if preds is None:
+            preds = predecessor_map(fn)
         index = {block: i for i, block in enumerate(rpo)}
         entry = fn.entry_block
         idom: Dict[BasicBlock, Optional[BasicBlock]] = {entry: entry}

@@ -61,10 +61,17 @@ class Loop:
         return f"<Loop header={self.header.name} blocks={len(self.blocks)}>"
 
 
-def find_loops(fn: Function) -> List[Loop]:
-    """All natural loops of ``fn``, outermost first, nesting linked."""
-    domtree = DominatorTree(fn)
-    preds = predecessor_map(fn)
+def find_loops(fn: Function,
+               preds: Optional[Dict[BasicBlock, List[BasicBlock]]] = None
+               ) -> List[Loop]:
+    """All natural loops of ``fn``, outermost first, nesting linked.
+
+    ``preds`` is ``fn``'s :func:`predecessor_map`, for callers that
+    already hold one; it is built here otherwise.
+    """
+    if preds is None:
+        preds = predecessor_map(fn)
+    domtree = DominatorTree(fn, preds)
     reachable = reachable_blocks(fn)
     loops_by_header: Dict[BasicBlock, Loop] = {}
 

@@ -48,7 +48,8 @@ class CgcmConfig:
     #: Arm the communication sanitizer for executions; the resulting
     #: report lands on :attr:`ExecutionResult.sanitizer_report`.
     sanitize: bool = False
-    #: Execution engine for simulated runs: ``"source"`` (Python
+    #: Execution engine for simulated runs: ``"source"`` (tiered:
+    #: functions predicted cold tree-walk, hot ones run as Python
     #: source codegen, the fast path -- see ``repro.interp.srcgen``),
     #: ``"compiled"`` (closure compiler), or ``"tree"`` (tree-walking
     #: reference interpreter).  All three are observationally and

@@ -19,23 +19,29 @@ Three execution engines share this machine model:
   :mod:`repro.interp.codegen`: each function is translated once into
   flat per-block lists of zero-argument closures and cached on the
   machine.
-* ``engine="source"`` -- the source compiler in
-  :mod:`repro.interp.srcgen`: each function is emitted as real Python
-  source (registers as locals, blocks as a ``while``-dispatched jump
-  table, typed-memoryview loads/stores), ``compile()``-d, and cached
-  on the machine.
+* ``engine="source"`` -- tiered: each (function, mode) runs in the
+  tree-walker while it is predicted cold, and once predicted hot in
+  the source compiler of :mod:`repro.interp.srcgen`, which emits it as
+  real Python source (registers as locals, blocks as a
+  ``while``-dispatched jump table, typed-memoryview loads/stores),
+  ``compile()``-s it, and caches it on the machine.  See
+  :data:`HOT_RATIO`.
 
 Both ahead-of-time engines must be observationally *and*
 clock-for-clock indistinguishable from the tree-walker (see
-``tests/interp/test_engine_equivalence.py``).
+``tests/interp/test_engine_equivalence.py``), which is why the source
+engine may pick its tier per function without any observable effect.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
+from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..analysis.cfg import predecessor_map
+from ..analysis.loops import find_loops, recognize_counted_loop
 from ..errors import CgcmUnsupportedError, InterpError
 from ..gpu.device import GpuDevice
 from ..gpu.timing import (CostModel, LANE_CPU, LANE_GPU, STREAM_COMPUTE,
@@ -107,6 +113,101 @@ def needs_frame(fn: Function) -> bool:
             for inst in fn.instructions())
         _NEEDS_FRAME[fn] = cached
     return cached
+
+
+#: Tiered execution (``engine="source"``): a (function, mode) runs in
+#: the tree-walker until the instructions predicted for its entries so
+#: far reach ``HOT_RATIO`` times its static instruction count, and is
+#: compiled from then on.  0 compiles every function on its first
+#: entry; ``math.inf`` compiles nothing that is not hot already.
+HOT_RATIO = 20
+#: Trip count predicted for a loop whose bounds are not constants.
+UNKNOWN_TRIPS = 16
+
+
+class Tier:
+    """Tier state of one function, shared by every machine.
+
+    ``predicted`` is what one entry is predicted to execute: each
+    block's size weighted by the trip counts of its enclosing loops,
+    exact for a counted loop with constant bounds, ``UNKNOWN_TRIPS``
+    for any other.  ``seen`` sums the predictions of the entries so
+    far per mode; ``hot`` holds the modes that reached the threshold
+    (for good: there is no way back).  ``depths`` is each block's loop
+    depth, by position, for srcgen's dispatch order.  Nothing here
+    refers to the IR, which would keep the weak key alive.
+    """
+
+    __slots__ = ("static", "predicted", "depths", "seen", "hot")
+
+    def __init__(self, fn: Function):
+        depth: Dict = {}
+        weight: Dict = {}
+        try:
+            preds = predecessor_map(fn)
+            scale: Dict = {}
+            for loop in find_loops(fn, preds):  # outermost first
+                counted = recognize_counted_loop(fn, loop, preds)
+                trips = UNKNOWN_TRIPS
+                if counted is not None \
+                        and isinstance(counted.start, Constant) \
+                        and isinstance(counted.end, Constant):
+                    span = int(counted.end.value) \
+                        - int(counted.start.value) + (counted.pred == "le")
+                    trips = max(0, -(-span // counted.step))
+                outer = scale.get(loop.parent, 1)
+                scale[loop] = outer * trips
+                for block in loop.blocks:  # inner loops overwrite
+                    depth[block] = loop.depth
+                    # The header also runs the test that leaves the loop.
+                    weight[block] = outer * (trips + (block is loop.header))
+        except Exception:
+            # A CFG the analysis cannot handle is predicted loop-free;
+            # the tree-walker reports its faults when they execute.
+            depth, weight = {}, {}
+        sizes = [(block, len(block.instructions)) for block in fn.blocks]
+        self.static = sum(size for _, size in sizes)
+        self.predicted = sum(size * weight.get(block, 1)
+                             for block, size in sizes)
+        self.depths = tuple(depth.get(block, 0) for block, _ in sizes)
+        self.seen: Dict[str, int] = {}
+        self.hot: set = set()
+
+    def enter(self, mode: str, entries: int) -> bool:
+        """Count ``entries`` entries in ``mode``; whether it is hot."""
+        if mode in self.hot:
+            return True
+        seen = self.seen.get(mode, 0) + self.predicted * entries
+        self.seen[mode] = seen
+        if seen >= HOT_RATIO * self.static:
+            self.hot.add(mode)
+            return True
+        return False
+
+
+_TIERS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def tier_of(fn: Function) -> Tier:
+    """``fn``'s tier state, analysed on first use."""
+    tier = _TIERS.get(fn)
+    if tier is None:
+        tier = _TIERS[fn] = Tier(fn)
+    return tier
+
+
+@contextmanager
+def hot_ratio(ratio: float):
+    """Run with :data:`HOT_RATIO` set to ``ratio``: 0 makes the source
+    engine compile every function it enters (the equivalence checks
+    use it so that they cover srcgen), ``math.inf`` keeps everything
+    not yet hot in the tree-walker."""
+    global HOT_RATIO
+    saved, HOT_RATIO = HOT_RATIO, ratio
+    try:
+        yield
+    finally:
+        HOT_RATIO = saved
 
 
 class Machine:
@@ -279,15 +380,23 @@ class Machine:
         """Call a function (defined or external) with evaluated args."""
         if fn.is_declaration:
             return self._call_external(fn.name, args)
+        mode = self._mode
+        code = None
+        if self.engine != "tree" and (mode == "cpu" or mode == "gpu"):
+            code = self.compiled_for(fn)
+        return self.activate(fn, args, code)
+
+    def activate(self, fn: Function, args: Sequence[Union[int, float]],
+                 code: Optional[Callable] = None):
+        """One activation of defined ``fn``: its compiled ``code``, or
+        the tree-walker when that is None.  The checks and the frame
+        bookkeeping are the same either way."""
         if len(args) != len(fn.args):
             raise InterpError(f"@{fn.name}: expected {len(fn.args)} args, "
                               f"got {len(args)}")
         if self._depth >= MAX_CALL_DEPTH:
             raise InterpError(f"call depth exceeded at @{fn.name}")
         mode = self._mode
-        code = None
-        if self.engine != "tree" and (mode == "cpu" or mode == "gpu"):
-            code = self.compiled_for(fn)
         self._depth += 1
         sp_base = self._gpu_sp if mode == "gpu" else self._cpu_sp
         self._frame_counter += 1
@@ -310,8 +419,15 @@ class Machine:
                 hook(self, frame.frame_id)
             self._depth -= 1
 
-    def compiled_for(self, fn: Function, grid: bool = False):
-        """The cached compiled variant of ``fn`` for the current mode.
+    def compiled_for(self, fn: Function, grid: bool = False,
+                     entries: int = 1):
+        """The cached compiled variant of ``fn`` for the current mode,
+        or None while the source engine predicts it cold.
+
+        Each call counts ``entries`` entries of ``fn`` (a launch: its
+        thread count) toward the tiering decision (see
+        :data:`HOT_RATIO`).  ``grid`` selects the source engine's
+        whole-grid variant of a kernel.
 
         Variants are keyed by (function, mode, armed hook *set*):
         globals resolve to different addresses per address space, and
@@ -323,9 +439,11 @@ class Machine:
         different combination -- and an unhooked body is never reused
         once hooks arm.  CPU-mode variants of a machine with a
         ``writeback_guard`` are *guarded*: they check the guard before
-        every load/store.  GPU-mode variants never are.  ``grid``
-        selects the source engine's whole-grid variant of a kernel.
+        every load/store.  GPU-mode variants never are.
         """
+        if self.engine == "source" \
+                and not tier_of(fn).enter(self._mode, entries):
+            return None
         guarded = self.writeback_guard is not None and self._mode == "cpu"
         key = (fn, self._mode, tuple(self.mem_hooks), guarded, grid)
         code = self._compiled.get(key)
@@ -395,14 +513,20 @@ class Machine:
         block = frame.function.entry_block
         regs = frame.regs
         evaluate = self.eval
-        # A frame's mode is fixed for its lifetime, so the host-only
-        # write-back guard resolves once per activation.
+        # A frame's mode is fixed for its lifetime, so the charge lane
+        # and the host-only write-back guard resolve once per
+        # activation.
+        cpu = self._mode == "cpu"
+        costs = _OP_COSTS
         guard = self.writeback_guard if self._mode != "gpu" else None
         pending = guard[0] if guard is not None else None
         while True:
             for inst in block.instructions:
                 self.executed_instructions += 1
-                self.charge_ops(_OP_COSTS.get(inst.opcode, 1))
+                if cpu:
+                    self._pending_cpu_ops += costs.get(inst.opcode, 1)
+                else:
+                    self._gpu_ops += costs.get(inst.opcode, 1)
                 if isinstance(inst, Load):
                     address = evaluate(inst.pointer, frame)
                     if pending:
@@ -654,12 +778,20 @@ class Machine:
         total_ops = 0
         max_ops = 0
         try:
-            if self.engine != "tree" and not kernel.is_declaration:
-                max_ops = self._run_grid_compiled(kernel, grid, args)
+            code = None
+            if self.engine == "source" and not kernel.is_declaration:
+                code = self.compiled_for(kernel, True, grid)
+            if code is not None or self.engine == "compiled" \
+                    and not kernel.is_declaration:
+                max_ops = self._run_grid_compiled(kernel, grid, args, code)
             else:
+                # The reference loop; a cold kernel's threads tree-walk
+                # without compiling a per-thread variant.
+                enter = self.call if kernel.is_declaration \
+                    else self.activate
                 for tid in range(grid):
                     before = self._gpu_ops
-                    self.call(kernel, [tid] + args)
+                    enter(kernel, [tid] + args)
                     thread_ops = self._gpu_ops - before
                     if thread_ops > max_ops:
                         max_ops = thread_ops
@@ -697,12 +829,13 @@ class Machine:
                    clock.stream_cursor(STREAM_D2H)))
 
     def _run_grid_compiled(self, kernel: Function, grid: int,
-                           args: List[Union[int, float]]) -> int:
+                           args: List[Union[int, float]],
+                           code: Optional[Callable] = None) -> int:
         """Kernel grid for the ahead-of-time engines; returns the max
         per-thread op count for the GPU time model.
 
-        The source engine runs the launch as one call of the kernel's
-        grid variant, which loops over the threads itself (see
+        The source engine passes a hot kernel's grid variant as
+        ``code``; one call of it loops over the threads itself (see
         :mod:`repro.interp.srcgen`).  The per-thread loop below serves
         only the closure engine.  It inlines the compiled-code path of
         :meth:`call` -- the per-thread bookkeeping (depth, stack
@@ -718,8 +851,7 @@ class Machine:
                               f"{len(args) + 1}")
         if self._depth >= MAX_CALL_DEPTH:
             raise InterpError(f"call depth exceeded at @{kernel.name}")
-        if self.engine == "source":
-            code = self.compiled_for(kernel, grid=True)
+        if code is not None:
             self._depth += 1
             try:
                 return code(grid, args)

@@ -85,10 +85,22 @@ guarded, grid)** into real Python source, ``compile()``-d,
   retire.  A kernel that reaches a defined callee or a nested launch
   uses the machine's op count and stack pointer instead, as those do.
 
+* **Cold functions stay in the tree-walker.**  ``engine="source"``
+  is tiered: ``Machine.compiled_for`` declines to compile a (function,
+  mode) until the instructions predicted for its entries reach
+  ``machine.HOT_RATIO`` times its static size, so code that runs once
+  is never emitted.  A cold callee's thunk tree-walks it through
+  ``Machine.activate`` and asks again on the next call; a cold launch
+  runs the tree-walker's per-thread loop.  Because the engines are
+  clock-for-clock identical, the tier is unobservable -- except that
+  a cold function with a use its definition does not dominate faults
+  when the read executes, as under the tree-walker, rather than when
+  it would have compiled.
+
 The tree-walker remains the reference semantics; the equivalence
-suites hold this engine to byte-identical observables and
-clock-for-clock equal timestamps across the workload sweep and the
-fuzz corpus.
+suites hold this engine (compiling every function it enters) to
+byte-identical observables and clock-for-clock equal timestamps
+across the workload sweep and the fuzz corpus.
 """
 
 from __future__ import annotations
@@ -96,7 +108,6 @@ from __future__ import annotations
 import weakref
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.loops import find_loops
 from ..errors import CgcmUnsupportedError, InterpError, MemoryFault
 from ..ir.function import Function
 from ..ir.instructions import (Alloca, BinaryOp, Branch, Call, Cast, Compare,
@@ -111,7 +122,8 @@ from ..memory.flatmem import (VIEW_ACCESS, round_f32, scalar_format,
 from .codegen import _int_params, check_definitions
 from .externals import GPU_SAFE, call_cost
 from .machine import (_DIV_EXTRA, _OP_COSTS, Frame, MAX_CALL_DEPTH,
-                      needs_frame, _trunc_div_float, _trunc_div_int)
+                      needs_frame, tier_of, _trunc_div_float,
+                      _trunc_div_int)
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _INF = float("inf")
@@ -246,13 +258,22 @@ def _make_call_thunk(machine, callee, gpu: bool):
     path).  The callee's compiled body is re-resolved whenever the
     armed hook set changes, preserving the hook-set-identity cache
     contract; the arity check moved to codegen (call sites have
-    static operand lists).
+    static operand lists).  While the callee is cold every call asks
+    again, and a call that finds it still cold tree-walks it through
+    :meth:`Machine.activate`, as :meth:`Machine.call` would.
     """
     depth_limit = MAX_CALL_DEPTH
     frame_type = Frame
     stack = machine._frame_stack
     name = callee.name
     state = [None, None]  # [hook-set snapshot, compiled body]
+
+    def resolve(hooks):
+        """The callee's compiled body, or None while it is cold."""
+        code = machine.compiled_for(callee)
+        if code is not None:
+            state[0], state[1] = list(hooks), code
+        return code
 
     if not needs_frame(callee):
         # Frame-oblivious callee (no allocas, no declareAlloca): the
@@ -261,9 +282,8 @@ def _make_call_thunk(machine, callee, gpu: bool):
         # sequencing and the exit-hook sweep stay.
         def thunk(*args):
             hooks = machine.mem_hooks
-            if state[0] != hooks:
-                state[1] = machine.compiled_for(callee)
-                state[0] = list(hooks)
+            if state[0] != hooks and resolve(hooks) is None:
+                return machine.activate(callee, args)
             if machine._depth >= depth_limit:
                 raise InterpError(f"call depth exceeded at @{name}")
             machine._depth += 1
@@ -278,9 +298,8 @@ def _make_call_thunk(machine, callee, gpu: bool):
     elif gpu:
         def thunk(*args):
             hooks = machine.mem_hooks
-            if state[0] != hooks:
-                state[1] = machine.compiled_for(callee)
-                state[0] = list(hooks)
+            if state[0] != hooks and resolve(hooks) is None:
+                return machine.activate(callee, args)
             if machine._depth >= depth_limit:
                 raise InterpError(f"call depth exceeded at @{name}")
             machine._depth += 1
@@ -299,9 +318,8 @@ def _make_call_thunk(machine, callee, gpu: bool):
     else:
         def thunk(*args):
             hooks = machine.mem_hooks
-            if state[0] != hooks:
-                state[1] = machine.compiled_for(callee)
-                state[0] = list(hooks)
+            if state[0] != hooks and resolve(hooks) is None:
+                return machine.activate(callee, args)
             if machine._depth >= depth_limit:
                 raise InterpError(f"call depth exceeded at @{name}")
             machine._depth += 1
@@ -1134,18 +1152,13 @@ class _SourceCompiler:
         return best
 
     def _dispatch_order(self) -> List:
-        """Blocks ordered innermost-loop-first for the elif chain."""
-        blocks = list(self.fn.blocks)
-        depth = {block: 0 for block in blocks}
-        try:
-            for loop in find_loops(self.fn):
-                for block in loop.blocks:
-                    if block in depth:
-                        depth[block] = max(depth[block], loop.depth)
-        except Exception:
-            pass  # dispatch order is a heuristic, never a correctness issue
-        position = {block: i for i, block in enumerate(blocks)}
-        return sorted(blocks, key=lambda b: (-depth[b], position[b]))
+        """Blocks ordered innermost-loop-first for the elif chain, by
+        the loop depths the tiering analysis found (all 0 when the CFG
+        defeated it: dispatch order is a heuristic)."""
+        depths = tier_of(self.fn).depths
+        order = sorted(range(len(depths)), key=lambda i: -depths[i])
+        blocks = self.fn.blocks
+        return [blocks[i] for i in order]
 
     def compile(self):
         fn = self.fn

@@ -39,6 +39,7 @@ from ..api import compile_workload
 from ..core.config import CgcmConfig, OptLevel
 from ..errors import ReproError
 from ..gpu.faults import FaultPlan
+from ..interp.machine import hot_ratio
 from ..staticcheck.findings import Severity
 from .generator import GeneratedProgram, generate_program, materialize
 from .shrink import minimize_spec
@@ -153,6 +154,10 @@ def check_source(source: str, name: str = "scenario",
                          result.observable(), base.observable())
         return None
 
+    # The source-engine runs below compile every function they enter
+    # (``HOT_RATIO = 0``), so they hold srcgen, not its tree-walked
+    # cold tier, to the tree-walker.
+    @hot_ratio(0)
     def check_engines() -> Optional[str]:
         tree = optimized.run(engine="tree")
         for engine in ("compiled", "source"):
@@ -174,6 +179,7 @@ def check_source(source: str, name: str = "scenario",
                     return f"tree vs {engine} diverged at unoptimized"
         return None
 
+    @hot_ratio(0)
     def check_streams() -> Optional[str]:
         streams = compile_workload(source, CgcmConfig(streams=True), name)
         result = streams.run()

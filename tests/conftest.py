@@ -7,6 +7,7 @@ import pytest
 from repro.core import CgcmCompiler, CgcmConfig, OptLevel
 from repro.frontend import compile_minic
 from repro.interp import Machine
+from repro.interp.machine import hot_ratio
 from repro.runtime import CgcmRuntime
 
 
@@ -27,6 +28,15 @@ def machine_for(source: str, with_runtime: bool = False) -> Machine:
         runtime = CgcmRuntime(machine)
         runtime.declare_all_globals()
     return machine
+
+
+@pytest.fixture
+def compile_all():
+    """The source engine compiles every function on its first entry
+    (``HOT_RATIO = 0``), so tests of srcgen's contracts exercise
+    srcgen instead of its cold tree-walked tier."""
+    with hot_ratio(0):
+        yield
 
 
 @pytest.fixture

@@ -15,6 +15,10 @@ from repro.evaluation.bench import compare_engines
 from repro.gpu.topology import Topology
 from repro.workloads import ALL_WORKLOADS, get_workload, workload_names
 
+#: The source engine compiles every function it enters, so the matrix
+#: holds srcgen, not its tree-walked cold tier, to the tree-walker.
+pytestmark = pytest.mark.usefixtures("compile_all")
+
 #: Small-but-diverse tier-1 subset (int, float, multi-kernel, glue).
 FAST_WORKLOADS = ("atax", "nw", "kmeans", "blackscholes")
 

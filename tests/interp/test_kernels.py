@@ -204,13 +204,16 @@ class TestTimingModel:
         assert comm_time(4096) > comm_time(4)
 
 
+@pytest.mark.usefixtures("compile_all")
 class TestGridExecutionOnSource(TestGridExecution):
     engine = "source"
 
 
+@pytest.mark.usefixtures("compile_all")
 class TestIsolationOnSource(TestIsolation):
     engine = "source"
 
 
+@pytest.mark.usefixtures("compile_all")
 class TestTimingModelOnSource(TestTimingModel):
     engine = "source"

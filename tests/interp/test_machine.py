@@ -133,6 +133,7 @@ class TestFloat32Overflow:
             }""", "inf"),
     }
 
+    @pytest.mark.usefixtures("compile_all")
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("name", sorted(PROGRAMS))
     def test_overflow_becomes_inf(self, name, engine):

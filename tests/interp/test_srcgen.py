@@ -23,6 +23,10 @@ from repro.ir.instructions import Alloca, Call, LaunchKernel, Load, Store
 from repro.runtime import CgcmRuntime
 from repro.staticcheck.corpus import CORPUS
 
+#: The source engine compiles every function it enters: these tests
+#: hold srcgen, not the tree-walked cold tier, to the tree-walker.
+pytestmark = pytest.mark.usefixtures("compile_all")
+
 
 def machine_pair(source: str):
     """(tree machine, source-engine machine) for the same source."""

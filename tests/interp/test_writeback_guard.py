@@ -18,6 +18,10 @@ from repro.runtime import CgcmRuntime
 from repro.sanitizer import CommSanitizer
 from repro.staticcheck.corpus import CORPUS
 
+#: The source engine compiles every function it enters, so its runs
+#: exercise srcgen's guarded host code, not the tree-walked cold tier.
+pytestmark = pytest.mark.usefixtures("compile_all")
+
 ENGINES = ("tree", "compiled", "source")
 SOURCES = {defect.name: defect.source for defect in CORPUS}
 
