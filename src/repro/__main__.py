@@ -22,7 +22,7 @@ Usage::
 and executes it on the simulated platform; ``emit-ir`` prints the
 transformed IR; ``bench`` with workload names runs them through all
 four configurations, with no names runs the full 24-workload
-tree-vs-compiled engine sweep (``BENCH_interp.json``), and with
+tree-vs-source engine sweep (``BENCH_interp.json``), and with
 ``--streams`` runs the serial-vs-overlapped sweep
 (``BENCH_streams.json``); ``faultbench`` runs the chaos sweep -- every
 workload under seeded fault schedules and device-heap caps, checking
@@ -74,6 +74,7 @@ from typing import List, Optional
 from .core import CgcmCompiler, CgcmConfig, OptLevel
 from .errors import ConfigError, TransformValidationError
 from .evaluation import run_benchmark
+from .interp.machine import ENGINES
 from .interp.trace import render_schedule
 from .ir import module_to_str
 from .workloads import ALL_WORKLOADS, get_workload, workload_names
@@ -101,10 +102,10 @@ _LEVEL_PARENT = _parent((("--level",), dict(
          "communication optimizations)")))
 
 _ENGINE_PARENT = _parent((("--engine",), dict(
-    choices=("source", "compiled", "tree"), default="source",
-    help="execution engine: source (Python source codegen, "
-         "fastest), compiled (closure compiler), or tree "
-         "(tree-walking reference interpreter)")))
+    choices=ENGINES, default="source",
+    help="execution engine: source (tiered Python source codegen, "
+         "the fast path) or tree (tree-walking reference "
+         "interpreter)")))
 
 _STREAMS_PARENT = _parent((("--streams",), dict(
     action="store_true",
@@ -203,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_cmd = commands.add_parser(
         "bench",
         help="with names: run workloads through all configurations; "
-             "with no names: three-engine speedup sweep",
+             "with no names: tree-vs-source engine speedup sweep",
         parents=[_STREAMS_PARENT, _DEVICES_PARENT])
     bench_cmd.add_argument("workloads", nargs="*",
                            help="workload names (see 'list'); omit for "
@@ -561,7 +562,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_engine_bench(args: argparse.Namespace) -> int:
-    """Three-engine sweep over all 24 workloads."""
+    """Tree-vs-source engine sweep over all 24 workloads."""
     from .evaluation.bench import run_engine_bench
 
     def progress(comparison):

@@ -50,10 +50,9 @@ class CgcmConfig:
     sanitize: bool = False
     #: Execution engine for simulated runs: ``"source"`` (tiered:
     #: functions predicted cold tree-walk, hot ones run as Python
-    #: source codegen, the fast path -- see ``repro.interp.srcgen``),
-    #: ``"compiled"`` (closure compiler), or ``"tree"`` (tree-walking
-    #: reference interpreter).  All three are observationally and
-    #: clock-for-clock identical.
+    #: source codegen, the fast path -- see ``repro.interp.srcgen``)
+    #: or ``"tree"`` (tree-walking reference interpreter).  Both are
+    #: observationally and clock-for-clock identical.
     engine: str = "source"
     #: Streams subsystem: run the comm-overlap transform (at
     #: ``OPTIMIZED``), execute launches/transfers asynchronously, and

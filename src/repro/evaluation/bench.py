@@ -1,13 +1,12 @@
-"""Interpreter benchmark: the three execution engines, head to head.
+"""Interpreter benchmark: the two execution engines, head to head.
 
 Runs the full 24-workload sweep under the tree-walking reference
-interpreter, the closure compiler (``compiled``), and the source
-codegen engine (``source``), asserting along the way that every
-engine is observationally identical to the tree-walker -- same
-stdout, exit code, final global bytes, dynamic instruction count,
-and *exactly* equal simulated-clock totals -- and records the
-wall-clock numbers as the repo's perf trajectory in
-``BENCH_interp.json``.
+interpreter and the tiered source engine (``source``), asserting
+along the way that the source engine is observationally identical to
+the tree-walker -- same stdout, exit code, final global bytes,
+dynamic instruction count, and *exactly* equal simulated-clock
+totals -- and records the wall-clock numbers as the repo's perf
+trajectory in ``BENCH_interp.json``.
 
 Timing discipline: each engine runs ``repeat`` times per workload
 and the **median** wall-clock is kept (with the min/max spread
@@ -36,14 +35,11 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.compiler import CgcmCompiler, ExecutionResult
 from ..core.config import CgcmConfig, OptLevel
+from ..interp.machine import ENGINES
 from ..workloads import ALL_WORKLOADS, Workload
 
 #: Schema tag for BENCH_interp.json (bump on incompatible change).
-BENCH_SCHEMA = "repro-bench-interp/2"
-
-#: Engines the sweep measures; the tree-walker is the baseline and
-#: oracle, the last entry is the headline fast engine.
-BENCH_ENGINES = ("tree", "compiled", "source")
+BENCH_SCHEMA = "repro-bench-interp/3"
 
 
 @dataclass
@@ -64,18 +60,14 @@ class EngineComparison:
     def ok(self) -> bool:
         return not self.mismatches
 
-    def speedup_of(self, engine: str) -> float:
-        """Tree-walker wall-clock over ``engine``'s (median over
-        median)."""
-        wall = self.wall_s[engine]
+    @property
+    def speedup(self) -> float:
+        """Tree-walker wall-clock over the source engine's (median
+        over median)."""
+        wall = self.wall_s["source"]
         if wall <= 0:
             return float("inf")
         return self.wall_s["tree"] / wall
-
-    @property
-    def speedup(self) -> float:
-        """The headline ratio: tree over the source engine."""
-        return self.speedup_of("source")
 
     def insts_per_s(self, engine: str) -> float:
         wall = self.wall_s[engine]
@@ -96,42 +88,34 @@ class BenchReport:
     def ok(self) -> bool:
         return all(c.ok for c in self.comparisons)
 
-    def geomean_of(self, engine: str) -> float:
-        speedups = [c.speedup_of(engine) for c in self.comparisons
-                    if c.ok]
+    @property
+    def geomean_speedup(self) -> float:
+        """The headline geomean: source engine over the tree-walker."""
+        speedups = [c.speedup for c in self.comparisons if c.ok]
         if not speedups:
             return 0.0
         return math.exp(sum(math.log(s) for s in speedups)
                         / len(speedups))
-
-    @property
-    def geomean_speedup(self) -> float:
-        """The headline geomean: source engine over the tree-walker."""
-        return self.geomean_of("source")
 
     def to_json(self) -> Dict:
         return {
             "schema": BENCH_SCHEMA,
             "level": self.level,
             "engine": "source",
-            "engines": list(BENCH_ENGINES),
+            "engines": list(ENGINES),
             "repeat": self.repeat,
             "python": platform.python_version(),
             "geomean_speedup": round(self.geomean_speedup, 4),
-            "geomean_speedup_compiled": round(
-                self.geomean_of("compiled"), 4),
             "workloads": [
                 {
                     "name": c.name,
                     "wall_s": {engine: round(c.wall_s[engine], 6)
-                               for engine in BENCH_ENGINES},
+                               for engine in ENGINES},
                     "spread_s": {
                         engine: [round(c.spread_s[engine][0], 6),
                                  round(c.spread_s[engine][1], 6)]
-                        for engine in BENCH_ENGINES},
+                        for engine in ENGINES},
                     "speedup": round(c.speedup, 4),
-                    "speedup_compiled": round(
-                        c.speedup_of("compiled"), 4),
                     "instructions": c.instructions,
                     "source_insts_per_s": round(
                         c.insts_per_s("source")),
@@ -148,19 +132,17 @@ class BenchReport:
             handle.write("\n")
 
     def render(self) -> str:
-        lines = [f"{'workload':16s} {'tree':>9s} {'compiled':>9s} "
-                 f"{'source':>9s} {'speedup':>8s} {'Minsts/s':>9s}"]
+        lines = [f"{'workload':16s} {'tree':>9s} {'source':>9s} "
+                 f"{'speedup':>8s} {'Minsts/s':>9s}"]
         for c in self.comparisons:
             status = "" if c.ok else "  DIVERGED"
             lines.append(
                 f"{c.name:16s} {c.wall_s['tree']:8.3f}s "
-                f"{c.wall_s['compiled']:8.3f}s "
                 f"{c.wall_s['source']:8.3f}s "
                 f"{c.speedup:7.2f}x "
                 f"{c.insts_per_s('source') / 1e6:9.2f}{status}")
-        lines.append(f"{'geomean':16s} {'':9s} "
-                     f"{self.geomean_of('compiled'):8.2f}x "
-                     f"{'':9s} {self.geomean_speedup:7.2f}x")
+        lines.append(f"{'geomean':16s} {'':9s} {'':9s} "
+                     f"{self.geomean_speedup:7.2f}x")
         return "\n".join(lines)
 
 
@@ -216,11 +198,11 @@ def bench_workload(workload: Workload,
     compiler = CgcmCompiler(CgcmConfig(opt_level=level))
     report = compiler.compile_source(workload.source, workload.name)
     repeat = max(1, repeat)
-    walls: Dict[str, List[float]] = {e: [] for e in BENCH_ENGINES}
+    walls: Dict[str, List[float]] = {e: [] for e in ENGINES}
     results: Dict[str, ExecutionResult] = {}
     mismatches: Tuple[str, ...] = ()
     gc_was_enabled = gc.isenabled()
-    for engine in BENCH_ENGINES:
+    for engine in ENGINES:
         for _ in range(repeat):
             # timeit's discipline: collect outside the timed region,
             # pause the collector inside it, so garbage carried over
@@ -243,9 +225,8 @@ def bench_workload(workload: Workload,
     tree_result = results["tree"]
     return EngineComparison(
         name=workload.name, level=level.value,
-        wall_s={e: statistics.median(walls[e]) for e in BENCH_ENGINES},
-        spread_s={e: (min(walls[e]), max(walls[e]))
-                  for e in BENCH_ENGINES},
+        wall_s={e: statistics.median(walls[e]) for e in ENGINES},
+        spread_s={e: (min(walls[e]), max(walls[e])) for e in ENGINES},
         instructions=tree_result.instructions,
         sim_seconds=tree_result.total_seconds,
         mismatches=mismatches)

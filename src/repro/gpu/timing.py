@@ -381,8 +381,8 @@ class SimClock:
         """Per-lane elapsed seconds, keyed by lane name.
 
         The engine-equivalence suite compares these dictionaries for
-        *exact* float equality between the tree-walking and compiled
-        engines: block-fused cost charging must be invisible down to
+        *exact* float equality between the tree-walker and the source
+        engine: block-fused cost charging must be invisible down to
         the last bit of every simulated timestamp.
         """
         return dict(self.lanes)

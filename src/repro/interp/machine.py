@@ -11,14 +11,10 @@ Address spaces are strictly separate: kernels cannot touch host
 memory, host code cannot touch device memory, and kernels may not
 store pointers (a documented CGCM restriction).
 
-Three execution engines share this machine model:
+Two execution engines share this machine model:
 
 * ``engine="tree"`` -- the tree-walking interpreter in
   :meth:`Machine._execute`: the reference semantics.
-* ``engine="compiled"`` -- the closure compiler in
-  :mod:`repro.interp.codegen`: each function is translated once into
-  flat per-block lists of zero-argument closures and cached on the
-  machine.
 * ``engine="source"`` -- tiered: each (function, mode) runs in the
   tree-walker while it is predicted cold, and once predicted hot in
   the source compiler of :mod:`repro.interp.srcgen`, which emits it as
@@ -27,8 +23,8 @@ Three execution engines share this machine model:
   ``compile()``-s it, and caches it on the machine.  See
   :data:`HOT_RATIO`.
 
-Both ahead-of-time engines must be observationally *and*
-clock-for-clock indistinguishable from the tree-walker (see
+Compiled code must be observationally *and* clock-for-clock
+indistinguishable from the tree-walker (see
 ``tests/interp/test_engine_equivalence.py``), which is why the source
 engine may pick its tier per function without any observable effect.
 """
@@ -42,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.cfg import predecessor_map
 from ..analysis.loops import find_loops, recognize_counted_loop
-from ..errors import CgcmUnsupportedError, InterpError
+from ..errors import CgcmUnsupportedError, ConfigError, InterpError
 from ..gpu.device import GpuDevice
 from ..gpu.timing import (CostModel, LANE_CPU, LANE_GPU, STREAM_COMPUTE,
                           STREAM_D2H, STREAM_H2D, SimClock)
@@ -70,8 +66,9 @@ _DIV_EXTRA = 8
 
 MAX_CALL_DEPTH = 256
 
-#: Engines :class:`Machine` can execute IR with.
-ENGINES = ("tree", "compiled", "source")
+#: Engines :class:`Machine` can execute IR with; the reference comes
+#: first.
+ENGINES = ("tree", "source")
 
 
 class Frame:
@@ -81,8 +78,8 @@ class Frame:
 
     def __init__(self, function: Function, frame_id: int, sp_base: int):
         self.function = function
-        #: Register file; materialized by the tree-walker only (the
-        #: ahead-of-time engines keep registers in Python locals).
+        #: Register file; materialized by the tree-walker only
+        #: (compiled code keeps registers in Python locals).
         self.regs: Optional[Dict[Value, Union[int, float]]] = None
         self.sp_base = sp_base
         self.frame_id = frame_id
@@ -100,8 +97,8 @@ def needs_frame(fn: Function) -> bool:
     instructions register into it, and the ``declareAlloca`` runtime
     entry point resolves ``Machine.current_frame``.  Everything else
     -- including nested calls, which push their own frames -- is
-    frame-oblivious, so the ahead-of-time engines skip the frame
-    push/pop (but not the frame-id sequencing or the exit-hook
+    frame-oblivious, so the source engine's call thunks skip the
+    frame push/pop (but not the frame-id sequencing or the exit-hook
     sweep) for functions without either.
     """
     cached = _NEEDS_FRAME.get(fn)
@@ -221,8 +218,8 @@ class Machine:
                  fault_injector: Optional["object"] = None,
                  device_heap_limit: Optional[int] = None):
         if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of "
-                             f"{ENGINES}")
+            raise ConfigError(f"unknown engine {engine!r}; expected one of "
+                              f"{ENGINES}")
         self.module = module
         self.engine = engine
         #: Overlap-aware timing discipline: kernel launches become
@@ -252,10 +249,10 @@ class Machine:
         self._pending_cpu_ops = 0
         self._gpu_ops = 0
         #: Dynamic count of interpreted IR instructions: the
-        #: tree-walker bumps it per instruction, the ahead-of-time
-        #: engines by a fused segment's length as it starts (a
-        #: source-engine grid variant writes its threads' counts back
-        #: once per launch), so totals match except after a fault.
+        #: tree-walker bumps it per instruction, compiled code by a
+        #: fused segment's length as it starts (a grid variant writes
+        #: its threads' counts back once per launch), so totals match
+        #: except after a fault.
         self.executed_instructions = 0
         #: Compiled-code cache: (function, mode, armed hook set,
         #: guarded, grid) -> compiled callable.
@@ -422,7 +419,7 @@ class Machine:
     def compiled_for(self, fn: Function, grid: bool = False,
                      entries: int = 1):
         """The cached compiled variant of ``fn`` for the current mode,
-        or None while the source engine predicts it cold.
+        or None while it is predicted cold.
 
         Each call counts ``entries`` entries of ``fn`` (a launch: its
         thread count) toward the tiering decision (see
@@ -441,22 +438,16 @@ class Machine:
         ``writeback_guard`` are *guarded*: they check the guard before
         every load/store.  GPU-mode variants never are.
         """
-        if self.engine == "source" \
-                and not tier_of(fn).enter(self._mode, entries):
+        if not tier_of(fn).enter(self._mode, entries):
             return None
         guarded = self.writeback_guard is not None and self._mode == "cpu"
         key = (fn, self._mode, tuple(self.mem_hooks), guarded, grid)
         code = self._compiled.get(key)
         if code is None:
-            hooked = bool(self.mem_hooks)
-            if self.engine == "source":
-                from .srcgen import compile_function_source
-                code = compile_function_source(self, fn, self._mode,
-                                               hooked, guarded, grid)
-            else:
-                from .codegen import compile_function
-                code = compile_function(self, fn, self._mode, hooked,
-                                        guarded)
+            from .srcgen import compile_function_source
+            code = compile_function_source(self, fn, self._mode,
+                                           bool(self.mem_hooks), guarded,
+                                           grid)
             self._compiled[key] = code
         return code
 
@@ -746,9 +737,8 @@ class Machine:
         """Run one kernel grid with already-evaluated operands.
 
         Shared by both engines: the tree-walker evaluates the launch
-        operands through :meth:`eval`, compiled code through register
-        slots, and everything from the launch hooks onwards is
-        identical.
+        operands through :meth:`eval`, compiled code from its locals,
+        and everything from the launch hooks onwards is identical.
         """
         if grid < 0:
             raise InterpError(f"negative grid size {grid}")
@@ -781,9 +771,22 @@ class Machine:
             code = None
             if self.engine == "source" and not kernel.is_declaration:
                 code = self.compiled_for(kernel, True, grid)
-            if code is not None or self.engine == "compiled" \
-                    and not kernel.is_declaration:
-                max_ops = self._run_grid_compiled(kernel, grid, args, code)
+            if code is not None:
+                # A hot kernel's grid variant loops over the threads
+                # itself (see :mod:`repro.interp.srcgen`), behind the
+                # checks :meth:`activate` makes per thread.
+                if len(args) + 1 != len(kernel.args):
+                    raise InterpError(f"@{kernel.name}: expected "
+                                      f"{len(kernel.args)} args, got "
+                                      f"{len(args) + 1}")
+                if self._depth >= MAX_CALL_DEPTH:
+                    raise InterpError(
+                        f"call depth exceeded at @{kernel.name}")
+                self._depth += 1
+                try:
+                    max_ops = code(grid, args)
+                finally:
+                    self._depth -= 1
             else:
                 # The reference loop; a cold kernel's threads tree-walk
                 # without compiling a per-thread variant.
@@ -827,85 +830,6 @@ class Machine:
             LANE_GPU, duration, STREAM_COMPUTE, f"{kernel.name}[{grid}]",
             after=(clock.stream_cursor(STREAM_H2D),
                    clock.stream_cursor(STREAM_D2H)))
-
-    def _run_grid_compiled(self, kernel: Function, grid: int,
-                           args: List[Union[int, float]],
-                           code: Optional[Callable] = None) -> int:
-        """Kernel grid for the ahead-of-time engines; returns the max
-        per-thread op count for the GPU time model.
-
-        The source engine passes a hot kernel's grid variant as
-        ``code``; one call of it loops over the threads itself (see
-        :mod:`repro.interp.srcgen`).  The per-thread loop below serves
-        only the closure engine.  It inlines the compiled-code path of
-        :meth:`call` -- the per-thread bookkeeping (depth, stack
-        pointer, frame, ``frame_exit_hooks``) is identical, but the
-        callee resolution, arity check, and depth test hoist out of
-        the loop.  The compiled body is re-resolved if the armed hook
-        set changes mid-grid, matching what per-thread
-        :meth:`compiled_for` lookups would select.
-        """
-        if len(args) + 1 != len(kernel.args):
-            raise InterpError(f"@{kernel.name}: expected "
-                              f"{len(kernel.args)} args, got "
-                              f"{len(args) + 1}")
-        if self._depth >= MAX_CALL_DEPTH:
-            raise InterpError(f"call depth exceeded at @{kernel.name}")
-        if code is not None:
-            self._depth += 1
-            try:
-                return code(grid, args)
-            finally:
-                self._depth -= 1
-        code = self.compiled_for(kernel)
-        snapshot = list(self.mem_hooks)
-        stack = self._frame_stack
-        frame_type = Frame
-        framed = needs_frame(kernel)
-        # Threads run sequentially and each restores the stack
-        # pointer, so the save/restore base is loop-invariant; the
-        # argument list is reused because the emitted prologue
-        # unpacks it into locals before any nested call can run.
-        sp_base = self._gpu_sp
-        argv = [0] + args
-        max_ops = 0
-        self._depth += 1
-        try:
-            for tid in range(grid):
-                before = self._gpu_ops
-                if self.mem_hooks != snapshot:
-                    code = self.compiled_for(kernel)
-                    snapshot = list(self.mem_hooks)
-                self._frame_counter += 1
-                if framed:
-                    frame = frame_type(kernel, self._frame_counter,
-                                       sp_base)
-                    stack.append(frame)
-                    argv[0] = tid
-                    try:
-                        code(argv)
-                    finally:
-                        self._gpu_sp = sp_base
-                        stack.pop()
-                        for hook in self.frame_exit_hooks:
-                            hook(self, frame.frame_id)
-                else:
-                    # Frame-oblivious kernel: keep the frame-id
-                    # sequencing and the exit-hook sweep, skip the
-                    # frame object and stack-pointer churn.
-                    fid = self._frame_counter
-                    argv[0] = tid
-                    try:
-                        code(argv)
-                    finally:
-                        for hook in self.frame_exit_hooks:
-                            hook(self, fid)
-                thread_ops = self._gpu_ops - before
-                if thread_ops > max_ops:
-                    max_ops = thread_ops
-        finally:
-            self._depth -= 1
-        return max_ops
 
 
 def _trunc_div_int(lhs: int, rhs: int) -> int:

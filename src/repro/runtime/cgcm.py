@@ -27,14 +27,13 @@ frame-exit expiry for stack registrations.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..errors import (CgcmRuntimeError, CgcmUnsupportedError, GpuLaunchError,
                       GpuOomError, GpuTransferError)
 from ..gpu.faults import MAX_FAULT_RETRIES
 from ..gpu.timing import (LANE_COMM, LANE_GPU, STREAM_COMPUTE, STREAM_D2H,
                           STREAM_H2D)
-from ..interp.machine import Machine
 from ..ir.instructions import Call
 from ..ir.module import Module
 from ..ir.values import GlobalVariable
@@ -47,6 +46,11 @@ from .api import (ASYNC_RUNTIME_FUNCTIONS, ASYNC_VARIANTS,  # noqa: F401
                   MAP_FUNCTIONS, RELEASE_ARRAY_FUNCTIONS, RELEASE_FUNCTIONS,
                   RUNTIME_FUNCTION_NAMES, RUNTIME_SIGNATURES, SYNC_FUNCTION,
                   UNMAP_ARRAY_FUNCTIONS, UNMAP_FUNCTIONS)
+
+if TYPE_CHECKING:
+    # Annotations only: ``repro.interp.machine`` reaches this module
+    # through ``repro.analysis`` at import time.
+    from ..interp.machine import Machine
 
 #: Modelled CPU ops per run-time library call (tree lookup + bookkeeping).
 _RUNTIME_CALL_OPS = 30

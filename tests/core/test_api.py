@@ -54,11 +54,12 @@ class TestCompileWorkload:
         assert result.instructions > 0
         assert result.gpu_seconds > 0  # the rep loop parallelizes
 
+    @pytest.mark.usefixtures("compile_all")
     def test_engine_override_per_run(self):
         workload = api.compile_workload(PROGRAM)
         tree = workload.run(engine="tree")
-        compiled = workload.run(engine="compiled")
-        assert tree.observable() == compiled.observable()
+        source = workload.run(engine="source")
+        assert tree.observable() == source.observable()
 
     def test_lint_report(self):
         report = api.compile_workload(PROGRAM).lint()

@@ -20,8 +20,21 @@ class TestEngineValidation:
             CgcmConfig(engine="jit")
 
     def test_known_engines(self):
-        for engine in ("tree", "compiled"):
+        for engine in ("tree", "source"):
             assert CgcmConfig(engine=engine).engine == engine
+
+    def test_retired_closure_engine_rejected(self):
+        with pytest.raises(ConfigError, match="unknown engine"):
+            CgcmConfig(engine="compiled")
+
+    def test_per_run_override_rejected_with_typed_error(self):
+        """A per-run override skips CgcmConfig's check and reaches
+        Machine, which raises the same typed error."""
+        from repro.api import compile_workload
+
+        workload = compile_workload("int main(void) { return 0; }")
+        with pytest.raises(ConfigError, match="unknown engine"):
+            workload.run(engine="compiled")
 
 
 class TestFaultValidation:

@@ -1,9 +1,9 @@
-"""Engine equivalence: all three engines must agree with the tree.
+"""Engine equivalence: the source engine must agree with the tree.
 
-The compiled engines (closure and source codegen) exist only for
-speed; any observable difference -- stdout, exit code, final global
-bytes, dynamic instruction count, or a single bit of any
-simulated-clock lane or of the streams critical path -- is a bug.
+The source engine exists only for speed; any observable difference
+-- stdout, exit code, final global bytes, dynamic instruction count,
+or a single bit of any simulated-clock lane or of the streams
+critical path -- is a bug.
 The fast subset runs in tier-1; the full 24-workload sweeps and the
 25-program fuzz corpus are ``slow``.
 """
@@ -23,7 +23,7 @@ pytestmark = pytest.mark.usefixtures("compile_all")
 FAST_WORKLOADS = ("atax", "nw", "kmeans", "blackscholes")
 
 #: Engines held to the tree-walker oracle.
-FAST_ENGINES = ("compiled", "source")
+FAST_ENGINES = ("source",)
 
 #: The asynchronous columns: streams on one device (host code runs
 #: under the write-back guard) and a four-device ring.
@@ -89,7 +89,7 @@ def test_engines_identical_async_all_workloads(name, column):
 @pytest.mark.slow
 @pytest.mark.parametrize("index", range(25))
 def test_engines_identical_fuzz_corpus(index):
-    """25 generator programs, clock-for-clock across all engines.
+    """25 generator programs, clock-for-clock across the engines.
 
     The fuzz generator reaches IR shapes the workloads do not
     (degenerate loops, dead blocks, deep conditional ladders), so it
@@ -112,7 +112,7 @@ def test_engines_identical_fuzz_corpus(index):
 def test_sanitizer_armed_subset(name, engine):
     """Hook-compiled variants keep the sanitizer's view identical.
 
-    All engines execute the *same* compiled module: recompiling per
+    Both engines execute the *same* compiled module: recompiling per
     engine may legally reorder instructions, which shifts the int
     partition at clock flushes and the exact-float comparison with it.
     """

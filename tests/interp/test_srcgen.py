@@ -1,9 +1,10 @@
 """Source-engine unit tests: emission, caching, hook variants.
 
-Mirrors ``test_codegen.py`` for the srcgen engine and adds the
-compiled-cache keying regression (a sanitizer-armed run must never
-reuse an unhooked compiled body, and vice versa), the stack-slot
-promotion rules, and the whole-grid kernel variant.
+Holds srcgen to the tree-walker (results, clocks, hook events, GPU
+restrictions, compile-time checks) and covers the compiled-cache
+keying regression (a sanitizer-armed run must never reuse an
+unhooked compiled body, and vice versa), the stack-slot promotion
+rules, and the whole-grid kernel variant.
 """
 
 import gc
@@ -88,7 +89,7 @@ class TestCompiledCacheKeying:
         }
     """
 
-    @pytest.mark.parametrize("engine", ("compiled", "source"))
+    @pytest.mark.parametrize("engine", ("source",))
     def test_armed_run_never_reuses_unhooked_body(self, engine):
         machine = Machine(compile_minic(self.SOURCE), engine=engine)
         fn = machine.module.get_function("main")
@@ -103,7 +104,7 @@ class TestCompiledCacheKeying:
         disarmed = machine.compiled_for(fn)
         assert disarmed is unhooked and not disarmed.hooked
 
-    @pytest.mark.parametrize("engine", ("compiled", "source"))
+    @pytest.mark.parametrize("engine", ("source",))
     def test_distinct_hook_sets_get_distinct_variants(self, engine):
         machine = Machine(compile_minic(self.SOURCE), engine=engine)
         fn = machine.module.get_function("main")
@@ -240,7 +241,7 @@ class TestHookedVariants:
         assert events["tree"] == events["source"]
         assert any(kind == "store" for kind, _, _ in events["tree"])
 
-    @pytest.mark.parametrize("engine", ("compiled", "source"))
+    @pytest.mark.parametrize("engine", ("source",))
     def test_mem_hooks_fire_identically_under_streams(self, engine):
         """With the streams write-back guard armed and firing, an
         observer still sees the tree-walker's event stream, kernel
@@ -616,13 +617,17 @@ class TestGridVariant:
         int main(void) { return 0; }
     """
 
+    #: (executed_instructions, frame counter) after the fault.  Fused
+    #: code counts a segment's instructions when it starts, so it reads
+    #: 3 more than the tree-walker (268 and 421).  The values were
+    #: measured on the retired closure engine's per-thread kernel loop
+    #: under ``hot_ratio(0)``, and the grid variant matched them.
+    AFTER_FAULT = {"crash": (271, 4), "crash_in_call": (424, 17)}
+
     @pytest.mark.parametrize("kernel", ("crash", "crash_in_call"))
     def test_fault_in_a_middle_thread_restores_launch_state(self, kernel):
-        """Fused engines count a segment's instructions when it starts,
-        so the instruction count is compared against the closure
-        engine's per-thread loop."""
         after = {}
-        for engine in ("tree", "compiled", "source"):
+        for engine in ("tree", "source"):
             machine = Machine(compile_minic(self.FAULTING), engine=engine)
             runtime = CgcmRuntime(machine)
             runtime.declare_all_globals()
@@ -639,7 +644,7 @@ class TestGridVariant:
             assert state() == before
             after[engine] = (machine.executed_instructions,
                              machine._frame_counter)
-        assert after["source"] == after["compiled"]
+        assert after["source"] == self.AFTER_FAULT[kernel]
         assert after["source"][1] == after["tree"][1]
 
 

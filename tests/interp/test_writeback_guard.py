@@ -13,7 +13,7 @@ addresses cannot overlap a host region.
 import pytest
 
 from repro.frontend import compile_minic
-from repro.interp import Machine
+from repro.interp import ENGINES, Machine
 from repro.runtime import CgcmRuntime
 from repro.sanitizer import CommSanitizer
 from repro.staticcheck.corpus import CORPUS
@@ -22,7 +22,6 @@ from repro.staticcheck.corpus import CORPUS
 #: exercise srcgen's guarded host code, not the tree-walked cold tier.
 pytestmark = pytest.mark.usefixtures("compile_all")
 
-ENGINES = ("tree", "compiled", "source")
 SOURCES = {defect.name: defect.source for defect in CORPUS}
 
 #: Control: ``cgcmSync`` drains the write-back before the host reads.
