@@ -69,15 +69,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from .core import CgcmCompiler, CgcmConfig, OptLevel
 from .errors import ConfigError, TransformValidationError
-from .evaluation import run_benchmark
+from .evaluation import (run_benchmark, run_engine_bench, run_fault_bench,
+                         run_overlap_bench)
 from .interp.machine import ENGINES
 from .interp.trace import render_schedule
 from .ir import module_to_str
-from .workloads import ALL_WORKLOADS, get_workload, workload_names
+from .workloads import ALL_WORKLOADS, get_workload
 
 _LEVELS = {level.value: level for level in OptLevel}
 
@@ -145,6 +146,12 @@ _DEVICES_PARENT = _parent(
              "(default full: every device pair has a direct link)")))
 
 
+_OUT_PARENT = _parent((("--out",), dict(
+    default=None,
+    help="sweeps: where to write the JSON report (default: the "
+         "sweep's committed BENCH_*.json file)")))
+
+
 def _topology_from_args(args: argparse.Namespace):
     """The CLI's ``--devices``/``--topology`` as a Topology, or None."""
     devices = getattr(args, "devices", 1)
@@ -205,14 +212,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "bench",
         help="with names: run workloads through all configurations; "
              "with no names: tree-vs-source engine speedup sweep",
-        parents=[_STREAMS_PARENT, _DEVICES_PARENT])
+        parents=[_STREAMS_PARENT, _OUT_PARENT])
     bench_cmd.add_argument("workloads", nargs="*",
                            help="workload names (see 'list'); omit for "
                                 "the engine sweep")
-    bench_cmd.add_argument("--out", default=None,
-                           help="sweeps: where to write the JSON report "
-                                "(default BENCH_interp.json, or "
-                                "BENCH_streams.json with --streams)")
     bench_cmd.add_argument("--repeat", type=int, default=1,
                            help="engine sweep: timing runs per engine "
                                 "per workload (the median is kept; "
@@ -221,7 +224,8 @@ def _build_parser() -> argparse.ArgumentParser:
     multibench_cmd = commands.add_parser(
         "multibench",
         help="multi-GPU sweep: device counts x workloads, byte-"
-             "identity checked against the single-device baseline")
+             "identity checked against the single-device baseline",
+        parents=[_OUT_PARENT])
     multibench_cmd.add_argument(
         "workloads", nargs="*",
         help="workload names (see 'list'); omit for all 24")
@@ -232,22 +236,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "--topology", choices=("single", "ring", "full"),
         default="full",
         help="inter-device link topology (default full)")
-    multibench_cmd.add_argument(
-        "--out", default="BENCH_multigpu.json",
-        help="where to write the JSON report (default "
-             "BENCH_multigpu.json)")
 
     faultbench_cmd = commands.add_parser(
         "faultbench",
         help="chaos sweep: every workload under seeded fault schedules "
-             "and device-heap caps, observables byte-checked")
+             "and device-heap caps, observables byte-checked",
+        parents=[_OUT_PARENT])
     faultbench_cmd.add_argument(
         "workloads", nargs="*",
         help="workload names (see 'list'); omit for all 24")
-    faultbench_cmd.add_argument(
-        "--out", default="BENCH_faults.json",
-        help="where to write the JSON report (default "
-             "BENCH_faults.json)")
 
     sanitize_cmd = commands.add_parser(
         "sanitize",
@@ -360,7 +357,8 @@ def _build_parser() -> argparse.ArgumentParser:
     servebench_cmd = commands.add_parser(
         "servebench",
         help="serve sweep: clients x cache x sharing, with byte-"
-             "identity and sanitizer verification per scale")
+             "identity and sanitizer verification per scale",
+        parents=[_OUT_PARENT])
     servebench_cmd.add_argument(
         "--clients", type=int, nargs="*", default=None,
         help="client scales (default: 10 100 1000)")
@@ -369,10 +367,6 @@ def _build_parser() -> argparse.ArgumentParser:
     servebench_cmd.add_argument("--no-verify", action="store_true",
                                 help="skip the byte-identity and "
                                      "sanitized verification passes")
-    servebench_cmd.add_argument(
-        "--out", default="BENCH_serve.json",
-        help="where to write the JSON report (default "
-             "BENCH_serve.json)")
 
     commands.add_parser("list", help="list the 24 paper workloads")
     return parser
@@ -382,41 +376,49 @@ def _fault_plan(seed: Optional[int]):
     """A ``FaultPlan`` at the standard chaos rates, or None."""
     if seed is None:
         return None
-    from .evaluation.faultbench import CHAOS_RATES
-    from .gpu.faults import FaultPlan
+    from .gpu.faults import CHAOS_RATES, FaultPlan
     return FaultPlan(seed=seed, **CHAOS_RATES)
 
 
-def _compile(path: str, level_name: str, record_events: bool = False,
-             engine: str = "source", streams: bool = False,
-             faults=None, heap_limit: Optional[int] = None,
-             validate: bool = False, topology=None):
+def _config(args: argparse.Namespace, **overrides) -> CgcmConfig:
+    """The ``CgcmConfig`` a compile-and-run command's flags ask for;
+    flags the command does not have keep their defaults."""
+    return CgcmConfig(opt_level=_LEVELS[args.level],
+                      engine=getattr(args, "engine", "source"),
+                      streams=args.streams,
+                      faults=_fault_plan(getattr(args, "faults", None)),
+                      device_heap_limit=getattr(args, "heap_limit", None),
+                      validate=getattr(args, "validate", False),
+                      sanitize=getattr(args, "sanitize", False),
+                      topology=_topology_from_args(args), **overrides)
+
+
+def _read(path: str) -> str:
     with open(path) as handle:
-        source = handle.read()
-    config = CgcmConfig(opt_level=_LEVELS[level_name],
-                        record_events=record_events, engine=engine,
-                        streams=streams, faults=faults,
-                        device_heap_limit=heap_limit,
-                        validate=validate, topology=topology)
-    compiler = CgcmCompiler(config)
-    report = compiler.compile_source(source, path)
-    return compiler, report
+        return handle.read()
+
+
+def _targets(targets: List[str]) -> Iterator[Tuple[str, str]]:
+    """``(source, name)`` per command-line target: ``all`` expands to
+    the 24 workloads, an existing path is read as MiniC source, and
+    anything else is looked up as a workload name."""
+    for target in targets:
+        if target == "all":
+            for workload in ALL_WORKLOADS:
+                yield workload.source, workload.name
+        elif os.path.exists(target):
+            yield _read(target), target
+        else:
+            workload = get_workload(target)
+            yield workload.source, workload.name
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from . import api
 
-    with open(args.source) as handle:
-        source = handle.read()
-    config = CgcmConfig(opt_level=_LEVELS[args.level],
-                        record_events=args.trace, engine=args.engine,
-                        streams=args.streams,
-                        faults=_fault_plan(args.faults),
-                        device_heap_limit=args.heap_limit,
-                        validate=args.validate,
-                        sanitize=args.sanitize,
-                        topology=_topology_from_args(args))
-    workload = api.compile_workload(source, config, name=args.source)
+    workload = api.compile_workload(
+        _read(args.source), _config(args, record_events=args.trace),
+        name=args.source)
     report = workload.report
     result = workload.run()
     for line in result.stdout:
@@ -481,7 +483,8 @@ def _print_cache_stats() -> None:
 
 
 def _cmd_emit_ir(args: argparse.Namespace) -> int:
-    _, report = _compile(args.source, args.level, streams=args.streams)
+    report = CgcmCompiler(_config(args)).compile_source(
+        _read(args.source), args.source)
     print(module_to_str(report.module))
     return 0
 
@@ -495,60 +498,33 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
         loop = ServeLoop(ServeOptions(record_events=True))
         report = loop.run(build_mix(args.serve))
-        document = chrome_trace_json(report.events,
-                                     f"serve-{args.serve}")
-        if args.out == "-":
-            print(document)
-        else:
-            with open(args.out, "w") as handle:
-                handle.write(document + "\n")
-            print(f"wrote {args.out} ({len(report.events)} events, "
-                  f"{len(report.ok)}/{len(report.metrics)} requests ok)",
-                  file=sys.stderr)
-        return 0 if len(report.ok) == len(report.metrics) else 1
-    if args.target is None:
+        name, events = f"serve-{args.serve}", report.events
+        note = (f"{len(events)} events, "
+                f"{len(report.ok)}/{len(report.metrics)} requests ok")
+        code = 0 if len(report.ok) == len(report.metrics) else 1
+    elif args.target is None:
         print("repro trace: a workload or source target is required "
               "unless --serve is given", file=sys.stderr)
         return 2
-    topology = _topology_from_args(args)
-    if os.path.exists(args.target):
-        compiler, report = _compile(args.target, args.level,
-                                    record_events=True, engine=args.engine,
-                                    streams=args.streams,
-                                    topology=topology)
-        name = args.target
     else:
-        workload = get_workload(args.target)
-        config = CgcmConfig(opt_level=_LEVELS[args.level],
-                            record_events=True, engine=args.engine,
-                            streams=args.streams, topology=topology)
-        compiler = CgcmCompiler(config)
-        report = compiler.compile_source(workload.source, workload.name)
-        name = workload.name
-    result = compiler.execute(report)
-    document = chrome_trace_json(result.events, name)
+        [(source, name)] = _targets([args.target])
+        compiler = CgcmCompiler(_config(args, record_events=True))
+        result = compiler.execute(compiler.compile_source(source, name))
+        events, code = result.events, result.exit_code
+        note = f"{len(events)} events"
+    document = chrome_trace_json(events, name)
     if args.out == "-":
         print(document)
     else:
         with open(args.out, "w") as handle:
             handle.write(document + "\n")
-        print(f"wrote {args.out} ({len(result.events)} events)",
-              file=sys.stderr)
-    return result.exit_code
+        print(f"wrote {args.out} ({note})", file=sys.stderr)
+    return code
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if getattr(args, "devices", 1) and args.devices > 1:
-        # Multi-device ask: run the multibench sweep at just this
-        # device count (plus the 1-device baseline row).
-        args.devices = [1, args.devices]
-        if args.out is None:
-            args.out = "BENCH_multigpu.json"
-        return _cmd_multibench(args)
-    if args.streams:
-        return _cmd_overlap_bench(args)
-    if not args.workloads:
-        return _cmd_engine_bench(args)
+    if args.streams or not args.workloads:
+        return _cmd_sweep(args)
     print(f"{'workload':16s} {'IE':>8s} {'unopt':>8s} {'opt':>8s} "
           f"{'limit':>6s}")
     for name in args.workloads:
@@ -561,112 +537,57 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_engine_bench(args: argparse.Namespace) -> int:
-    """Tree-vs-source engine sweep over all 24 workloads."""
-    from .evaluation.bench import run_engine_bench
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    """One ``BENCH_*.json`` sweep: each row's summary on stderr as it
+    lands, the table on stdout, then the report at ``--out`` (default:
+    the sweep's committed file).  Exits 1 on any broken contract."""
 
-    def progress(comparison):
-        status = "ok" if comparison.ok else "DIVERGED"
-        print(f"{comparison.name:16s} {comparison.speedup:6.2f}x  {status}",
-              file=sys.stderr)
-
-    out = args.out if args.out else "BENCH_interp.json"
-    bench = run_engine_bench(repeat=args.repeat, progress=progress)
-    print(bench.render())
-    bench.write(out)
-    print(f"wrote {out}", file=sys.stderr)
-    return 0 if bench.ok else 1
-
-
-def _cmd_overlap_bench(args: argparse.Namespace) -> int:
-    """Serial-vs-overlapped sweep (all 24, or the named workloads)."""
-    from .evaluation.overlap import run_overlap_bench
-
-    def progress(comparison):
-        status = "ok" if comparison.ok else "DIVERGED"
-        print(f"{comparison.name:16s} {comparison.speedup:6.2f}x  {status}",
-              file=sys.stderr)
+    def progress(row):
+        print(row.summary(), file=sys.stderr)
 
     workloads = ([get_workload(n) for n in args.workloads]
-                 if args.workloads else None)
-    out = args.out if args.out else "BENCH_streams.json"
-    bench = run_overlap_bench(workloads, progress=progress)
-    print(bench.render())
-    bench.write(out)
-    print(f"wrote {out}", file=sys.stderr)
-    return 0 if bench.ok else 1
-
-
-def _cmd_multibench(args: argparse.Namespace) -> int:
-    """Device-count sweep with byte-identity verification."""
-    from .evaluation.multibench import (DEFAULT_DEVICE_COUNTS,
-                                        run_multigpu_bench)
-
-    def progress(cell):
-        status = "ok" if cell.ok else "DIVERGED"
-        print(f"{cell.name:16s} {cell.devices}dev "
-              f"{cell.speedup:6.2f}x  {status}", file=sys.stderr)
-
-    workloads = ([get_workload(n) for n in args.workloads]
-                 if args.workloads else None)
-    counts = tuple(args.devices) if args.devices else DEFAULT_DEVICE_COUNTS
-    report = run_multigpu_bench(workloads, device_counts=counts,
-                                topology_kind=args.topology,
-                                progress=progress)
+                 if getattr(args, "workloads", None) else None)
+    if args.command == "faultbench":
+        report = run_fault_bench(workloads, progress=progress)
+    elif args.command == "multibench":
+        from .evaluation.multibench import (DEFAULT_DEVICE_COUNTS,
+                                            run_multigpu_bench)
+        report = run_multigpu_bench(
+            workloads, device_counts=tuple(args.devices
+                                           or DEFAULT_DEVICE_COUNTS),
+            topology_kind=args.topology, progress=progress)
+    elif args.command == "servebench":
+        from .evaluation.servebench import DEFAULT_SCALES, run_serve_bench
+        report = run_serve_bench(
+            scales=tuple(args.clients or DEFAULT_SCALES), seed=args.seed,
+            verify=not args.no_verify, progress=progress)
+    elif args.streams:
+        report = run_overlap_bench(workloads, progress=progress)
+    else:
+        report = run_engine_bench(repeat=args.repeat, progress=progress)
+    out = args.out or report.committed_path
     print(report.render())
-    report.write(args.out)
-    print(f"wrote {args.out}", file=sys.stderr)
+    report.write(out)
+    print(f"wrote {out}", file=sys.stderr)
     return 0 if report.ok else 1
 
 
-def _cmd_faultbench(args: argparse.Namespace) -> int:
-    """Chaos sweep: seeded fault schedules over the workloads."""
-    from .evaluation.faultbench import run_fault_bench
-
-    def progress(comparison):
-        status = "ok" if comparison.ok else "DIVERGED"
-        print(f"{comparison.name:16s} {comparison.schedule:10s} "
-              f"{comparison.overhead:6.2f}x  {status}", file=sys.stderr)
-
-    workloads = ([get_workload(n) for n in args.workloads]
-                 if args.workloads else None)
-    bench = run_fault_bench(workloads, progress=progress)
-    print(bench.render())
-    bench.write(args.out)
-    print(f"wrote {args.out}", file=sys.stderr)
-    return 0 if bench.ok else 1
-
-
 def _cmd_sanitize(args: argparse.Namespace) -> int:
-    from .sanitizer import run_differential, run_differential_workload
+    from .sanitizer import run_differential
 
     level = _LEVELS[args.level]
-    targets: List[str] = []
-    for target in args.targets:
-        if target == "all":
-            targets.extend(workload_names())
-        else:
-            targets.append(target)
-
-    failures = 0
-    for target in targets:
-        if os.path.exists(target):
-            with open(target) as handle:
-                source = handle.read()
-            report = run_differential(source, target, level,
-                                      engine=args.engine)
-        else:
-            report = run_differential_workload(get_workload(target), level,
-                                               engine=args.engine)
+    total = failures = 0
+    for source, name in _targets(args.targets):
+        report = run_differential(source, name, level, engine=args.engine)
         print(report.summary())
         if args.verbose and report.ok:
             stats = report.sanitizer.stats
             print("  " + ", ".join(f"{k}={v}"
                                    for k, v in sorted(stats.items())),
                   file=sys.stderr)
+        total += 1
         if not report.ok:
             failures += 1
-    total = len(targets)
     print(f"sanitize: {total - failures}/{total} clean", file=sys.stderr)
     return 1 if failures else 0
 
@@ -674,34 +595,14 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     import json
 
-    from .staticcheck import (check_corpus, lint_source, lint_workload,
-                              sarif_document)
+    from .staticcheck import check_corpus, lint_source, sarif_document
 
     level = _LEVELS[args.level]
-    targets: List[str] = []
-    for target in args.targets:
-        if target == "all":
-            targets.extend(workload_names())
-        else:
-            targets.append(target)
-    if not targets and not args.corpus:
-        targets = list(workload_names())
-
+    targets = args.targets or ([] if args.corpus else ["all"])
     faults = _fault_plan(args.faults)
-    reports = []
-    for target in targets:
-        if os.path.exists(target):
-            with open(target) as handle:
-                source = handle.read()
-            reports.append(lint_source(source, target, level,
-                                       streams=args.streams,
-                                       faults=faults,
-                                       validate=args.validate))
-        else:
-            reports.append(lint_workload(get_workload(target), level,
-                                         streams=args.streams,
-                                         faults=faults,
-                                         validate=args.validate))
+    reports = [lint_source(source, name, level, streams=args.streams,
+                           faults=faults, validate=args.validate)
+               for source, name in _targets(targets)]
 
     corpus_results = check_corpus() if args.corpus else []
     corpus_misses = [r for r in corpus_results if not r.caught]
@@ -833,25 +734,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0 if len(report.ok) == len(report.metrics) else 1
 
 
-def _cmd_servebench(args: argparse.Namespace) -> int:
-    from .evaluation.servebench import DEFAULT_SCALES, run_serve_bench
-
-    def progress(cell):
-        print(f"clients={cell.clients:5d} "
-              f"cache={'on' if cell.cache else 'off':3s} "
-              f"sharing={'on' if cell.sharing else 'off':3s} "
-              f"{cell.throughput_rps:10.0f} req/s", file=sys.stderr)
-
-    scales = tuple(args.clients) if args.clients else DEFAULT_SCALES
-    report = run_serve_bench(scales=scales, seed=args.seed,
-                             verify=not args.no_verify,
-                             progress=progress)
-    print(report.render())
-    report.write(args.out)
-    print(f"wrote {args.out}", file=sys.stderr)
-    return 0 if report.ok else 1
-
-
 def _cmd_list(_: argparse.Namespace) -> int:
     for workload in ALL_WORKLOADS:
         print(f"{workload.name:16s} {workload.suite:10s} "
@@ -862,11 +744,11 @@ def _cmd_list(_: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {"run": _cmd_run, "emit-ir": _cmd_emit_ir,
-                "bench": _cmd_bench, "multibench": _cmd_multibench,
-                "faultbench": _cmd_faultbench,
+                "bench": _cmd_bench, "multibench": _cmd_sweep,
+                "faultbench": _cmd_sweep,
                 "trace": _cmd_trace, "sanitize": _cmd_sanitize,
                 "lint": _cmd_lint, "fuzz": _cmd_fuzz,
-                "serve": _cmd_serve, "servebench": _cmd_servebench,
+                "serve": _cmd_serve, "servebench": _cmd_sweep,
                 "list": _cmd_list}
     try:
         return handlers[args.command](args)

@@ -3,8 +3,7 @@
 from .bench import (BENCH_SCHEMA, BenchReport, EngineComparison,
                     bench_workload, compare_engines, run_engine_bench)
 from .faultbench import (FAULTBENCH_SCHEMA, FaultComparison, FaultReport,
-                         compare_faulted, fault_schedules, run_fault_bench,
-                         workload_seed)
+                         run_fault_bench)
 from .overlap import (OVERLAP_SCHEMA, OverlapComparison, OverlapReport,
                       compare_overlap, run_overlap_bench)
 from .runner import (BenchmarkResult, CONFIGURATIONS, run_all,
@@ -25,8 +24,7 @@ __all__ = [
     "OVERLAP_SCHEMA", "OverlapComparison", "OverlapReport",
     "compare_overlap", "run_overlap_bench",
     "FAULTBENCH_SCHEMA", "FaultComparison", "FaultReport",
-    "compare_faulted", "fault_schedules", "run_fault_bench",
-    "workload_seed",
+    "run_fault_bench",
     "BenchmarkResult", "CONFIGURATIONS", "run_all", "run_benchmark",
     "Figure4Row", "PAPER_GEOMEANS", "PAPER_GEOMEANS_CLAMPED", "SERIES",
     "build_figure4", "figure4_geomeans", "geomean", "render_figure4",

@@ -25,9 +25,6 @@ error; raw speed never gates CI.
 from __future__ import annotations
 
 import gc
-import json
-import math
-import platform
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -37,17 +34,18 @@ from ..core.compiler import CgcmCompiler, ExecutionResult
 from ..core.config import CgcmConfig, OptLevel
 from ..interp.machine import ENGINES
 from ..workloads import ALL_WORKLOADS, Workload
+from .figure4 import geomean
+from .sweep import SweepReport, SweepRow
 
 #: Schema tag for BENCH_interp.json (bump on incompatible change).
 BENCH_SCHEMA = "repro-bench-interp/3"
 
 
 @dataclass
-class EngineComparison:
+class EngineComparison(SweepRow):
     """All engines' runs of one workload, with the timing numbers."""
 
     name: str
-    level: str
     #: Median wall-clock per engine over the sweep's repeats.
     wall_s: Dict[str, float]
     #: (min, max) wall-clock spread per engine.
@@ -55,10 +53,6 @@ class EngineComparison:
     instructions: int
     sim_seconds: float
     mismatches: Tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
 
     @property
     def speedup(self) -> float:
@@ -75,66 +69,51 @@ class EngineComparison:
             return float("inf")
         return self.instructions / wall
 
+    def summary(self) -> str:
+        return f"{self.name:16s} {self.speedup:6.2f}x  {self.status}"
+
+    def to_json(self) -> Dict:
+        return {
+            "name": self.name,
+            "wall_s": {engine: round(self.wall_s[engine], 6)
+                       for engine in ENGINES},
+            "spread_s": {engine: [round(self.spread_s[engine][0], 6),
+                                  round(self.spread_s[engine][1], 6)]
+                         for engine in ENGINES},
+            "speedup": round(self.speedup, 4),
+            "instructions": self.instructions,
+            "source_insts_per_s": round(self.insts_per_s("source")),
+            "sim_seconds": self.sim_seconds,
+            "mismatches": list(self.mismatches),
+        }
+
 
 @dataclass
-class BenchReport:
+class BenchReport(SweepReport):
     """The whole sweep: per-workload comparisons plus the geomean."""
+
+    schema = BENCH_SCHEMA
+    committed_path = "BENCH_interp.json"
+    rows_key = "workloads"
 
     level: str
     repeat: int
-    comparisons: List[EngineComparison] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.comparisons)
+    rows: List[EngineComparison] = field(default_factory=list)
 
     @property
     def geomean_speedup(self) -> float:
         """The headline geomean: source engine over the tree-walker."""
-        speedups = [c.speedup for c in self.comparisons if c.ok]
-        if not speedups:
-            return 0.0
-        return math.exp(sum(math.log(s) for s in speedups)
-                        / len(speedups))
+        return geomean(c.speedup for c in self.rows if c.ok)
 
-    def to_json(self) -> Dict:
-        return {
-            "schema": BENCH_SCHEMA,
-            "level": self.level,
-            "engine": "source",
-            "engines": list(ENGINES),
-            "repeat": self.repeat,
-            "python": platform.python_version(),
-            "geomean_speedup": round(self.geomean_speedup, 4),
-            "workloads": [
-                {
-                    "name": c.name,
-                    "wall_s": {engine: round(c.wall_s[engine], 6)
-                               for engine in ENGINES},
-                    "spread_s": {
-                        engine: [round(c.spread_s[engine][0], 6),
-                                 round(c.spread_s[engine][1], 6)]
-                        for engine in ENGINES},
-                    "speedup": round(c.speedup, 4),
-                    "instructions": c.instructions,
-                    "source_insts_per_s": round(
-                        c.insts_per_s("source")),
-                    "sim_seconds": c.sim_seconds,
-                    "mismatches": list(c.mismatches),
-                }
-                for c in self.comparisons
-            ],
-        }
-
-    def write(self, path: str) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_json(), handle, indent=2, sort_keys=False)
-            handle.write("\n")
+    def headline(self) -> Dict:
+        return {"level": self.level, "engine": "source",
+                "engines": list(ENGINES), "repeat": self.repeat,
+                "geomean_speedup": round(self.geomean_speedup, 4)}
 
     def render(self) -> str:
         lines = [f"{'workload':16s} {'tree':>9s} {'source':>9s} "
                  f"{'speedup':>8s} {'Minsts/s':>9s}"]
-        for c in self.comparisons:
+        for c in self.rows:
             status = "" if c.ok else "  DIVERGED"
             lines.append(
                 f"{c.name:16s} {c.wall_s['tree']:8.3f}s "
@@ -224,7 +203,7 @@ def bench_workload(workload: Workload,
                     mismatches = tuple(f"{engine}: {m}" for m in found)
     tree_result = results["tree"]
     return EngineComparison(
-        name=workload.name, level=level.value,
+        name=workload.name,
         wall_s={e: statistics.median(walls[e]) for e in ENGINES},
         spread_s={e: (min(walls[e]), max(walls[e])) for e in ENGINES},
         instructions=tree_result.instructions,
@@ -238,11 +217,6 @@ def run_engine_bench(workloads: Optional[List[Workload]] = None,
                      progress=None) -> BenchReport:
     """The full sweep; ``progress`` is an optional per-row callback."""
     if workloads is None:
-        workloads = list(ALL_WORKLOADS)
-    bench = BenchReport(level=level.value, repeat=repeat)
-    for workload in workloads:
-        comparison = bench_workload(workload, level, repeat)
-        bench.comparisons.append(comparison)
-        if progress is not None:
-            progress(comparison)
-    return bench
+        workloads = ALL_WORKLOADS
+    return BenchReport(level.value, repeat).collect(
+        (bench_workload(w, level, repeat) for w in workloads), progress)

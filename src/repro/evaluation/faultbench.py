@@ -1,7 +1,8 @@
 """Fault benchmark: the chaos sweep plus resilience overhead numbers.
 
 For each workload, runs the optimized pipeline once fault-free (the
-baseline) and then under a set of seeded fault schedules:
+baseline) and then under each seeded fault schedule of
+:func:`repro.gpu.faults.fault_schedules`:
 
 * ``overhead``  -- resilience armed (device heap capped at the full
   arena) but no fault ever fires: measures the pure cost of the
@@ -26,17 +27,14 @@ Exposed as ``python -m repro faultbench`` (writes
 
 from __future__ import annotations
 
-import json
-import platform
-import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..core.compiler import CgcmCompiler
+from ..core.compiler import CgcmCompiler, ExecutionResult
 from ..core.config import CgcmConfig, OptLevel
-from ..gpu.faults import FaultPlan
-from ..memory.layout import DEVICE_CAPACITY
+from ..gpu.faults import fault_schedules, workload_seed
 from ..workloads import ALL_WORKLOADS, Workload
+from .sweep import SweepReport, SweepRow, observable_mismatches
 
 #: Schema tag for BENCH_faults.json (bump on incompatible change).
 FAULTBENCH_SCHEMA = "repro-bench-faults/1"
@@ -49,37 +47,9 @@ RECOVERY_COUNTERS = (
     "sentinel_units",
 )
 
-#: Moderate per-call fault rates for the ``transient`` schedule.
-CHAOS_RATES = dict(alloc_fail_rate=0.3, transfer_fail_rate=0.15,
-                   launch_fail_rate=0.15)
-
-
-def workload_seed(name: str) -> int:
-    """A stable per-workload seed (schedules differ across workloads
-    but never across runs)."""
-    return zlib.crc32(name.encode("utf-8"))
-
-
-def fault_schedules(seed: int) -> List[Tuple[str, Dict]]:
-    """The named schedules of the sweep, seeded deterministically."""
-    return [
-        ("overhead", dict(device_heap_limit=DEVICE_CAPACITY)),
-        ("transient", dict(faults=FaultPlan(seed=seed, **CHAOS_RATES))),
-        # The tight-heap schedules deliberately exercise sentinel and
-        # CPU-fallback degradation on units that can never fit, so they
-        # opt out of the strict oversized-unit rejection.
-        ("pressure", dict(
-            faults=FaultPlan(seed=seed + 1, alloc_fail_rate=0.5,
-                             transfer_fail_rate=0.3, launch_fail_rate=0.3,
-                             max_consecutive=4),
-            device_heap_limit=64 << 10, strict_heap_limit=False)),
-        ("tiny-heap", dict(device_heap_limit=4 << 10,
-                           strict_heap_limit=False)),
-    ]
-
 
 @dataclass
-class FaultComparison:
+class FaultComparison(SweepRow):
     """One workload under one fault schedule vs its clean baseline."""
 
     name: str
@@ -90,79 +60,68 @@ class FaultComparison:
     mismatches: Tuple[str, ...] = ()
 
     @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    @property
     def overhead(self) -> float:
         """Modelled-time ratio of the faulted run over the baseline."""
         if self.baseline_s <= 0:
             return float("inf")
         return self.faulted_s / self.baseline_s
 
+    def summary(self) -> str:
+        return (f"{self.name:16s} {self.schedule:10s} "
+                f"{self.overhead:6.2f}x  {self.status}")
+
+    def to_json(self) -> Dict:
+        return {
+            "name": self.name,
+            "schedule": self.schedule,
+            "baseline_s": self.baseline_s,
+            "faulted_s": self.faulted_s,
+            "overhead": round(self.overhead, 6),
+            "counters": {k: self.counters.get(k, 0)
+                         for k in RECOVERY_COUNTERS},
+            "mismatches": list(self.mismatches),
+        }
+
 
 @dataclass
-class FaultReport:
+class FaultReport(SweepReport):
     """The whole sweep plus the headline identical-observables count."""
 
-    comparisons: List[FaultComparison] = field(default_factory=list)
+    schema = FAULTBENCH_SCHEMA
+    committed_path = "BENCH_faults.json"
+    rows_key = "runs"
 
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.comparisons)
+    rows: List[FaultComparison] = field(default_factory=list)
 
     @property
     def identical(self) -> Tuple[int, int]:
-        good = sum(1 for c in self.comparisons if c.ok)
-        return good, len(self.comparisons)
+        good = sum(1 for c in self.rows if c.ok)
+        return good, len(self.rows)
 
     @property
     def workloads_identical(self) -> Tuple[int, int]:
-        names = {c.name for c in self.comparisons}
-        bad = {c.name for c in self.comparisons if not c.ok}
+        names = {c.name for c in self.rows}
+        bad = {c.name for c in self.rows if not c.ok}
         return len(names) - len(bad), len(names)
 
     @property
     def max_overhead(self) -> float:
         """Worst no-fault overhead ratio (the ``overhead`` schedule)."""
-        rows = [c.overhead for c in self.comparisons
-                if c.schedule == "overhead"]
+        rows = [c.overhead for c in self.rows if c.schedule == "overhead"]
         return max(rows) if rows else 0.0
 
-    def to_json(self) -> Dict:
+    def headline(self) -> Dict:
         good, total = self.identical
         wgood, wtotal = self.workloads_identical
-        return {
-            "schema": FAULTBENCH_SCHEMA,
-            "python": platform.python_version(),
-            "identical_runs": f"{good}/{total}",
-            "identical_workloads": f"{wgood}/{wtotal}",
-            "max_no_fault_overhead": round(self.max_overhead, 6),
-            "runs": [
-                {
-                    "name": c.name,
-                    "schedule": c.schedule,
-                    "baseline_s": c.baseline_s,
-                    "faulted_s": c.faulted_s,
-                    "overhead": round(c.overhead, 6),
-                    "counters": {k: c.counters.get(k, 0)
-                                 for k in RECOVERY_COUNTERS},
-                    "mismatches": list(c.mismatches),
-                }
-                for c in self.comparisons
-            ],
-        }
-
-    def write(self, path: str) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_json(), handle, indent=2, sort_keys=False)
-            handle.write("\n")
+        return {"identical_runs": f"{good}/{total}",
+                "identical_workloads": f"{wgood}/{wtotal}",
+                "max_no_fault_overhead": round(self.max_overhead, 6)}
 
     def render(self) -> str:
         lines = [f"{'workload':16s} {'schedule':10s} {'overhead':>9s} "
                  f"{'evict':>6s} {'restore':>8s} {'fallback':>9s} "
                  f"{'retries':>8s}"]
-        for c in self.comparisons:
+        for c in self.rows:
             status = "" if c.ok else "  DIVERGED"
             lines.append(
                 f"{c.name:16s} {c.schedule:10s} {c.overhead:8.3f}x "
@@ -177,31 +136,30 @@ class FaultReport:
         return "\n".join(lines)
 
 
-def compare_faulted(workload: Workload, schedule_name: str,
-                    overrides: Dict,
-                    level: OptLevel = OptLevel.OPTIMIZED) -> FaultComparison:
-    """Baseline and one faulted run of one workload, with the
-    byte-identical-observables contract check."""
-    clean = CgcmCompiler(CgcmConfig(opt_level=level))
-    clean_result = clean.execute(
-        clean.compile_source(workload.source, workload.name))
+def _execute(workload: Workload, config: CgcmConfig) -> ExecutionResult:
+    compiler = CgcmCompiler(config)
+    return compiler.execute(
+        compiler.compile_source(workload.source, workload.name))
 
-    faulted = CgcmCompiler(CgcmConfig(opt_level=level, **overrides))
-    faulted_result = faulted.execute(
-        faulted.compile_source(workload.source, workload.name))
 
-    mismatches: List[str] = []
-    if clean_result.observable() != faulted_result.observable():
-        mismatches.append(
-            f"observables differ under the {schedule_name} schedule")
-
-    return FaultComparison(
-        name=workload.name,
-        schedule=schedule_name,
-        baseline_s=clean_result.total_seconds,
-        faulted_s=faulted_result.total_seconds,
-        counters=dict(faulted_result.counters),
-        mismatches=tuple(mismatches))
+def _comparisons(workloads: Sequence[Workload],
+                 level: OptLevel) -> Iterator[FaultComparison]:
+    """Each workload's clean baseline once, then one row per fault
+    schedule checked byte-identical against it."""
+    for workload in workloads:
+        clean = _execute(workload, CgcmConfig(opt_level=level))
+        for schedule, overrides in fault_schedules(
+                workload_seed(workload.name)):
+            faulted = _execute(workload,
+                               CgcmConfig(opt_level=level, **overrides))
+            yield FaultComparison(
+                name=workload.name,
+                schedule=schedule,
+                baseline_s=clean.total_seconds,
+                faulted_s=faulted.total_seconds,
+                counters=dict(faulted.counters),
+                mismatches=observable_mismatches(
+                    clean, faulted, f"under the {schedule} schedule"))
 
 
 def run_fault_bench(workloads: Optional[List[Workload]] = None,
@@ -209,14 +167,5 @@ def run_fault_bench(workloads: Optional[List[Workload]] = None,
                     progress=None) -> FaultReport:
     """The chaos sweep; ``progress`` is an optional per-row callback."""
     if workloads is None:
-        workloads = list(ALL_WORKLOADS)
-    bench = FaultReport()
-    for workload in workloads:
-        for schedule_name, overrides in fault_schedules(
-                workload_seed(workload.name)):
-            comparison = compare_faulted(workload, schedule_name,
-                                         overrides, level)
-            bench.comparisons.append(comparison)
-            if progress is not None:
-                progress(comparison)
-    return bench
+        workloads = ALL_WORKLOADS
+    return FaultReport().collect(_comparisons(workloads, level), progress)

@@ -14,15 +14,15 @@ speedups are the experiment's result, not a gate.
 
 from __future__ import annotations
 
-import json
-import math
-import platform
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .. import api
 from ..core.config import CgcmConfig, OptLevel
 from ..gpu.topology import Topology
 from ..workloads import ALL_WORKLOADS, Workload
+from . import figure4
+from .sweep import SweepReport, SweepRow, observable_mismatches
 
 #: Schema tag for BENCH_multigpu.json (bump on incompatible change).
 MULTIGPU_SCHEMA = "repro-bench-multigpu/1"
@@ -36,7 +36,7 @@ _KEPT_COUNTERS = ("p2p_copies", "p2p_bytes", "multi_device_launches",
 
 
 @dataclass
-class MultiGpuCell:
+class MultiGpuCell(SweepRow):
     """One workload under one device count."""
 
     name: str
@@ -48,81 +48,58 @@ class MultiGpuCell:
     mismatches: Tuple[str, ...] = ()
 
     @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    @property
     def speedup(self) -> float:
         if self.critical_path_s <= 0:
             return float("inf")
         return self.baseline_s / self.critical_path_s
 
-
-@dataclass
-class MultiGpuReport:
-    """The whole device-count sweep plus per-count geomeans."""
-
-    topology: str
-    device_counts: Tuple[int, ...]
-    cells: List[MultiGpuCell] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.cells)
-
-    def _geomean(self, speedups: List[float]) -> float:
-        if not speedups:
-            return 0.0
-        return math.exp(sum(math.log(s) for s in speedups) / len(speedups))
-
-    def geomean(self, devices: int) -> float:
-        return self._geomean([c.speedup for c in self.cells
-                              if c.ok and c.devices == devices])
-
-    def best(self, devices: int) -> Optional[MultiGpuCell]:
-        cells = [c for c in self.cells if c.ok and c.devices == devices]
-        return max(cells, key=lambda c: c.speedup) if cells else None
+    def summary(self) -> str:
+        return (f"{self.name:16s} {self.devices}dev "
+                f"{self.speedup:6.2f}x  {self.status}")
 
     def to_json(self) -> Dict:
         return {
-            "schema": MULTIGPU_SCHEMA,
-            "python": platform.python_version(),
+            "name": self.name,
+            "devices": self.devices,
             "topology": self.topology,
-            "device_counts": list(self.device_counts),
-            "geomeans": {str(n): round(self.geomean(n), 4)
-                         for n in self.device_counts},
-            "cells": [
-                {
-                    "name": c.name,
-                    "devices": c.devices,
-                    "topology": c.topology,
-                    "baseline_s": c.baseline_s,
-                    "critical_path_s": c.critical_path_s,
-                    "speedup": round(c.speedup, 4),
-                    "identical": c.ok,
-                    "counters": {k: c.counters[k]
-                                 for k in sorted(c.counters)},
-                    "mismatches": list(c.mismatches),
-                }
-                for c in self.cells
-            ],
+            "baseline_s": self.baseline_s,
+            "critical_path_s": self.critical_path_s,
+            "speedup": round(self.speedup, 4),
+            "identical": self.ok,
+            "counters": {k: self.counters[k] for k in sorted(self.counters)},
+            "mismatches": list(self.mismatches),
         }
 
-    def write(self, path: str) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_json(), handle, indent=2, sort_keys=False)
-            handle.write("\n")
+
+@dataclass
+class MultiGpuReport(SweepReport):
+    """The whole device-count sweep plus per-count geomeans."""
+
+    schema = MULTIGPU_SCHEMA
+    committed_path = "BENCH_multigpu.json"
+    rows_key = "cells"
+
+    topology: str
+    device_counts: Tuple[int, ...]
+    rows: List[MultiGpuCell] = field(default_factory=list)
+
+    def geomean(self, devices: int) -> float:
+        return figure4.geomean(c.speedup for c in self.rows
+                               if c.ok and c.devices == devices)
+
+    def headline(self) -> Dict:
+        return {"topology": self.topology,
+                "device_counts": list(self.device_counts),
+                "geomeans": {str(n): round(self.geomean(n), 4)
+                             for n in self.device_counts}}
 
     def render(self) -> str:
         counts = [n for n in self.device_counts if n > 1]
         header = f"{'workload':16s}" + "".join(
             f" {f'{n}dev':>8s}" for n in counts)
         lines = [header]
-        names: List[str] = []
-        for cell in self.cells:
-            if cell.name not in names:
-                names.append(cell.name)
-        by_key = {(c.name, c.devices): c for c in self.cells}
+        names = dict.fromkeys(c.name for c in self.rows)
+        by_key = {(c.name, c.devices): c for c in self.rows}
         for name in names:
             row = f"{name:16s}"
             for n in counts:
@@ -140,6 +117,31 @@ class MultiGpuReport:
         return "\n".join(lines)
 
 
+def _cells(workloads: Sequence[Workload], device_counts: Tuple[int, ...],
+           topology_kind: str, level: OptLevel) -> Iterator[MultiGpuCell]:
+    for workload in workloads:
+        base = api.compile_workload(
+            workload.source, CgcmConfig(opt_level=level, streams=True),
+            name=workload.name).run()
+        base_cp = base.critical_path_seconds
+        for n in device_counts:
+            if n <= 1:
+                yield MultiGpuCell(workload.name, 1, "single",
+                                   base_cp, base_cp)
+                continue
+            topo = Topology.build(topology_kind, n)
+            result = api.compile_workload(
+                workload.source, CgcmConfig(opt_level=level, topology=topo),
+                name=workload.name).run()
+            yield MultiGpuCell(
+                workload.name, n, topo.kind, base_cp,
+                result.critical_path_seconds,
+                counters={k: result.counters.get(k, 0)
+                          for k in _KEPT_COUNTERS},
+                mismatches=observable_mismatches(
+                    base, result, f"between 1 and {n} devices"))
+
+
 def run_multigpu_bench(workloads: Optional[List[Workload]] = None,
                        device_counts: Tuple[int, ...] = DEFAULT_DEVICE_COUNTS,
                        topology_kind: str = "full",
@@ -152,37 +154,8 @@ def run_multigpu_bench(workloads: Optional[List[Workload]] = None,
     count of 1 reuses the baseline itself (speedup exactly 1.0) so
     the report always contains the reference row.
     """
-    from .. import api
-
     if workloads is None:
-        workloads = list(ALL_WORKLOADS)
-    report = MultiGpuReport(topology_kind, tuple(device_counts))
-    for workload in workloads:
-        base = api.compile_workload(
-            workload.source, CgcmConfig(opt_level=level, streams=True),
-            name=workload.name).run()
-        base_cp = base.critical_path_seconds
-        for n in device_counts:
-            if n <= 1:
-                cell = MultiGpuCell(workload.name, 1, "single",
-                                    base_cp, base_cp)
-            else:
-                topo = Topology.build(topology_kind, n)
-                result = api.compile_workload(
-                    workload.source,
-                    CgcmConfig(opt_level=level, topology=topo),
-                    name=workload.name).run()
-                mismatches: List[str] = []
-                if base.observable() != result.observable():
-                    mismatches.append(
-                        f"observables differ between 1 and {n} devices")
-                cell = MultiGpuCell(
-                    workload.name, n, topo.kind, base_cp,
-                    result.critical_path_seconds,
-                    counters={k: result.counters.get(k, 0)
-                              for k in _KEPT_COUNTERS},
-                    mismatches=tuple(mismatches))
-            report.cells.append(cell)
-            if progress is not None:
-                progress(cell)
-    return report
+        workloads = ALL_WORKLOADS
+    device_counts = tuple(device_counts)
+    return MultiGpuReport(topology_kind, device_counts).collect(
+        _cells(workloads, device_counts, topology_kind, level), progress)

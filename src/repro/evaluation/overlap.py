@@ -15,22 +15,22 @@ themselves are the experiment's result, not a gate.
 
 from __future__ import annotations
 
-import json
-import math
-import platform
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..core.compiler import CgcmCompiler
 from ..core.config import CgcmConfig, OptLevel
 from ..workloads import ALL_WORKLOADS, Workload
+from .figure4 import geomean
+from .runner import limiting_factor
+from .sweep import SweepReport, SweepRow, observable_mismatches
 
 #: Schema tag for BENCH_streams.json (bump on incompatible change).
 OVERLAP_SCHEMA = "repro-bench-streams/1"
 
 
 @dataclass
-class OverlapComparison:
+class OverlapComparison(SweepRow):
     """Serial vs streamed run of one workload."""
 
     name: str
@@ -43,10 +43,6 @@ class OverlapComparison:
     mismatches: Tuple[str, ...] = ()
 
     @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    @property
     def speedup(self) -> float:
         if self.critical_path_s <= 0:
             return float("inf")
@@ -57,66 +53,54 @@ class OverlapComparison:
         """Communication-limited in the paper's §6 classification."""
         return self.limiting_factor == "Comm."
 
-
-@dataclass
-class OverlapReport:
-    """The whole sweep plus the headline geomeans."""
-
-    comparisons: List[OverlapComparison] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.comparisons)
-
-    def _geomean(self, speedups: List[float]) -> float:
-        if not speedups:
-            return 0.0
-        return math.exp(sum(math.log(s) for s in speedups) / len(speedups))
-
-    @property
-    def geomean_speedup(self) -> float:
-        return self._geomean([c.speedup for c in self.comparisons if c.ok])
-
-    @property
-    def comm_bound_geomean_speedup(self) -> float:
-        return self._geomean([c.speedup for c in self.comparisons
-                              if c.ok and c.comm_bound])
+    def summary(self) -> str:
+        return f"{self.name:16s} {self.speedup:6.2f}x  {self.status}"
 
     def to_json(self) -> Dict:
         return {
-            "schema": OVERLAP_SCHEMA,
-            "python": platform.python_version(),
-            "geomean_speedup": round(self.geomean_speedup, 4),
-            "comm_bound_geomean_speedup": round(
-                self.comm_bound_geomean_speedup, 4),
-            "workloads": [
-                {
-                    "name": c.name,
-                    "serial_s": c.serial_s,
-                    "critical_path_s": c.critical_path_s,
-                    "speedup": round(c.speedup, 4),
-                    "comm_fraction": round(c.comm_fraction, 4),
-                    "limiting_factor": c.limiting_factor,
-                    "comm_bound": c.comm_bound,
-                    "overlap_stats": dict(c.overlap_stats),
-                    "counters": {k: c.counters[k] for k in sorted(c.counters)
-                                 if k in ("kernel_launches", "htod_copies",
-                                          "dtoh_copies")},
-                    "mismatches": list(c.mismatches),
-                }
-                for c in self.comparisons
-            ],
+            "name": self.name,
+            "serial_s": self.serial_s,
+            "critical_path_s": self.critical_path_s,
+            "speedup": round(self.speedup, 4),
+            "comm_fraction": round(self.comm_fraction, 4),
+            "limiting_factor": self.limiting_factor,
+            "comm_bound": self.comm_bound,
+            "overlap_stats": dict(self.overlap_stats),
+            "counters": {k: self.counters[k] for k in sorted(self.counters)
+                         if k in ("kernel_launches", "htod_copies",
+                                  "dtoh_copies")},
+            "mismatches": list(self.mismatches),
         }
 
-    def write(self, path: str) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_json(), handle, indent=2, sort_keys=False)
-            handle.write("\n")
+
+@dataclass
+class OverlapReport(SweepReport):
+    """The whole sweep plus the headline geomeans."""
+
+    schema = OVERLAP_SCHEMA
+    committed_path = "BENCH_streams.json"
+    rows_key = "workloads"
+
+    rows: List[OverlapComparison] = field(default_factory=list)
+
+    @property
+    def geomean_speedup(self) -> float:
+        return geomean(c.speedup for c in self.rows if c.ok)
+
+    @property
+    def comm_bound_geomean_speedup(self) -> float:
+        return geomean(c.speedup for c in self.rows
+                       if c.ok and c.comm_bound)
+
+    def headline(self) -> Dict:
+        return {"geomean_speedup": round(self.geomean_speedup, 4),
+                "comm_bound_geomean_speedup": round(
+                    self.comm_bound_geomean_speedup, 4)}
 
     def render(self) -> str:
         lines = [f"{'workload':16s} {'serial':>10s} {'overlap':>10s} "
                  f"{'speedup':>8s} {'limit':>6s}"]
-        for c in self.comparisons:
+        for c in self.rows:
             status = "" if c.ok else "  DIVERGED"
             lines.append(
                 f"{c.name:16s} {c.serial_s * 1e6:8.2f}us "
@@ -140,34 +124,25 @@ def compare_overlap(workload: Workload,
     streamed_report = streamed.compile_source(workload.source, workload.name)
     streamed_result = streamed.execute(streamed_report)
 
-    mismatches: List[str] = []
-    if serial_result.observable() != streamed_result.observable():
-        mismatches.append("observables differ between serial and streams")
+    mismatches = observable_mismatches(serial_result, streamed_result,
+                                       "between serial and streams")
     if streamed_result.critical_path_seconds \
             > serial_result.total_seconds * (1 + 1e-12):
-        mismatches.append(
+        mismatches += (
             f"critical path {streamed_result.critical_path_seconds} "
-            f"exceeds serial total {serial_result.total_seconds}")
+            f"exceeds serial total {serial_result.total_seconds}",)
 
     total = serial_result.total_seconds
-    gpu, comm, cpu = (serial_result.gpu_seconds, serial_result.comm_seconds,
-                      serial_result.cpu_seconds)
-    if gpu >= comm and gpu >= cpu:
-        limiting = "GPU"
-    elif comm >= gpu and comm >= cpu:
-        limiting = "Comm."
-    else:
-        limiting = "Other"
-
     return OverlapComparison(
         name=workload.name,
-        serial_s=serial_result.total_seconds,
+        serial_s=total,
         critical_path_s=streamed_result.critical_path_seconds,
-        comm_fraction=comm / total if total > 0 else 0.0,
-        limiting_factor=limiting,
+        comm_fraction=(serial_result.comm_seconds / total
+                       if total > 0 else 0.0),
+        limiting_factor=limiting_factor(serial_result),
         overlap_stats=dict(streamed_report.overlap_stats),
         counters=dict(streamed_result.counters),
-        mismatches=tuple(mismatches))
+        mismatches=mismatches)
 
 
 def run_overlap_bench(workloads: Optional[List[Workload]] = None,
@@ -175,11 +150,6 @@ def run_overlap_bench(workloads: Optional[List[Workload]] = None,
                       progress=None) -> OverlapReport:
     """The full sweep; ``progress`` is an optional per-row callback."""
     if workloads is None:
-        workloads = list(ALL_WORKLOADS)
-    bench = OverlapReport()
-    for workload in workloads:
-        comparison = compare_overlap(workload, level)
-        bench.comparisons.append(comparison)
-        if progress is not None:
-            progress(comparison)
-    return bench
+        workloads = ALL_WORKLOADS
+    return OverlapReport().collect(
+        (compare_overlap(w, level) for w in workloads), progress)

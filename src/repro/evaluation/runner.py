@@ -60,14 +60,20 @@ class BenchmarkResult:
 
     @property
     def limiting_factor(self) -> str:
-        """The paper's classification: GPU, Comm., or Other (CPU/IO),
-        judged on the optimized configuration."""
-        gpu, comm, cpu = self.breakdown("optimized")
-        if gpu >= comm and gpu >= cpu:
-            return "GPU"
-        if comm >= gpu and comm >= cpu:
-            return "Comm."
-        return "Other"
+        """:func:`limiting_factor` of the optimized configuration."""
+        return limiting_factor(self.results["optimized"])
+
+
+def limiting_factor(result: ExecutionResult) -> str:
+    """The paper's classification of one run by its largest lane: GPU,
+    Comm., or Other (CPU/IO)."""
+    gpu, comm, cpu = (result.gpu_seconds, result.comm_seconds,
+                      result.cpu_seconds)
+    if gpu >= comm and gpu >= cpu:
+        return "GPU"
+    if comm >= gpu and comm >= cpu:
+        return "Comm."
+    return "Other"
 
 
 def run_benchmark(workload: Workload,

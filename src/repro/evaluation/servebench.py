@@ -29,14 +29,13 @@ Exposed as ``python -m repro servebench`` (writes
 
 from __future__ import annotations
 
-import json
-import platform
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .. import api
 from ..serve import ServeLoop, ServeOptions
 from ..serve.mixes import build_mix
+from .sweep import SweepReport
 
 #: Schema tag for BENCH_serve.json (bump on incompatible change).
 SERVEBENCH_SCHEMA = "repro-bench-serve/1"
@@ -72,31 +71,27 @@ class ServeCell:
     compile_hits: int
     compile_misses: int
 
+    def summary(self) -> str:
+        return (f"clients={self.clients:5d} "
+                f"cache={'on' if self.cache else 'off':3s} "
+                f"sharing={'on' if self.sharing else 'off':3s} "
+                f"{self.throughput_rps:10.0f} req/s")
+
     def to_json(self) -> Dict:
-        return {
-            "clients": self.clients,
-            "cache": self.cache,
-            "sharing": self.sharing,
-            "throughput_rps": round(self.throughput_rps, 1),
-            "makespan_s": self.makespan_s,
-            "latency_p50_s": self.latency_p50_s,
-            "latency_p95_s": self.latency_p95_s,
-            "latency_p99_s": self.latency_p99_s,
-            "mean_latency_s": self.mean_latency_s,
-            "htod_bytes": self.htod_bytes,
-            "transfer_bytes_saved": self.transfer_bytes_saved,
-            "shared_attaches": self.shared_attaches,
-            "batches": self.batches,
-            "compile_hits": self.compile_hits,
-            "compile_misses": self.compile_misses,
-        }
+        # Every field, in declaration order.
+        return {**asdict(self),
+                "throughput_rps": round(self.throughput_rps, 1)}
 
 
 @dataclass
-class ServeBenchReport:
+class ServeBenchReport(SweepReport):
     """The whole sweep plus per-scale verification verdicts."""
 
-    cells: List[ServeCell] = field(default_factory=list)
+    schema = SERVEBENCH_SCHEMA
+    committed_path = "BENCH_serve.json"
+    rows_key = "cells"
+
+    rows: List[ServeCell] = field(default_factory=list)
     #: clients -> all observables byte-identical to isolated runs.
     byte_identity: Dict[int, bool] = field(default_factory=dict)
     #: clients -> fully sanitized pass reported every request clean.
@@ -104,7 +99,7 @@ class ServeBenchReport:
 
     def cell(self, clients: int, cache: bool,
              sharing: bool) -> Optional[ServeCell]:
-        for c in self.cells:
+        for c in self.rows:
             if (c.clients, c.cache, c.sharing) == (clients, cache, sharing):
                 return c
         return None
@@ -130,11 +125,9 @@ class ServeBenchReport:
         would_be = cell.htod_bytes + cell.transfer_bytes_saved
         return cell.transfer_bytes_saved / would_be if would_be else 0.0
 
-    def to_json(self) -> Dict:
-        scales = sorted({c.clients for c in self.cells})
+    def headline(self) -> Dict:
+        scales = sorted({c.clients for c in self.rows})
         return {
-            "schema": SERVEBENCH_SCHEMA,
-            "python": platform.python_version(),
             "derived": {
                 f"speedup_cache_{n}": round(self.speedup_cache(n), 3)
                 for n in scales
@@ -146,19 +139,13 @@ class ServeBenchReport:
                               for k, v in sorted(self.byte_identity.items())},
             "sanitizer_clean": {str(k): v for k, v
                                 in sorted(self.sanitizer_clean.items())},
-            "cells": [c.to_json() for c in self.cells],
         }
-
-    def write(self, path: str) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_json(), handle, indent=2, sort_keys=False)
-            handle.write("\n")
 
     def render(self) -> str:
         lines = [f"{'clients':>7s} {'cache':>6s} {'share':>6s} "
                  f"{'req/s':>10s} {'p50 us':>9s} {'p95 us':>9s} "
                  f"{'p99 us':>9s} {'saved KiB':>10s} {'batches':>8s}"]
-        for c in self.cells:
+        for c in self.rows:
             lines.append(
                 f"{c.clients:7d} {'on' if c.cache else 'off':>6s} "
                 f"{'on' if c.sharing else 'off':>6s} "
@@ -208,11 +195,11 @@ def _verify_scale(clients: int, seed: int,
         for m in sanitized.metrics)
 
 
-def run_serve_bench(scales: Sequence[int] = DEFAULT_SCALES,
-                    seed: int = 0, verify: bool = True,
-                    progress=None) -> ServeBenchReport:
-    """The sweep; ``progress`` is an optional per-cell callback."""
-    report = ServeBenchReport()
+def _cells(report: ServeBenchReport, scales: Sequence[int], seed: int,
+           verify: bool) -> Iterator[ServeCell]:
+    """The four cache x sharing cells per scale; with ``verify``, the
+    scale's byte-identity and sanitizer verdicts land in ``report``
+    after its cells."""
     for clients in scales:
         served_metrics = None
         for cache in (True, False):
@@ -220,7 +207,9 @@ def run_serve_bench(scales: Sequence[int] = DEFAULT_SCALES,
                 requests = build_mix(clients, seed=seed)
                 serve_report = ServeLoop(
                     _cell_options(cache, sharing)).run(requests)
-                cell = ServeCell(
+                if cache and sharing:
+                    served_metrics = serve_report.metrics
+                yield ServeCell(
                     clients=clients, cache=cache, sharing=sharing,
                     throughput_rps=serve_report.throughput_rps,
                     makespan_s=serve_report.makespan_s,
@@ -239,11 +228,13 @@ def run_serve_bench(scales: Sequence[int] = DEFAULT_SCALES,
                     compile_misses=serve_report.counters.get(
                         "compile_misses", 0),
                 )
-                report.cells.append(cell)
-                if cache and sharing:
-                    served_metrics = serve_report.metrics
-                if progress is not None:
-                    progress(cell)
         if verify and served_metrics is not None:
             _verify_scale(clients, seed, report, served_metrics)
-    return report
+
+
+def run_serve_bench(scales: Sequence[int] = DEFAULT_SCALES,
+                    seed: int = 0, verify: bool = True,
+                    progress=None) -> ServeBenchReport:
+    """The sweep; ``progress`` is an optional per-cell callback."""
+    report = ServeBenchReport()
+    return report.collect(_cells(report, scales, seed, verify), progress)

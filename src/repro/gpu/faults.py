@@ -18,8 +18,11 @@ heap cap) needs eviction or the CPU fallback to make progress.
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
+
+from ..memory.layout import DEVICE_CAPACITY
 
 #: Upper bound on retries the runtime attempts for one transient
 #: fault before treating it as unrecoverable.  Must exceed any legal
@@ -65,6 +68,39 @@ class FaultPlan:
     def armed(self) -> bool:
         return bool(self.alloc_fail_rate or self.transfer_fail_rate
                     or self.launch_fail_rate)
+
+
+#: Moderate per-call fault rates: the ``transient`` schedule, and what
+#: ``--faults SEED`` arms on the command line.
+CHAOS_RATES = dict(alloc_fail_rate=0.3, transfer_fail_rate=0.15,
+                   launch_fail_rate=0.15)
+
+
+def workload_seed(name: str) -> int:
+    """A stable per-program seed (schedules differ across programs
+    but never across runs)."""
+    return zlib.crc32(name.encode("utf-8"))
+
+
+def fault_schedules(seed: int) -> List[Tuple[str, Dict]]:
+    """The named fault schedules as ``CgcmConfig`` overrides, seeded
+    deterministically: ``overhead`` (resilience armed, nothing fires),
+    ``transient``, ``pressure`` and ``tiny-heap`` (see
+    :mod:`repro.evaluation.faultbench`)."""
+    return [
+        ("overhead", dict(device_heap_limit=DEVICE_CAPACITY)),
+        ("transient", dict(faults=FaultPlan(seed=seed, **CHAOS_RATES))),
+        # The tight-heap schedules deliberately exercise sentinel and
+        # CPU-fallback degradation on units that can never fit, so they
+        # opt out of the strict oversized-unit rejection.
+        ("pressure", dict(
+            faults=FaultPlan(seed=seed + 1, alloc_fail_rate=0.5,
+                             transfer_fail_rate=0.3, launch_fail_rate=0.3,
+                             max_consecutive=4),
+            device_heap_limit=64 << 10, strict_heap_limit=False)),
+        ("tiny-heap", dict(device_heap_limit=4 << 10,
+                           strict_heap_limit=False)),
+    ]
 
 
 class FaultInjector:

@@ -12,15 +12,14 @@ command-line face; the hypothesis strategies in
 
 from .generator import (GeneratedProgram, build_spec, generate_program,
                         program_seed, scenario_specs)
-from .harness import (CHAOS_RATES, FuzzReport, PropertyOutcome,
-                      ScenarioVerdict, check_program, check_source,
-                      run_fuzz)
+from .harness import (FuzzReport, PropertyOutcome, ScenarioVerdict,
+                      check_program, check_source, run_fuzz)
 from .shrink import minimize_spec, spec_size
 from .spec import ScenarioSpec, emit_minic, evaluate_spec
 
 __all__ = [
     "GeneratedProgram", "build_spec", "generate_program", "program_seed",
-    "scenario_specs", "CHAOS_RATES", "FuzzReport", "PropertyOutcome",
+    "scenario_specs", "FuzzReport", "PropertyOutcome",
     "ScenarioVerdict", "check_program", "check_source", "run_fuzz",
     "minimize_spec", "spec_size", "ScenarioSpec", "emit_minic",
     "evaluate_spec",

@@ -31,14 +31,13 @@ budget); ``slow=True`` widens each property across levels/schedules.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..api import compile_workload
 from ..core.config import CgcmConfig, OptLevel
 from ..errors import ReproError
-from ..gpu.faults import FaultPlan
+from ..gpu.faults import fault_schedules, workload_seed
 from ..interp.machine import hot_ratio
 from ..staticcheck.findings import Severity
 from .generator import GeneratedProgram, generate_program, materialize
@@ -46,11 +45,7 @@ from .shrink import minimize_spec
 from .spec import ScenarioSpec, emit_minic
 
 __all__ = ["PropertyOutcome", "ScenarioVerdict", "FuzzReport",
-           "check_program", "check_source", "run_fuzz", "CHAOS_RATES"]
-
-#: Same chaos rates the 24-workload fault bench uses.
-CHAOS_RATES = dict(alloc_fail_rate=0.3, transfer_fail_rate=0.15,
-                   launch_fail_rate=0.15)
+           "check_program", "check_source", "run_fuzz"]
 
 PROPERTIES = ("oracle", "levels", "engines", "streams", "sanitizer",
               "static", "faults", "transval")
@@ -112,7 +107,7 @@ def check_source(source: str, name: str = "scenario",
     verdict = ScenarioVerdict(name)
     out = verdict.outcomes
     if fault_seed is None:
-        fault_seed = zlib.crc32(name.encode("utf-8"))
+        fault_seed = workload_seed(name)
 
     def attempt(prop: str, check: Callable[[], Optional[str]]) -> None:
         try:
@@ -225,20 +220,12 @@ def check_source(source: str, name: str = "scenario",
         return None
 
     def check_faults() -> Optional[str]:
-        schedules = [CgcmConfig(faults=FaultPlan(seed=fault_seed,
-                                                 **CHAOS_RATES))]
-        if slow:
-            # strict_heap_limit off: these schedules exist to push
-            # generated programs into eviction/sentinel degradation.
-            schedules.append(CgcmConfig(
-                faults=FaultPlan(seed=fault_seed + 1, alloc_fail_rate=0.5,
-                                 transfer_fail_rate=0.3,
-                                 launch_fail_rate=0.3, max_consecutive=4),
-                device_heap_limit=64 << 10, strict_heap_limit=False))
-            schedules.append(CgcmConfig(device_heap_limit=4 << 10,
-                                        strict_heap_limit=False))
-        for config in schedules:
-            chaotic = compile_workload(source, config, name)
+        # Every schedule but ``overhead``, which fires nothing:
+        # transient, plus pressure and tiny-heap when ``slow``.
+        schedules = fault_schedules(fault_seed)[1:]
+        for _, overrides in schedules if slow else schedules[:1]:
+            chaotic = compile_workload(source, CgcmConfig(**overrides),
+                                       name)
             result = chaotic.run()
             if result.observable() != base.observable():
                 return _diff("fault-injected vs clean observables",

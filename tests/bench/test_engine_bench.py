@@ -26,10 +26,10 @@ def sweep():
 
 
 def test_no_engine_divergence(sweep):
-    diverged = {c.name: c.mismatches for c in sweep.comparisons
+    diverged = {c.name: c.mismatches for c in sweep.rows
                 if not c.ok}
     assert diverged == {}
-    assert len(sweep.comparisons) == 24
+    assert len(sweep.rows) == 24
 
 
 def test_report_is_written(sweep):

@@ -32,7 +32,7 @@ def sweep():
 
 def test_every_schedule_byte_identical(sweep):
     diverged = [f"{c.name}/{c.schedule}: {c.mismatches}"
-                for c in sweep.comparisons if not c.ok]
+                for c in sweep.rows if not c.ok]
     assert diverged == []
     assert sweep.workloads_identical == (24, 24)
 
@@ -43,10 +43,10 @@ def test_faults_actually_fired(sweep):
         c.counters.get("injected_alloc_faults", 0)
         + c.counters.get("injected_transfer_faults", 0)
         + c.counters.get("injected_launch_faults", 0)
-        for c in sweep.comparisons)
+        for c in sweep.rows)
     assert injected > 0
     retries = sum(c.counters.get("fault_retries", 0)
-                  for c in sweep.comparisons)
+                  for c in sweep.rows)
     assert retries > 0
 
 

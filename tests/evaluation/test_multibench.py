@@ -18,9 +18,9 @@ class TestSweep:
     def test_cells_cover_the_grid_and_stay_identical(self):
         report = small_sweep()
         assert report.ok
-        assert {(c.name, c.devices) for c in report.cells} == {
+        assert {(c.name, c.devices) for c in report.rows} == {
             ("gemm", 1), ("gemm", 2), ("gesummv", 1), ("gesummv", 2)}
-        for cell in report.cells:
+        for cell in report.rows:
             if cell.devices == 1:
                 assert cell.speedup == 1.0
 

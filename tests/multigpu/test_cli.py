@@ -70,10 +70,3 @@ class TestMultibench:
         data = json.loads(out.read_text())
         assert data["device_counts"] == [1, 2]
         assert all(c["identical"] for c in data["cells"])
-
-    def test_bench_devices_redirects_to_multibench(self, tmp_path,
-                                                   capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        code = main(["bench", "gesummv", "--devices", "2"])
-        assert code == 0
-        assert (tmp_path / "BENCH_multigpu.json").exists()

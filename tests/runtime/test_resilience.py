@@ -225,7 +225,7 @@ def test_full_chaos_sweep_byte_identical():
     from repro.evaluation.faultbench import run_fault_bench
 
     bench = run_fault_bench()
-    diverged = [f"{c.name}/{c.schedule}" for c in bench.comparisons
+    diverged = [f"{c.name}/{c.schedule}" for c in bench.rows
                 if not c.ok]
     assert not diverged, f"observables diverged: {diverged}"
     good, total = bench.workloads_identical

@@ -22,7 +22,7 @@ class TestSmokeSweep:
         assert report.ok
         assert report.byte_identity == {8: True}
         assert report.sanitizer_clean == {8: True}
-        assert len(report.cells) == 4  # cache x sharing
+        assert len(report.rows) == 4  # cache x sharing
         assert report.speedup_cache(8) > 1.0
         assert report.h2d_saved_frac(8) > 0.0
         path = tmp_path / "BENCH_serve.json"
