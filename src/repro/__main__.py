@@ -502,9 +502,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         note = (f"{len(events)} events, "
                 f"{len(report.ok)}/{len(report.metrics)} requests ok")
         code = 0 if len(report.ok) == len(report.metrics) else 1
-    elif args.target is None:
-        print("repro trace: a workload or source target is required "
-              "unless --serve is given", file=sys.stderr)
+    elif args.target in (None, "all"):
+        print("repro trace: trace takes one target, a workload or source "
+              "file, unless --serve is given", file=sys.stderr)
         return 2
     else:
         [(source, name)] = _targets([args.target])
@@ -632,12 +632,14 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             if not result.caught:
                 for finding in result.report.findings:
                     print("  " + finding.render())
-        print(f"lint: {len(reports) - len(failures)}/{len(reports)} "
-              "modules clean"
-              + (f", corpus {len(corpus_results) - len(corpus_misses)}"
-                 f"/{len(corpus_results)} as expected"
-                 if args.corpus else ""),
-              file=sys.stderr)
+        tallies = []
+        if reports:
+            tallies.append(f"{len(reports) - len(failures)}/{len(reports)} "
+                           "modules clean")
+        if args.corpus:
+            tallies.append(f"corpus {len(corpus_results) - len(corpus_misses)}"
+                           f"/{len(corpus_results)} as expected")
+        print("lint: " + ", ".join(tallies), file=sys.stderr)
     return 1 if failures or corpus_misses else 0
 
 

@@ -79,9 +79,6 @@ class CallGraph:
     def is_recursive(self, fn: Function) -> bool:
         return fn in self._recursive
 
-    def callers_of(self, fn: Function) -> Set[Function]:
-        return self.callers.get(fn, set())
-
     def call_sites_of(self, fn: Function) -> List[Call]:
         return list(self.call_sites.get(fn, ()))
 

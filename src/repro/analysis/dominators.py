@@ -146,15 +146,6 @@ class PostDominatorTree:
 
         self._ipdom = ipdom
 
-    def immediate_postdominator(self,
-                                block: BasicBlock) -> Optional[BasicBlock]:
-        """The ipdom of ``block`` (None for exit blocks, for blocks
-        that reach no exit, and for blocks outside the function)."""
-        parent = self._ipdom.get(block)
-        if parent is None or parent is PostDominatorTree._VIRTUAL_EXIT:
-            return None
-        return parent  # type: ignore[return-value]
-
     def postdominates(self, a: BasicBlock, b: BasicBlock) -> bool:
         """True if every path from ``b`` to an exit passes through
         ``a`` (reflexive; conservatively False when ``b`` reaches no

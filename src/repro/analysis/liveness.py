@@ -76,18 +76,3 @@ class Liveness:
                     if _is_register(operand) and operand not in inside_defs:
                         needed.add(operand)
         return needed
-
-    def defined_in_used_after(self, blocks: Set[BasicBlock]) -> Set[Value]:
-        """Registers defined inside ``blocks`` and used outside them."""
-        inside_defs: Set[Value] = set()
-        for block in blocks:
-            inside_defs |= self.defs[block]
-        escaping: Set[Value] = set()
-        for block in self.function.blocks:
-            if block in blocks:
-                continue
-            for inst in block.instructions:
-                for operand in inst.operands:
-                    if operand in inside_defs:
-                        escaping.add(operand)
-        return escaping

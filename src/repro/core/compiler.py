@@ -179,7 +179,7 @@ class CgcmCompiler:
         :class:`~repro.serve.sharing.SharedMappingRegistry`: read-only
         allocation units whose content is already device-resident on
         behalf of another in-flight request skip the modelled HtoD
-        charge (see :meth:`CgcmRuntime.map_ptr`).  ``launch_log``
+        charge (see ``CgcmRuntime._shared_attach``).  ``launch_log``
         collects one ``(kernel_name, grid, total_ops, max_ops,
         duration)`` tuple per GPU launch, the raw material for
         batched-dispatch re-pricing.

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence
 
+from ..gpu.timing import sum_in_order
 from .runner import BenchmarkResult
 
 SERIES = ("inspector-executor", "unoptimized", "optimized")
@@ -40,7 +41,8 @@ def geomean(values: Iterable[float]) -> float:
     values = list(values)
     if not values:
         return 0.0
-    return math.exp(sum(math.log(v) for v in values) / len(values))
+    return math.exp(sum_in_order(math.log(v) for v in values)
+                    / len(values))
 
 
 def build_figure4(results: Sequence[BenchmarkResult]) -> List[Figure4Row]:

@@ -8,7 +8,7 @@ they are resolved to IR types during lowering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 
 # -- type syntax -----------------------------------------------------------
@@ -26,10 +26,6 @@ class TypeSpec:
     pointers: int = 0
     array_dims: Tuple[int, ...] = ()
     is_const: bool = False
-
-    def with_pointer(self) -> "TypeSpec":
-        return TypeSpec(self.base, self.pointers + 1, self.array_dims,
-                        self.is_const)
 
 
 # -- expressions ------------------------------------------------------------

@@ -14,9 +14,7 @@ kernel grids against :attr:`GpuDevice.memory` (see
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, Optional
-
-from typing import Iterable
+from typing import Callable, Dict, Iterable, List, Optional
 
 from ..errors import (GpuError, GpuLaunchError, GpuOomError,
                       GpuTransferError, MemoryFault)
@@ -24,7 +22,7 @@ from ..memory.flatmem import FlatMemory, copy_across
 from ..memory.heap import Heap
 from ..memory.layout import DEVICE_BASE, DEVICE_CAPACITY, GlobalLayout
 from .faults import FaultInjector
-from .timing import LANE_COMM, LANE_GPU, STREAM_D2H, STREAM_H2D, SimClock
+from .timing import LANE_COMM, LANE_GPU, STREAM_D2H, SimClock
 
 
 class DriverEvent(str, enum.Enum):
@@ -254,112 +252,77 @@ class GpuDevice:
             f"{size} bytes at {address:#x} failed (injected bus fault); "
             "no data was transferred", address=address, size=size)
 
-    def memcpy_htod(self, device_address: int, data: bytes) -> None:
-        """``cuMemcpyHtoD``: copy host bytes into device memory."""
-        if self.fault_injector is not None:
-            self._maybe_transfer_fault("htod", device_address, len(data))
-        self.memory.write(device_address, data)
-        self.clock.advance(self.comm_lane,
-                           self.clock.model.transfer_time(len(data)),
-                           f"HtoD {len(data)}B")
-        self.clock.count("htod_copies")
-        self.clock.count("htod_bytes", len(data))
-        if self.observers:
-            self._notify(DriverEvent.HTOD, device_address, len(data))
+    # Every copy moves its bytes at issue (the simulator's eager-data
+    # model: the bytes an async copy transfers are the bytes at issue
+    # time, exactly what a correctly synchronized program observes).
+    # Without a ``stream`` a copy blocks: its modelled time is charged
+    # at the host cursor and the call returns None.  With a ``stream``
+    # it is the ``cuMemcpy*Async`` form: the time is scheduled on that
+    # stream, after every ``after`` event, and the call returns the
+    # span's finish time for use as an event.
 
-    def memcpy_dtoh(self, device_address: int, size: int) -> bytes:
-        """``cuMemcpyDtoH``: copy device bytes back to the host."""
+    def memcpy_htod(self, device_address: int, data: bytes,
+                    stream: Optional[str] = None,
+                    after: Iterable[float] = ()) -> Optional[float]:
+        """``cuMemcpyHtoD[Async]``: copy host bytes into device memory."""
+        size = len(data)
         if self.fault_injector is not None:
-            self._maybe_transfer_fault("dtoh", device_address, size)
-        data = self.memory.read(device_address, size)
-        self.clock.advance(self.comm_lane, self.clock.model.transfer_time(size),
-                           f"DtoH {size}B")
-        self.clock.count("dtoh_copies")
-        self.clock.count("dtoh_bytes", size)
-        if self.observers:
-            self._notify(DriverEvent.DTOH, device_address, size)
-        return data
+            self._maybe_transfer_fault("htod", device_address, size)
+        self.memory.write(device_address, data)
+        return self._copied(True, device_address, size, stream, after)
 
     def memcpy_htod_from(self, device_address: int, host_memory,
-                         host_address: int, size: int) -> None:
-        """``cuMemcpyHtoD`` straight out of a host address space.
+                         host_address: int, size: int,
+                         stream: Optional[str] = None,
+                         after: Iterable[float] = ()) -> Optional[float]:
+        """``cuMemcpyHtoD[Async]`` straight out of a host address space.
 
-        Identical semantics (and modelled cost) to
-        :meth:`memcpy_htod`, but the bytes move segment-to-segment via
-        :func:`~repro.memory.flatmem.copy_across` -- one slice
-        assignment instead of materializing an intermediate ``bytes``
-        payload on the host side.
+        :meth:`memcpy_htod` without the staging ``bytes``: the bytes
+        move segment-to-segment via
+        :func:`~repro.memory.flatmem.copy_across`.
         """
         if self.fault_injector is not None:
             self._maybe_transfer_fault("htod", device_address, size)
         copy_across(host_memory, host_address,
                     self.memory, device_address, size)
-        self.clock.advance(self.comm_lane,
-                           self.clock.model.transfer_time(size),
-                           f"HtoD {size}B")
-        self.clock.count("htod_copies")
-        self.clock.count("htod_bytes", size)
-        if self.observers:
-            self._notify(DriverEvent.HTOD, device_address, size)
+        return self._copied(True, device_address, size, stream, after)
 
     def memcpy_dtoh_into(self, device_address: int, size: int,
-                         host_memory, host_address: int) -> None:
-        """``cuMemcpyDtoH`` straight into a host address space.
+                         host_memory, host_address: int,
+                         stream: Optional[str] = None,
+                         after: Iterable[float] = ()) -> Optional[float]:
+        """``cuMemcpyDtoH[Async]`` straight into a host address space.
 
-        Identical semantics (and modelled cost) to
-        :meth:`memcpy_dtoh`, minus the staging ``bytes`` object.
+        A caller ordering the copy after a producing kernel passes that
+        kernel's finish time via ``after``, so the modelled span cannot
+        start before its producer completes.
         """
         if self.fault_injector is not None:
             self._maybe_transfer_fault("dtoh", device_address, size)
         copy_across(self.memory, device_address,
                     host_memory, host_address, size)
-        self.clock.advance(self.comm_lane, self.clock.model.transfer_time(size),
-                           f"DtoH {size}B")
-        self.clock.count("dtoh_copies")
-        self.clock.count("dtoh_bytes", size)
-        if self.observers:
-            self._notify(DriverEvent.DTOH, device_address, size)
+        return self._copied(False, device_address, size, stream, after)
 
-    def memcpy_htod_async(self, device_address: int, data: bytes,
-                          stream: str = STREAM_H2D,
-                          after: Iterable[float] = ()) -> float:
-        """``cuMemcpyHtoDAsync``: non-blocking host-to-device copy.
-
-        Data moves immediately (eager-data simulation: the bytes the
-        copy transfers are the bytes at issue time, exactly what a
-        correctly synchronized async program would observe); only the
-        modelled transfer time is scheduled on ``stream``.  Returns
-        the span's finish time for use as an event.
-        """
-        self.memory.write(device_address, data)
-        finish = self.clock.schedule(
-            self.comm_lane, self.clock.model.transfer_time(len(data)), stream,
-            f"HtoD {len(data)}B", after=after)
-        self.clock.count("htod_copies")
-        self.clock.count("htod_bytes", len(data))
+    def _copied(self, htod: bool, address: int, size: int,
+                stream: Optional[str],
+                after: Iterable[float]) -> Optional[float]:
+        """Charge, count and report one copy whose bytes have moved
+        (host-to-device when ``htod``, else device-to-host)."""
+        clock = self.clock
+        label = f"HtoD {size}B" if htod else f"DtoH {size}B"
+        seconds = clock.model.transfer_time(size)
+        finish = None
+        if stream is None:
+            clock.advance(self.comm_lane, seconds, label)
+        else:
+            finish = clock.schedule(self.comm_lane, seconds, stream, label,
+                                    after=after)
+        clock.count("htod_copies" if htod else "dtoh_copies")
+        clock.count("htod_bytes" if htod else "dtoh_bytes", size)
         if self.observers:
-            self._notify(DriverEvent.HTOD, device_address, len(data))
+            self._notify(DriverEvent.HTOD if htod else DriverEvent.DTOH,
+                         address, size)
         return finish
-
-    def memcpy_dtoh_async(self, device_address: int, size: int,
-                          stream: str = STREAM_D2H,
-                          after: Iterable[float] = ()) -> "tuple":
-        """``cuMemcpyDtoHAsync``: non-blocking device-to-host copy.
-
-        Returns ``(data, finish_time)``.  The bytes are read eagerly;
-        callers ordering the copy after a producing kernel pass that
-        kernel's finish time via ``after`` so the modelled span cannot
-        start before its producer completes.
-        """
-        data = self.memory.read(device_address, size)
-        finish = self.clock.schedule(
-            self.comm_lane, self.clock.model.transfer_time(size), stream,
-            f"DtoH {size}B", after=after)
-        self.clock.count("dtoh_copies")
-        self.clock.count("dtoh_bytes", size)
-        if self.observers:
-            self._notify(DriverEvent.DTOH, device_address, size)
-        return data, finish
 
     # -- kernel launch ---------------------------------------------------------
 

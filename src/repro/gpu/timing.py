@@ -45,6 +45,19 @@ STREAM_D2H = "d2h"
 STREAM_COMPUTE = "compute"
 
 
+def sum_in_order(values: Iterable[float]) -> float:
+    """``sum(values)``, added strictly left to right.
+
+    Python 3.12's ``sum()`` compensates float rounding, so its last
+    digit can differ from 3.11's; modeled numbers sum with this
+    instead, and read the same under both.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 @dataclass(frozen=True)
 class CostModel:
     """Machine parameters of the simulated platform (paper section 6.1).
@@ -159,7 +172,7 @@ class SimClock:
     @property
     def now(self) -> float:
         """Current position on the unified serial timeline."""
-        return sum(self.lanes.values())
+        return sum_in_order(self.lanes.values())
 
     @property
     def cpu_seconds(self) -> float:

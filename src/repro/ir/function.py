@@ -75,11 +75,6 @@ class Function(FunctionValue):
         self.blocks.append(block)
         return block
 
-    def insert_block_after(self, after: BasicBlock, hint: str = "bb") -> BasicBlock:
-        block = BasicBlock(self.unique_name(hint), self)
-        self.blocks.insert(self.blocks.index(after) + 1, block)
-        return block
-
     def unique_name(self, hint: str = "t") -> str:
         """Return a register/block name unique within this function."""
         if hint not in self._taken_names:

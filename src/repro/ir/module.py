@@ -62,9 +62,6 @@ class Module:
         except KeyError:
             raise IRError(f"unknown function @{name}") from None
 
-    def remove_function(self, name: str) -> None:
-        del self.functions[name]
-
     # -- structs ---------------------------------------------------------
 
     def add_struct(self, struct: StructType) -> StructType:

@@ -213,10 +213,6 @@ class StructType(Type):
         self.name = name
         self.fields = tuple(fields)
 
-    @property
-    def field_types(self) -> Tuple[Type, ...]:
-        return tuple(ty for _, ty in self.fields)
-
     def field_index(self, name: str) -> int:
         for i, (field_name, _) in enumerate(self.fields):
             if field_name == name:

@@ -126,9 +126,6 @@ class MultiGpuCoordinator:
 
     # -- unit homes ----------------------------------------------------------
 
-    def home_of(self, info: AllocationInfo) -> Optional[UnitHome]:
-        return self._homes.get(info.base)
-
     def _place(self, info: AllocationInfo) -> UnitHome:
         """Assign a freshly mapped unit its home device."""
         home: Optional[int] = None

@@ -40,9 +40,6 @@ class PlacementPlan:
     #: total co-access weight on edges crossing device boundaries.
     cut_weight: int
 
-    def device_of(self, label: str, default: int = 0) -> int:
-        return self.assignment.get(label, default)
-
     def render(self) -> str:
         lines = [f"placement over {self.topology.num_devices} device(s) "
                  f"({self.topology.kind}), cut weight {self.cut_weight}:"]

@@ -11,8 +11,8 @@ one source of truth: each entry point is described once as a
 unit kind, and a host-memory mod/ref summary), and every derived
 name table below is computed from the registry.
 
-Import from here (or from :mod:`repro.runtime.cgcm`, which re-exports
-for compatibility); do not write new literal name tuples.
+Import the name tables from here; do not write new literal name
+tuples.
 """
 
 from __future__ import annotations

@@ -18,6 +18,9 @@ equivalent GPU pointers:
 * ``declareGlobal`` / ``declareAlloca`` -- registration entry points
   inserted by the compiler; heap allocations are tracked automatically
   by wrapping malloc/calloc/realloc/free.
+* ``mapAsync`` / ``unmapAsync`` / ``mapArrayAsync`` / ``unmapArrayAsync``
+  -- the same bodies; under streams the copy is issued on a stream with
+  event edges where the sync twin blocks.
 
 Attach to a machine with ``CgcmRuntime(machine)``; this registers the
 externals, the heap wrappers, the kernel-launch epoch hook, and the
@@ -39,13 +42,7 @@ from ..ir.module import Module
 from ..ir.values import GlobalVariable
 from ..memory.layout import DEVICE_BASE, DEVICE_CAPACITY
 from .allocmap import AvlTreeMap
-# The entry-point name tables live in the registry (runtime/api.py);
-# they are re-exported here so historical import sites keep working.
-from .api import (ASYNC_RUNTIME_FUNCTIONS, ASYNC_VARIANTS,  # noqa: F401
-                  ARRAY_FUNCTIONS, ENTRY_POINTS, MAP_ARRAY_FUNCTIONS,
-                  MAP_FUNCTIONS, RELEASE_ARRAY_FUNCTIONS, RELEASE_FUNCTIONS,
-                  RUNTIME_FUNCTION_NAMES, RUNTIME_SIGNATURES, SYNC_FUNCTION,
-                  UNMAP_ARRAY_FUNCTIONS, UNMAP_FUNCTIONS)
+from .api import RUNTIME_SIGNATURES
 
 if TYPE_CHECKING:
     # Annotations only: ``repro.interp.machine`` reaches this module
@@ -140,8 +137,8 @@ class CgcmRuntime:
         #: resilience subsystem -- "evict"/"restore"/"refresh"/"flush".
         #: ``mapArray`` and ``releaseArray`` notify for the
         #: pointer-array unit itself; per-element work (and all of
-        #: ``unmapArray``'s) notifies through the scalar entry points
-        #: they call.
+        #: ``unmapArray``'s) notifies as scalar operations on the
+        #: element units.
         self.op_hooks: List[Callable[[str, str, int, AllocationInfo],
                                      None]] = []
         #: Serve-layer cross-request sharing registry (see
@@ -156,20 +153,22 @@ class CgcmRuntime:
         machine.launch_hooks.append(self._on_launch)
         machine.heap_hooks.append(self._on_heap)
         machine.frame_exit_hooks.append(self._on_frame_exit)
+        # Each map/unmap entry point binds straight to its algorithm's
+        # one body; an async twin defers its copy only under streams.
+        map_, unmap, deferred = self._map, self._unmap, self.streams
         machine.externals.update({
-            "map": lambda m, a: self.map_ptr(int(a[0])),
-            "unmap": lambda m, a: self.unmap_ptr(int(a[0])),
+            "map": lambda m, a: map_(int(a[0]), False, False),
+            "unmap": lambda m, a: unmap(int(a[0]), False, False),
             "release": lambda m, a: self.release_ptr(int(a[0])),
-            "mapArray": lambda m, a: self.map_array(int(a[0])),
-            "unmapArray": lambda m, a: self.unmap_array(int(a[0])),
+            "mapArray": lambda m, a: map_(int(a[0]), True, False),
+            "unmapArray": lambda m, a: unmap(int(a[0]), True, False),
             "releaseArray": lambda m, a: self.release_array(int(a[0])),
             "declareAlloca": lambda m, a: self.declare_alloca(int(a[0])),
             "declareGlobal": self._declare_global_external,
-            "mapAsync": lambda m, a: self.map_ptr_async(int(a[0])),
-            "unmapAsync": lambda m, a: self.unmap_ptr_async(int(a[0])),
-            "mapArrayAsync": lambda m, a: self.map_array_async(int(a[0])),
-            "unmapArrayAsync":
-                lambda m, a: self.unmap_array_async(int(a[0])),
+            "mapAsync": lambda m, a: map_(int(a[0]), False, deferred),
+            "unmapAsync": lambda m, a: unmap(int(a[0]), False, deferred),
+            "mapArrayAsync": lambda m, a: map_(int(a[0]), True, deferred),
+            "unmapArrayAsync": lambda m, a: unmap(int(a[0]), True, deferred),
             "cgcmSync": lambda m, a: self.sync(),
         })
         machine.external_types.update(RUNTIME_SIGNATURES)
@@ -208,6 +207,13 @@ class CgcmRuntime:
         self._kernel_globals_cache: Dict[str, Tuple[int, ...]] = {}
         if self.resilient:
             machine.launch_gate = self._launch_gate
+        # The three device copies; an armed fault injector puts each
+        # behind the one transfer retry loop (see ``_retrying``).
+        copies = (self.device.memcpy_htod, self.device.memcpy_htod_from,
+                  self.device.memcpy_dtoh_into)
+        if self.device.fault_injector is not None:
+            copies = tuple(self._retrying(copy) for copy in copies)
+        self._htod, self._htod_from, self._dtoh_into = copies
 
     # -- registration ------------------------------------------------------
 
@@ -245,7 +251,7 @@ class CgcmRuntime:
         self._stack_regs.setdefault(frame.frame_id, []).append(base)
         return base
 
-    # -- streams guard -------------------------------------------------------
+    # -- streams: write-back guard and stream routing -------------------------
 
     #: Externals that read or write host memory without going through
     #: the interpreter's load/store path (and hence the write-back
@@ -314,6 +320,29 @@ class CgcmRuntime:
         if self._pending_writebacks:
             self._sync_pending()
 
+    def _h2d_stream(self, info: AllocationInfo) -> str:
+        """Upload stream for one unit: the well-known ``h2d`` stream,
+        or -- under a multi-device topology -- the h2d stream of the
+        device the unit is homed on, so uploads bound for different
+        devices overlap each other."""
+        if self.multigpu is not None:
+            return self.multigpu.h2d_stream(info)
+        return STREAM_H2D
+
+    def _d2h_stream(self, info: AllocationInfo) -> str:
+        """Write-back stream for one unit (see :meth:`_h2d_stream`)."""
+        if self.multigpu is not None:
+            return self.multigpu.d2h_stream(info)
+        return STREAM_D2H
+
+    def _writeback_deps(self, info: AllocationInfo) -> tuple:
+        """Event edge for re-mapping a unit whose previous device copy
+        is still being written back: the fresh HtoD must not start
+        before the old DtoH finished (the host bytes it transfers are
+        final only then).  Retires the unit's pending entry."""
+        pending = self._pending_writebacks.pop(info.base, None)
+        return () if pending is None else (pending[1],)
+
     # -- hooks ---------------------------------------------------------------
 
     def _on_launch(self, machine: Machine, kernel, grid: int,
@@ -362,8 +391,9 @@ class CgcmRuntime:
     # -- lookup ----------------------------------------------------------------
 
     def lookup(self, ptr: int) -> AllocationInfo:
-        """Allocation unit containing ``ptr`` (greatestLTE + bound check)."""
-        self._charge()
+        """Allocation unit containing ``ptr`` (greatestLTE + bound check).
+        Charges the modelled cost of one run-time library call."""
+        self.machine.charge_ops(_RUNTIME_CALL_OPS)
         entry = self.alloc_map.find_le(ptr)
         if entry is not None:
             info = entry[1]
@@ -374,8 +404,9 @@ class CgcmRuntime:
             "unit (unregistered stack variable, foreign pointer, or "
             "out-of-bounds arithmetic)")
 
-    def _charge(self) -> None:
-        self.machine.charge_ops(_RUNTIME_CALL_OPS)
+    def _read_pointer_array(self, info: AllocationInfo) -> List[int]:
+        return self.machine.cpu_memory.read_u64_array(
+            info.base, info.size // 8)
 
     def _notify(self, stage: str, op: str, ptr: int,
                 info: AllocationInfo) -> None:
@@ -385,29 +416,63 @@ class CgcmRuntime:
     # -- Algorithm 1: map -------------------------------------------------------
 
     def map_ptr(self, ptr: int) -> int:
+        """``map``: Algorithm 1 for a singly-indirect pointer."""
+        return self._map(ptr, False, False)
+
+    def map_array(self, ptr: int) -> int:
+        """``mapArray``: Algorithm 1 for a doubly-indirect pointer."""
+        return self._map(ptr, True, False)
+
+    def _map(self, ptr: int, array: bool, deferred: bool) -> int:
+        """Algorithm 1, the one body of all four map entry points.
+
+        ``array`` maps a pointer-array unit: every element is looked
+        up (at most two degrees of indirection) before any is mapped,
+        and the array's device copy holds the translated pointers.
+        ``deferred`` (an async twin under streams) issues a first
+        map's upload on the unit's h2d stream, ordered after any
+        pending write-back of the unit, instead of blocking the host;
+        only a blocking first map may attach to a serve-shared copy.
+        """
         info = self.lookup(ptr)
         if self.op_hooks:
             self._notify("pre", "map", ptr, info)
         if info.ref_count == 0:
-            if not info.is_global:
-                if self.resilient:
-                    self._alloc_device(info)
-                else:
-                    info.device_ptr = self.device.mem_alloc(info.size)
-            else:
+            if array:
+                elements = self._read_pointer_array(info)
+                for element in elements:
+                    if element and self.lookup(element).is_array:
+                        raise CgcmUnsupportedError(
+                            "pointers with three or more degrees of "
+                            "indirection are not supported (CGCM "
+                            "restriction, paper section 2.3)")
+                for element in elements:
+                    if element:
+                        self._map(element, False, deferred)
+            if info.is_global:
                 info.device_ptr = self.device.module_get_global(info.name)
                 info.resident = True
+            elif self.resilient:
+                self._alloc_device(info)
+            else:
+                info.device_ptr = self.device.mem_alloc(info.size)
             self.machine.flush_cpu()
-            if info.resident:
-                if not self._shared_attach(ptr, info):
-                    self._htod_from(info.device_ptr, info.base, info.size)
+            if deferred:
+                finish = self._upload(info, array, self._h2d_stream(info),
+                                      self._writeback_deps(info))
+                if self.multigpu is not None:
+                    self.multigpu.note_htod(info, finish)
+            elif info.resident and (array
+                                    or not self._shared_attach(ptr, info)):
+                self._upload(info, array)
             info.epoch = self.global_epoch
             info.needs_refresh = False
+            if array:
+                info.is_array = True
             self._track_device(info)
         elif self.resilient and not info.is_global:
             self._touch(info)
         info.ref_count += 1
-        assert info.device_ptr is not None
         if self.op_hooks:
             self._notify("post", "map", ptr, info)
         return info.device_ptr + (ptr - info.base)
@@ -441,27 +506,53 @@ class CgcmRuntime:
     # -- Algorithm 2: unmap -----------------------------------------------------
 
     def unmap_ptr(self, ptr: int) -> None:
+        """``unmap``: Algorithm 2 for a singly-indirect pointer."""
+        self._unmap(ptr, False, False)
+
+    def unmap_array(self, ptr: int) -> None:
+        """``unmapArray``: Algorithm 2 for every element of an array."""
+        self._unmap(ptr, True, False)
+
+    def _unmap(self, ptr: int, array: bool, deferred: bool) -> None:
+        """Algorithm 2, the one body of all four unmap entry points.
+
+        ``array`` unmaps every element unit (which notify the op hooks;
+        the pointer array itself never copies back).  ``deferred`` (an
+        async twin under streams) lands the bytes on the host eagerly
+        but issues the modelled write-back on the unit's d2h stream,
+        after every launch so far, and registers it as pending so any
+        CPU access of the host region synchronizes first.
+        """
         info = self.lookup(ptr)
+        if array:
+            for element in self._read_pointer_array(info):
+                if element:
+                    self._unmap(element, False, deferred)
+            return
         if self.op_hooks:
             self._notify("pre", "unmap", ptr, info)
         if info.epoch == self.global_epoch or info.is_read_only:
-            if self.op_hooks:
-                self._notify("post", "unmap", ptr, info)
-            return
-        if not info.resident or info.needs_refresh:
+            pass  # no kernel can have written it since its last copy
+        elif not info.resident or info.needs_refresh:
             # Resilience invariant: a non-resident (evicted/sentinel)
             # or CPU-fallback-written unit's host bytes are already
             # authoritative; there is nothing newer to copy back.
             info.epoch = self.global_epoch
-            if self.op_hooks:
-                self._notify("post", "unmap", ptr, info)
-            return
-        if info.device_ptr is None:
-            raise CgcmRuntimeError(
-                f"unmap of {ptr:#x}: allocation unit has no device copy")
-        self.machine.flush_cpu()
-        self._dtoh_into(info.device_ptr, info.size, info.base)
-        info.epoch = self.global_epoch
+        else:
+            if info.device_ptr is None:
+                raise CgcmRuntimeError(
+                    f"{'unmapAsync' if deferred else 'unmap'} of "
+                    f"{ptr:#x}: allocation unit has no device copy")
+            self.machine.flush_cpu()
+            if deferred:
+                deps = (self.machine.clock.event_record(STREAM_COMPUTE),)
+                if self.multigpu is not None:
+                    deps += self.multigpu.unmap_deps(info)
+                finish = self._writeback(info, self._d2h_stream(info), deps)
+                self._pending_writebacks[info.base] = (info.end, finish)
+            else:
+                self._writeback(info)
+            info.epoch = self.global_epoch
         if self.op_hooks:
             self._notify("post", "unmap", ptr, info)
 
@@ -494,57 +585,6 @@ class CgcmRuntime:
         if self.op_hooks:
             self._notify("post", "release", ptr, info)
 
-    # -- array (doubly indirect) variants ----------------------------------------
-
-    def _read_pointer_array(self, info: AllocationInfo) -> List[int]:
-        return self.machine.cpu_memory.read_u64_array(
-            info.base, info.size // 8)
-
-    def map_array(self, ptr: int) -> int:
-        info = self.lookup(ptr)
-        if self.op_hooks:
-            self._notify("pre", "map", ptr, info)
-        if info.ref_count == 0:
-            elements = self._read_pointer_array(info)
-            for element in elements:
-                if element:
-                    depth_guard = self.lookup(element)
-                    if depth_guard.is_array:
-                        raise CgcmUnsupportedError(
-                            "pointers with three or more degrees of "
-                            "indirection are not supported (CGCM "
-                            "restriction, paper section 2.3)")
-            translated = [self.map_ptr(e) if e else 0 for e in elements]
-            if not info.is_global:
-                if self.resilient:
-                    self._alloc_device(info)
-                else:
-                    info.device_ptr = self.device.mem_alloc(info.size)
-            else:
-                info.device_ptr = self.device.module_get_global(info.name)
-                info.resident = True
-            self.machine.flush_cpu()
-            if info.resident:
-                payload = struct.pack(f"<{len(translated)}Q", *translated)
-                self._htod(info.device_ptr, payload)
-            info.epoch = self.global_epoch
-            info.needs_refresh = False
-            info.is_array = True
-            self._track_device(info)
-        elif self.resilient and not info.is_global:
-            self._touch(info)
-        info.ref_count += 1
-        assert info.device_ptr is not None
-        if self.op_hooks:
-            self._notify("post", "map", ptr, info)
-        return info.device_ptr + (ptr - info.base)
-
-    def unmap_array(self, ptr: int) -> None:
-        info = self.lookup(ptr)
-        for element in self._read_pointer_array(info):
-            if element:
-                self.unmap_ptr(element)
-
     def release_array(self, ptr: int) -> None:
         info = self.lookup(ptr)
         if info.ref_count <= 0:
@@ -558,6 +598,65 @@ class CgcmRuntime:
                     self.release_ptr(element)
             info.is_array = False
         self.release_ptr(ptr)
+
+    # -- transfers ---------------------------------------------------------------
+
+    def _upload(self, info: AllocationInfo, array: bool,
+                stream: Optional[str] = None,
+                after: tuple = ()) -> Optional[float]:
+        """Copy a unit's device image host-to-device: the translated
+        pointer array of an array unit, the host bytes of any other.
+        With a ``stream`` the copy is deferred and its finish time
+        returned (see :meth:`GpuDevice.memcpy_htod`)."""
+        if array:
+            return self._htod(info.device_ptr, self._array_payload(info),
+                              stream, after)
+        return self._htod_from(info.device_ptr, self.machine.cpu_memory,
+                               info.base, info.size, stream, after)
+
+    def _array_payload(self, info: AllocationInfo) -> bytes:
+        """Translate a pointer-array unit's device payload from the host
+        array.  Element device ranges are address-stable, so a restore
+        or refresh rebuilds exactly what the first ``mapArray`` wrote."""
+        translated = []
+        for element in self._read_pointer_array(info):
+            if not element:
+                translated.append(0)
+                continue
+            entry = self.alloc_map.find_le(element)
+            if entry is None or element >= entry[1].end \
+                    or entry[1].device_ptr is None:
+                raise CgcmRuntimeError(
+                    f"array unit {info.base:#x}: element {element:#x} has "
+                    "no device translation during restore")
+            einfo = entry[1]
+            translated.append(einfo.device_ptr + (element - einfo.base))
+        return struct.pack(f"<{len(translated)}Q", *translated)
+
+    def _writeback(self, info: AllocationInfo,
+                   stream: Optional[str] = None,
+                   after: tuple = ()) -> Optional[float]:
+        """Copy a unit's device bytes over its host bytes (deferred
+        on ``stream`` when given, like :meth:`_upload`)."""
+        return self._dtoh_into(info.device_ptr, info.size,
+                               self.machine.cpu_memory, info.base, stream,
+                               after)
+
+    def _retrying(self, copy: Callable) -> Callable:
+        """``copy`` behind the one transfer retry loop: an injected bus
+        fault is retried with modelled backoff, at most
+        ``MAX_FAULT_RETRIES`` times."""
+        def retried(*args):
+            attempts = 0
+            while True:
+                try:
+                    return copy(*args)
+                except GpuTransferError:
+                    attempts += 1
+                    if attempts > MAX_FAULT_RETRIES:
+                        raise
+                    self._backoff(LANE_COMM)
+        return retried
 
     # -- resilience subsystem (repro.resilience) ----------------------------------
     #
@@ -606,86 +705,6 @@ class CgcmRuntime:
         clock = self.machine.clock
         clock.advance(lane, clock.model.fault_backoff_s, "fault backoff")
         clock.count("fault_retries")
-
-    def _htod(self, device_ptr: int, data: bytes) -> None:
-        """``memcpy_htod`` with bounded retry for injected bus faults."""
-        device = self.device
-        if device.fault_injector is None:
-            device.memcpy_htod(device_ptr, data)
-            return
-        attempts = 0
-        while True:
-            try:
-                device.memcpy_htod(device_ptr, data)
-                return
-            except GpuTransferError:
-                attempts += 1
-                if attempts > MAX_FAULT_RETRIES:
-                    raise
-                self._backoff(LANE_COMM)
-
-    def _dtoh(self, device_ptr: int, size: int) -> bytes:
-        """``memcpy_dtoh`` with bounded retry for injected bus faults."""
-        device = self.device
-        if device.fault_injector is None:
-            return device.memcpy_dtoh(device_ptr, size)
-        attempts = 0
-        while True:
-            try:
-                return device.memcpy_dtoh(device_ptr, size)
-            except GpuTransferError:
-                attempts += 1
-                if attempts > MAX_FAULT_RETRIES:
-                    raise
-                self._backoff(LANE_COMM)
-
-    def _htod_from(self, device_ptr: int, host_address: int,
-                   size: int) -> None:
-        """Whole-unit host-to-device copy, segment to segment.
-
-        :meth:`_htod` without the staging ``bytes``: the serial
-        map/restore/refresh transfers always move one contiguous
-        unit, so the payload slices straight across the two address
-        spaces.  Same bounded retry."""
-        device = self.device
-        host_memory = self.machine.cpu_memory
-        if device.fault_injector is None:
-            device.memcpy_htod_from(device_ptr, host_memory,
-                                    host_address, size)
-            return
-        attempts = 0
-        while True:
-            try:
-                device.memcpy_htod_from(device_ptr, host_memory,
-                                        host_address, size)
-                return
-            except GpuTransferError:
-                attempts += 1
-                if attempts > MAX_FAULT_RETRIES:
-                    raise
-                self._backoff(LANE_COMM)
-
-    def _dtoh_into(self, device_ptr: int, size: int,
-                   host_address: int) -> None:
-        """Whole-unit device-to-host write-back, segment to segment
-        (:meth:`_dtoh` without the staging ``bytes``)."""
-        device = self.device
-        host_memory = self.machine.cpu_memory
-        if device.fault_injector is None:
-            device.memcpy_dtoh_into(device_ptr, size, host_memory,
-                                    host_address)
-            return
-        attempts = 0
-        while True:
-            try:
-                device.memcpy_dtoh_into(device_ptr, size, host_memory,
-                                        host_address)
-                return
-            except GpuTransferError:
-                attempts += 1
-                if attempts > MAX_FAULT_RETRIES:
-                    raise
-                self._backoff(LANE_COMM)
 
     def _alloc_device(self, info: AllocationInfo) -> bool:
         """Get device memory for a freshly mapped unit, resiliently.
@@ -744,7 +763,7 @@ class CgcmRuntime:
         if (not info.is_read_only and not info.is_array
                 and not info.needs_refresh
                 and info.epoch != self.global_epoch):
-            self._dtoh_into(info.device_ptr, info.size, info.base)
+            self._writeback(info)
             info.epoch = self.global_epoch
         self.device.mem_free(info.device_ptr)
         info.resident = False
@@ -753,34 +772,12 @@ class CgcmRuntime:
         if self.op_hooks:
             self._notify("post", "evict", info.base, info)
 
-    def _array_payload(self, info: AllocationInfo) -> bytes:
-        """Re-translate a pointer-array unit's device payload from the
-        host array (element device ranges are address-stable, so the
-        result is identical to what the original ``mapArray`` wrote)."""
-        translated = []
-        for element in self._read_pointer_array(info):
-            if not element:
-                translated.append(0)
-                continue
-            entry = self.alloc_map.find_le(element)
-            if entry is None or element >= entry[1].end \
-                    or entry[1].device_ptr is None:
-                raise CgcmRuntimeError(
-                    f"array unit {info.base:#x}: element {element:#x} has "
-                    "no device translation during restore")
-            einfo = entry[1]
-            translated.append(einfo.device_ptr + (element - einfo.base))
-        return struct.pack(f"<{len(translated)}Q", *translated)
-
     def _restore(self, info: AllocationInfo) -> None:
         """Re-materialize an evicted unit at its stable device address."""
         if self.op_hooks:
             self._notify("pre", "restore", info.base, info)
         self.machine.flush_cpu()
-        if info.is_array:
-            self._htod(info.device_ptr, self._array_payload(info))
-        else:
-            self._htod_from(info.device_ptr, info.base, info.size)
+        self._upload(info, info.is_array)
         info.resident = True
         info.epoch = self.global_epoch
         info.needs_refresh = False
@@ -795,10 +792,7 @@ class CgcmRuntime:
         if self.op_hooks:
             self._notify("pre", "refresh", info.base, info)
         self.machine.flush_cpu()
-        if info.is_array:
-            self._htod(info.device_ptr, self._array_payload(info))
-        else:
-            self._htod_from(info.device_ptr, info.base, info.size)
+        self._upload(info, info.is_array)
         info.epoch = self.global_epoch
         info.needs_refresh = False
         self.machine.clock.count("device_refreshes")
@@ -957,7 +951,7 @@ class CgcmRuntime:
                     and info.epoch != self.global_epoch):
                 if self.op_hooks:
                     self._notify("pre", "flush", info.base, info)
-                self._dtoh_into(info.device_ptr, info.size, info.base)
+                self._writeback(info)
                 info.epoch = self.global_epoch
                 if self.op_hooks:
                     self._notify("post", "flush", info.base, info)
@@ -981,7 +975,7 @@ class CgcmRuntime:
         refreshed, driver call admitted) or the reverse-translated
         host argument list to degrade the launch to the CPU path.
         """
-        self._charge()
+        self.machine.charge_ops(_RUNTIME_CALL_OPS)
         operands = self._operand_units(kernel, args)
         if self._ensure_resident(operands):
             for info in operands:
@@ -994,153 +988,7 @@ class CgcmRuntime:
                 return None
         return self._prepare_fallback(operands, args)
 
-    # -- asynchronous entry points (streams subsystem) ----------------------------
-
-    def _h2d_stream(self, info: AllocationInfo) -> str:
-        """Upload stream for one unit: the well-known ``h2d`` stream,
-        or -- under a multi-device topology -- the h2d stream of the
-        device the unit is homed on, so uploads bound for different
-        devices overlap each other."""
-        if self.multigpu is not None:
-            return self.multigpu.h2d_stream(info)
-        return STREAM_H2D
-
-    def _d2h_stream(self, info: AllocationInfo) -> str:
-        """Write-back stream for one unit (see :meth:`_h2d_stream`)."""
-        if self.multigpu is not None:
-            return self.multigpu.d2h_stream(info)
-        return STREAM_D2H
-
-    def map_ptr_async(self, ptr: int) -> int:
-        """Prefetching ``map``: identical unit bookkeeping, but the
-        HtoD copy is issued on the h2d stream without blocking the
-        host.  A later launch orders itself after the copy via the
-        stream cursor (see ``Machine.launch_evaluated``).  Falls back
-        to :meth:`map_ptr` under the serial discipline."""
-        if not self.streams:
-            return self.map_ptr(ptr)
-        info = self.lookup(ptr)
-        if self.op_hooks:
-            self._notify("pre", "map", ptr, info)
-        if info.ref_count == 0:
-            if not info.is_global:
-                info.device_ptr = self.device.mem_alloc(info.size)
-            else:
-                info.device_ptr = self.device.module_get_global(info.name)
-            self.machine.flush_cpu()
-            data = self.machine.cpu_memory.read(info.base, info.size)
-            finish = self.device.memcpy_htod_async(
-                info.device_ptr, data, self._h2d_stream(info),
-                after=self._writeback_deps(info))
-            info.epoch = self.global_epoch
-            self._track_device(info)
-            if self.multigpu is not None:
-                self.multigpu.note_htod(info, finish)
-        info.ref_count += 1
-        assert info.device_ptr is not None
-        if self.op_hooks:
-            self._notify("post", "map", ptr, info)
-        return info.device_ptr + (ptr - info.base)
-
-    def _writeback_deps(self, info: AllocationInfo) -> tuple:
-        """Event edge for re-mapping a unit whose previous device copy
-        is still being written back: the fresh HtoD must not start
-        before the old DtoH finished (the host bytes it transfers are
-        final only then).  Retires the unit's pending entry."""
-        pending = self._pending_writebacks.pop(info.base, None)
-        if pending is None:
-            return ()
-        return (pending[1],)
-
-    def unmap_ptr_async(self, ptr: int) -> None:
-        """Deferred-write-back ``unmap``: the DtoH copy is issued on
-        the d2h stream, ordered after every launch so far (compute
-        stream event), and registered so any CPU access of the host
-        region synchronizes first.  Falls back to :meth:`unmap_ptr`
-        under the serial discipline."""
-        if not self.streams:
-            return self.unmap_ptr(ptr)
-        info = self.lookup(ptr)
-        if self.op_hooks:
-            self._notify("pre", "unmap", ptr, info)
-        if info.epoch == self.global_epoch or info.is_read_only:
-            if self.op_hooks:
-                self._notify("post", "unmap", ptr, info)
-            return
-        if info.device_ptr is None:
-            raise CgcmRuntimeError(
-                f"unmapAsync of {ptr:#x}: allocation unit has no device "
-                "copy")
-        self.machine.flush_cpu()
-        clock = self.machine.clock
-        deps = (clock.event_record(STREAM_COMPUTE),)
-        if self.multigpu is not None:
-            deps = deps + self.multigpu.unmap_deps(info)
-        data, finish = self.device.memcpy_dtoh_async(
-            info.device_ptr, info.size, self._d2h_stream(info), after=deps)
-        self.machine.cpu_memory.write(info.base, data)
-        info.epoch = self.global_epoch
-        self._pending_writebacks[info.base] = (info.end, finish)
-        if self.op_hooks:
-            self._notify("post", "unmap", ptr, info)
-
-    def map_array_async(self, ptr: int) -> int:
-        """Asynchronous :meth:`map_array`: elements prefetch through
-        :meth:`map_ptr_async`, then the translated pointer array is
-        itself copied on the h2d stream."""
-        if not self.streams:
-            return self.map_array(ptr)
-        info = self.lookup(ptr)
-        if self.op_hooks:
-            self._notify("pre", "map", ptr, info)
-        if info.ref_count == 0:
-            elements = self._read_pointer_array(info)
-            for element in elements:
-                if element:
-                    depth_guard = self.lookup(element)
-                    if depth_guard.is_array:
-                        raise CgcmUnsupportedError(
-                            "pointers with three or more degrees of "
-                            "indirection are not supported (CGCM "
-                            "restriction, paper section 2.3)")
-            translated = [self.map_ptr_async(e) if e else 0
-                          for e in elements]
-            if not info.is_global:
-                info.device_ptr = self.device.mem_alloc(info.size)
-            else:
-                info.device_ptr = self.device.module_get_global(info.name)
-            self.machine.flush_cpu()
-            payload = struct.pack(f"<{len(translated)}Q", *translated)
-            finish = self.device.memcpy_htod_async(
-                info.device_ptr, payload, self._h2d_stream(info),
-                after=self._writeback_deps(info))
-            info.epoch = self.global_epoch
-            info.is_array = True
-            self._track_device(info)
-            if self.multigpu is not None:
-                self.multigpu.note_htod(info, finish)
-        info.ref_count += 1
-        assert info.device_ptr is not None
-        if self.op_hooks:
-            self._notify("post", "map", ptr, info)
-        return info.device_ptr + (ptr - info.base)
-
-    def unmap_array_async(self, ptr: int) -> None:
-        """Asynchronous :meth:`unmap_array`: every element's
-        write-back is deferred through :meth:`unmap_ptr_async`."""
-        if not self.streams:
-            return self.unmap_array(ptr)
-        info = self.lookup(ptr)
-        for element in self._read_pointer_array(info):
-            if element:
-                self.unmap_ptr_async(element)
-
     # -- introspection -----------------------------------------------------------
-
-    @property
-    def mapped_units(self) -> int:
-        return sum(1 for info in self.alloc_map.values()
-                   if info.ref_count > 0)
 
     def info_for(self, ptr: int) -> AllocationInfo:
         """Lookup without charging model time (tests/baselines)."""

@@ -388,19 +388,3 @@ class CommSanitizer:
                             "no longer match the content recorded at "
                             "share time")
         return SanitizerReport(tuple(self.violations), dict(self.stats))
-
-    def detach(self) -> None:
-        """Remove every hook this sanitizer installed."""
-        for hooks, hook in (
-                (self.machine.mem_hooks, self._on_mem),
-                (self.machine.launch_hooks, self._on_launch),
-                (self.machine.heap_hooks, self._on_heap),
-                (self.machine.frame_exit_hooks, self._on_frame_exit),
-                (self.device.observers, self._on_device)):
-            if hook in hooks:
-                hooks.remove(hook)
-        if self.runtime is not None and self._on_op in self.runtime.op_hooks:
-            self.runtime.op_hooks.remove(self._on_op)
-        if self._multigpu is not None \
-                and self._on_multigpu in self._multigpu.hooks:
-            self._multigpu.hooks.remove(self._on_multigpu)

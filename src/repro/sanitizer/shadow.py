@@ -68,12 +68,6 @@ class ShadowUnit:
         #: re-hashes the device bytes at run end to prove immutability.
         self.shared_digest: Optional[bytes] = None
 
-    @property
-    def device_end(self) -> Optional[int]:
-        if self.device_base is None:
-            return None
-        return self.device_base + self.info.size
-
     def __repr__(self) -> str:
         dirt = "".join((
             "H" if self.host_dirty else "-",

@@ -48,7 +48,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import api
 from ..core.config import CgcmConfig, OptLevel
 from ..errors import CgcmRuntimeError, ConfigError, FrontendError
-from ..gpu.timing import LANE_COMM, LANE_CPU, LANE_GPU, SimClock, TraceEvent
+from ..gpu.timing import (LANE_COMM, LANE_CPU, LANE_GPU, SimClock,
+                          TraceEvent, sum_in_order)
 from ..gpu.topology import Topology
 from .policy import make_policy
 from .request import RequestMetrics, ServeRequest, TenantSpec
@@ -474,7 +475,7 @@ class ServeLoop:
             metrics.compile_s = compile_s
             metrics.cpu_s = result.cpu_seconds
             metrics.comm_s = result.comm_seconds
-            metrics.gpu_s = sum(d for _, _, _, _, d in launch_log)
+            metrics.gpu_s = sum_in_order(d for _, _, _, _, d in launch_log)
             metrics.batch_id = batch_id
             metrics.batch_size = len(runs)
             spans.append((admitted, result, cpu_end, comm_end))
@@ -592,7 +593,7 @@ class ServeLoop:
             latency_p50_s=_percentile(latencies, 50),
             latency_p95_s=_percentile(latencies, 95),
             latency_p99_s=_percentile(latencies, 99),
-            mean_latency_s=(sum(latencies) / len(latencies)
+            mean_latency_s=(sum_in_order(latencies) / len(latencies)
                             if latencies else 0.0),
             counters=counters,
             lane_totals=self.clock.totals(),

@@ -65,8 +65,8 @@ class SharedMappingRegistry:
 
         First holder of a content pays its HtoD and seeds the entry;
         every later in-flight holder of byte-identical content shares
-        it.  Called by :meth:`CgcmRuntime.map_ptr` via the runtime's
-        ``shared_mappings`` attachment.
+        it.  Called by a blocking first map (the runtime's
+        ``_shared_attach``) via its ``shared_mappings`` attachment.
         """
         if self._active is None:
             return False

@@ -18,8 +18,7 @@ from ..analysis.alias import (UNKNOWN, Root, is_identified, ordered_roots,
 from ..analysis.callgraph import CallGraph
 from ..analysis.modref import ModRefAnalysis
 from ..ir.function import Function
-from ..ir.instructions import (Alloca, Call, Instruction, LaunchKernel, Load,
-                               Store)
+from ..ir.instructions import Alloca, Call, LaunchKernel, Load, Store
 from ..ir.module import Module
 from ..ir.values import Argument, Constant, GlobalVariable
 from ..runtime.api import ARRAY_FUNCTIONS, MAP_FUNCTIONS
@@ -45,13 +44,6 @@ class KernelAccess:
     formal_reads: Set[int] = field(default_factory=set)
     formal_writes: Set[int] = field(default_factory=set)
     unknown: bool = False
-
-    def accessed_roots(self) -> List[Root]:
-        seen = []
-        for root in self.reads + self.writes:
-            if root not in seen:
-                seen.append(root)
-        return seen
 
 
 def launch_arg_host_roots(value) -> Tuple[List[Root], List[Root]]:

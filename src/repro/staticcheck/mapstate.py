@@ -44,7 +44,7 @@ still checked internally.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from ..analysis import dataflow
 from ..analysis.alias import (UNKNOWN, Root, is_identified, ordered_roots,
@@ -59,7 +59,7 @@ from ..runtime.api import (MAP_ARRAY_FUNCTIONS, MAP_FUNCTIONS,
                            RUNTIME_FUNCTION_NAMES, UNMAP_ARRAY_FUNCTIONS,
                            UNMAP_FUNCTIONS)
 from .context import CheckContext, launch_arg_host_roots
-from .findings import Finding, Severity, finding_at, finding_in_function
+from .findings import Finding, Severity, finding_at
 
 PASS_NAME = "mapstate"
 
@@ -101,15 +101,6 @@ class UnitState:
     @property
     def possibly_mapped(self) -> bool:
         return self.top or self.delta >= 1
-
-    def lattice_name(self) -> str:
-        if self.top:
-            return "T"
-        if self.provably_mapped:
-            return "mapped"
-        if self.provably_unmapped:
-            return "released" if self.released else "unmapped"
-        return "unknown"
 
 
 def _join_units(a: UnitState, b: UnitState) -> UnitState:

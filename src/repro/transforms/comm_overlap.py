@@ -478,8 +478,3 @@ class CommOverlap:
                 if self._touches(inst, roots):
                     return True
         return False
-
-
-def overlap_communication(module: Module) -> Dict[str, int]:
-    """Run the pass; returns its statistics (for reports and tests)."""
-    return CommOverlap(module).run()

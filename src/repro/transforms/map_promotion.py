@@ -18,10 +18,9 @@ the call graph (recursive functions are ineligible).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..ir.block import BasicBlock
-from ..ir.builder import IRBuilder
 from ..ir.function import Function
 from ..ir.instructions import (Alloca, BinaryOp, Call, Cast,
                                GetElementPtr, Instruction, Load, Store)
@@ -117,10 +116,6 @@ class _Candidate:
     def is_array(self) -> bool:
         return bool(self.maps) \
             and self.maps[0].callee.name in api.MAP_ARRAY_FUNCTIONS
-
-    @property
-    def all_calls(self) -> List[Call]:
-        return self.maps + self.unmaps + self.releases
 
 
 class MapPromotion:

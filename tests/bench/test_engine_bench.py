@@ -16,9 +16,6 @@ from repro.evaluation.bench import BENCH_SCHEMA, run_engine_bench
 
 pytestmark = pytest.mark.bench
 
-#: Written for the CI artifact upload (repo root when run from there).
-BENCH_OUT = os.environ.get("BENCH_OUT", "BENCH_interp.json")
-
 
 @pytest.fixture(scope="module")
 def sweep():
@@ -32,9 +29,10 @@ def test_no_engine_divergence(sweep):
     assert len(sweep.rows) == 24
 
 
-def test_report_is_written(sweep):
-    sweep.write(BENCH_OUT)
-    with open(BENCH_OUT) as handle:
+def test_report_is_written(sweep, tmp_path):
+    out = tmp_path / "BENCH_interp.json"
+    sweep.write(out)
+    with open(out) as handle:
         payload = json.load(handle)
     assert payload["schema"] == BENCH_SCHEMA
     assert len(payload["workloads"]) == 24

@@ -16,9 +16,6 @@ from repro.evaluation.faultbench import (FAULTBENCH_SCHEMA,
 
 pytestmark = pytest.mark.bench
 
-#: Written for the CI artifact upload (repo root when run from there).
-BENCH_OUT = os.environ.get("BENCH_FAULTS_OUT", "BENCH_faults.json")
-
 #: Modelled-time overhead allowed for the armed-but-quiet schedule.
 #: The launch gate's admission check is the only cost when no fault
 #: fires; PR 4's streams numbers moved >5%, so 3% is "within noise".
@@ -50,9 +47,10 @@ def test_faults_actually_fired(sweep):
     assert retries > 0
 
 
-def test_report_is_written(sweep):
-    sweep.write(BENCH_OUT)
-    with open(BENCH_OUT) as handle:
+def test_report_is_written(sweep, tmp_path):
+    out = tmp_path / "BENCH_faults.json"
+    sweep.write(out)
+    with open(out) as handle:
         payload = json.load(handle)
     assert payload["schema"] == FAULTBENCH_SCHEMA
     assert len(payload["runs"]) == 24 * 4

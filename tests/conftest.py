@@ -30,6 +30,75 @@ def machine_for(source: str, with_runtime: bool = False) -> Machine:
     return machine
 
 
+#: How a map/unmap entry point runs: the sync entry, its async twin on
+#: a streams machine, and its async twin on a serial machine (where it
+#: must behave exactly like the sync entry).
+RUNTIME_MODES = ("sync", "async-streams", "async-serial")
+
+
+class RuntimeHarness:
+    """A machine plus runtime whose entry points are called the way
+    compiled code calls them: through ``machine.externals``, by name --
+    the sync entry in mode ``sync``, its async twin otherwise
+    (``release``/``releaseArray`` have no twin)."""
+
+    def __init__(self, mode: str, source: str, run: bool = False):
+        self.mode = mode
+        self.machine = Machine(compile_minic(source),
+                               streams=mode == "async-streams")
+        self.runtime = CgcmRuntime(self.machine)
+        self.runtime.declare_all_globals()
+        if run:
+            self.machine.run()
+        #: ``op_hooks`` events as (stage, op, ptr), in order.
+        self.events = []
+        self.runtime.op_hooks.append(
+            lambda stage, op, ptr, info: self.events.append((stage, op, ptr)))
+        self._twin = "" if mode == "sync" else "Async"
+
+    def __repr__(self) -> str:
+        return f"<RuntimeHarness {self.mode}>"
+
+    def _call(self, name: str, ptr: int):
+        return self.machine.externals[name](self.machine, [ptr])
+
+    def map(self, ptr: int) -> int:
+        return self._call("map" + self._twin, ptr)
+
+    def unmap(self, ptr: int) -> None:
+        self._call("unmap" + self._twin, ptr)
+
+    def release(self, ptr: int) -> None:
+        self._call("release", ptr)
+
+    def map_array(self, ptr: int) -> int:
+        return self._call("mapArray" + self._twin, ptr)
+
+    def unmap_array(self, ptr: int) -> None:
+        self._call("unmapArray" + self._twin, ptr)
+
+    def release_array(self, ptr: int) -> None:
+        self._call("releaseArray", ptr)
+
+    def observables(self):
+        """Clock lane totals, counters and the op-hook event list."""
+        clock = self.machine.clock
+        return clock.totals(), dict(clock.counters), self.events
+
+
+def runtime_modes(source: str, run: bool = False):
+    """Yield one :class:`RuntimeHarness` per mode in
+    :data:`RUNTIME_MODES` for a test body to drive.  After the last
+    body finished, the serial async run must have produced exactly the
+    sync run's clock totals, counters and op-hook events."""
+    harnesses = {}
+    for mode in RUNTIME_MODES:
+        harnesses[mode] = RuntimeHarness(mode, source, run)
+        yield harnesses[mode]
+    assert harnesses["async-serial"].observables() == \
+        harnesses["sync"].observables()
+
+
 @pytest.fixture
 def compile_all():
     """The source engine compiles every function on its first entry

@@ -147,8 +147,9 @@ class TestServe:
         assert {"req0", "req1", "req2", "req3"} <= names
 
     def test_trace_without_target_or_serve_exits_2(self, capsys):
-        assert main(["trace"]) == 2
-        assert "required" in capsys.readouterr().err
+        for argv in (["trace"], ["trace", "all"]):
+            assert main(argv) == 2
+            assert "trace takes one target" in capsys.readouterr().err
 
     def test_servebench_smoke(self, tmp_path, capsys):
         import json

@@ -9,7 +9,6 @@ or ``servebench``, each with its default ``--out``).
 
 import json
 import os
-import sys
 
 import pytest
 
@@ -22,14 +21,6 @@ from repro.workloads import get_workload
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
-
-# The committed files are what Python 3.11 writes (the interpreter of
-# the bench-files CI job).  Python 3.12 made float sum() compensated,
-# which moves some modeled sums, such as serve's mean latency, in
-# their last digit.
-pytestmark = pytest.mark.skipif(
-    sys.version_info >= (3, 12),
-    reason="the committed BENCH files are written by Python 3.11")
 
 
 def workloads(*names):

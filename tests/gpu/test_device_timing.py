@@ -6,7 +6,7 @@ from repro.errors import GpuError, MemoryFault
 from repro.gpu import CostModel, GpuDevice, SimClock
 from repro.gpu.timing import LANE_COMM, LANE_CPU, LANE_GPU
 from repro.ir import ArrayType, Module, F64
-from repro.memory import GlobalLayout
+from repro.memory import HEAP_BASE, FlatMemory, GlobalLayout
 
 
 def fresh_device():
@@ -58,7 +58,10 @@ class TestTransfers:
         device, clock = fresh_device()
         address = device.mem_alloc(32)
         device.memcpy_htod(address, bytes(range(32)))
-        assert device.memcpy_dtoh(address, 32) == bytes(range(32))
+        host = FlatMemory("host")
+        host.add_segment("heap", HEAP_BASE, 64)
+        device.memcpy_dtoh_into(address, 32, host, HEAP_BASE)
+        assert host.read(HEAP_BASE, 32) == bytes(range(32))
         assert clock.counters["htod_copies"] == 1
         assert clock.counters["dtoh_copies"] == 1
         assert clock.counters["htod_bytes"] == 32

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.gpu import CostModel, GpuDevice, SimClock
 from repro.gpu.timing import (LANE_COMM, LANE_CPU, LANE_GPU, STREAM_COMPUTE,
                               STREAM_D2H, STREAM_H2D)
+from repro.memory import HEAP_BASE, FlatMemory
 
 
 def streams_clock():
@@ -14,6 +15,13 @@ def streams_clock():
     for name in (STREAM_H2D, STREAM_D2H, STREAM_COMPUTE):
         clock.stream_create(name)
     return clock
+
+
+def host_memory():
+    """A host address space for device-to-host copies to land in."""
+    memory = FlatMemory("host")
+    memory.add_segment("heap", HEAP_BASE, 64)
+    return memory
 
 
 class TestSerialDiscipline:
@@ -192,11 +200,13 @@ class TestDeviceStreams:
         comm engine on the scheduler's timeline."""
         device, clock = self._device()
         address = device.mem_alloc(32)
-        finish = device.memcpy_htod_async(address, bytes(range(32)))
+        finish = device.memcpy_htod(address, bytes(range(32)), STREAM_H2D)
         assert device.memory.read(address, 4) == bytes(range(4))
         assert finish > 0.0
-        data, done = device.memcpy_dtoh_async(address, 32)
-        assert data == bytes(range(32))
+        host = host_memory()
+        done = device.memcpy_dtoh_into(address, 32, host, HEAP_BASE,
+                                       STREAM_D2H)
+        assert host.read(HEAP_BASE, 32) == bytes(range(32))
         assert done > finish  # FIFO comm engine: dtoh after htod
         # The host never blocked for either copy.
         device.stream_synchronize(STREAM_D2H)
@@ -205,8 +215,9 @@ class TestDeviceStreams:
     def test_async_counters_match_sync(self):
         device, _ = self._device()
         address = device.mem_alloc(16)
-        device.memcpy_htod_async(address, b"x" * 16)
-        device.memcpy_dtoh_async(address, 16)
+        device.memcpy_htod(address, b"x" * 16, STREAM_H2D)
+        device.memcpy_dtoh_into(address, 16, host_memory(), HEAP_BASE,
+                                STREAM_D2H)
         assert device.clock.counters["htod_copies"] == 1
         assert device.clock.counters["dtoh_copies"] == 1
         assert device.clock.counters["htod_bytes"] == 16
@@ -214,7 +225,8 @@ class TestDeviceStreams:
 
     def test_event_record_wait_via_device(self):
         device, clock = self._device()
-        finish = device.memcpy_htod_async(device.mem_alloc(8), b"y" * 8)
+        finish = device.memcpy_htod(device.mem_alloc(8), b"y" * 8,
+                                    STREAM_H2D)
         event = device.event_record(STREAM_H2D)
         assert event == pytest.approx(finish)
         device.stream_wait_event(STREAM_COMPUTE, event)
@@ -249,7 +261,8 @@ class TestAllocFreeCharges:
         clock = streams_clock()
         device = GpuDevice(clock)
         address = device.mem_alloc(32)
-        copy_done = device.memcpy_dtoh_async(address, 32)[1]
+        copy_done = device.memcpy_dtoh_into(address, 32, host_memory(),
+                                            HEAP_BASE, STREAM_D2H)
         free_done = device.mem_free_async(address)
         assert free_done >= copy_done  # FIFO d2h: free after copy
         assert device.live_allocations == 0

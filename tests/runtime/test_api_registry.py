@@ -77,8 +77,3 @@ class TestRuntimeImplementsRegistry:
         module = compile_minic("int main(void) { return 0; }")
         declared = declare_runtime(module)
         assert set(declared) == set(api.RUNTIME_FUNCTION_NAMES)
-
-    def test_cgcm_reexports_for_compatibility(self):
-        from repro.runtime import cgcm
-        assert cgcm.RUNTIME_SIGNATURES is api.RUNTIME_SIGNATURES
-        assert cgcm.RUNTIME_FUNCTION_NAMES is api.RUNTIME_FUNCTION_NAMES

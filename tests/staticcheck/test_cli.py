@@ -46,6 +46,7 @@ int main(void) {
         assert "MISSED" not in captured.out
         assert "FALSE POSITIVE" not in captured.out
         assert "corpus 27/27 as expected" in captured.err
+        assert "modules clean" not in captured.err  # no module linted
 
     def test_corpus_json(self, capsys):
         assert main(["lint", "--corpus", "--json"]) == 0

@@ -5,8 +5,8 @@ import pytest
 from repro.core.compiler import CgcmCompiler, compile_and_run
 from repro.core.config import CgcmConfig, OptLevel
 from repro.ir.instructions import Call, LaunchKernel
-from repro.runtime.cgcm import (ASYNC_RUNTIME_FUNCTIONS, MAP_FUNCTIONS,
-                                SYNC_FUNCTION, UNMAP_FUNCTIONS)
+from repro.runtime.api import (ASYNC_RUNTIME_FUNCTIONS, MAP_FUNCTIONS,
+                               SYNC_FUNCTION, UNMAP_FUNCTIONS)
 
 #: Two global arrays; A is initialized, then B, then a kernel reads A
 #: and writes B, then the checksum prints from B.  Gives the overlap
