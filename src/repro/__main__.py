@@ -35,6 +35,11 @@ auditor, and async happens-before auditor over post-pipeline IR
 (``--corpus`` self-checks the seeded-defect corpus, ``--sarif`` emits
 a SARIF 2.1.0 log); ``list`` shows the 24 available workloads.
 
+An input that cannot be read or parsed prints one ``repro:`` line
+naming the file (with ``line:col`` for a MiniC error) and exits 2; a
+compile or run that fails on it prints ``repro: <file>: <error>`` and
+exits 1.
+
 ``--validate`` (on ``run``, ``lint``, and ``fuzz``) arms translation
 validation: after each optimize-stage pass the pipeline checks the
 pass's declared legality contract on the before/after IR pair and
@@ -69,10 +74,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from typing import Iterator, List, Optional, Tuple
 
 from .core import CgcmCompiler, CgcmConfig, OptLevel
-from .errors import ConfigError, TransformValidationError
+from .errors import (ConfigError, FrontendError, ReproError,
+                     TransformValidationError)
 from .evaluation import (run_benchmark, run_engine_bench, run_fault_bench,
                          run_overlap_bench)
 from .interp.machine import ENGINES
@@ -398,6 +405,33 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+class _Failed(Exception):
+    """One input failed; the message names it, ``status`` is the exit
+    code."""
+
+    def __init__(self, message: str, status: int):
+        super().__init__(message)
+        self.status = status
+
+
+@contextmanager
+def _reporting(name: str) -> Iterator[None]:
+    """Phrase a failure of input ``name`` for :func:`main`: an
+    unreadable file or a MiniC error is bad input (exit 2, as a bad
+    configuration); any other error of the compile or run exits 1."""
+    try:
+        yield
+    except (ConfigError, TransformValidationError):
+        raise
+    except OSError as exc:
+        raise _Failed(f"{name}: {exc.strerror}", 2) from None
+    except FrontendError as exc:
+        where = f"{name}:" if exc.line else f"{name}: "
+        raise _Failed(f"{where}{exc}", 2) from None
+    except ReproError as exc:
+        raise _Failed(f"{name}: {type(exc).__name__}: {exc}", 1) from None
+
+
 def _targets(targets: List[str]) -> Iterator[Tuple[str, str]]:
     """``(source, name)`` per command-line target: ``all`` expands to
     the 24 workloads, an existing path is read as MiniC source, and
@@ -416,11 +450,12 @@ def _targets(targets: List[str]) -> Iterator[Tuple[str, str]]:
 def _cmd_run(args: argparse.Namespace) -> int:
     from . import api
 
-    workload = api.compile_workload(
-        _read(args.source), _config(args, record_events=args.trace),
-        name=args.source)
+    with _reporting(args.source):
+        workload = api.compile_workload(
+            _read(args.source), _config(args, record_events=args.trace),
+            name=args.source)
+        result = workload.run()
     report = workload.report
-    result = workload.run()
     for line in result.stdout:
         print(line)
     if args.sanitize and result.sanitizer_report is not None:
@@ -483,8 +518,9 @@ def _print_cache_stats() -> None:
 
 
 def _cmd_emit_ir(args: argparse.Namespace) -> int:
-    report = CgcmCompiler(_config(args)).compile_source(
-        _read(args.source), args.source)
+    with _reporting(args.source):
+        report = CgcmCompiler(_config(args)).compile_source(
+            _read(args.source), args.source)
     print(module_to_str(report.module))
     return 0
 
@@ -509,7 +545,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     else:
         [(source, name)] = _targets([args.target])
         compiler = CgcmCompiler(_config(args, record_events=True))
-        result = compiler.execute(compiler.compile_source(source, name))
+        with _reporting(name):
+            result = compiler.execute(compiler.compile_source(source, name))
         events, code = result.events, result.exit_code
         note = f"{len(events)} events"
     document = chrome_trace_json(events, name)
@@ -578,7 +615,9 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     level = _LEVELS[args.level]
     total = failures = 0
     for source, name in _targets(args.targets):
-        report = run_differential(source, name, level, engine=args.engine)
+        with _reporting(name):
+            report = run_differential(source, name, level,
+                                      engine=args.engine)
         print(report.summary())
         if args.verbose and report.ok:
             stats = report.sanitizer.stats
@@ -600,9 +639,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     level = _LEVELS[args.level]
     targets = args.targets or ([] if args.corpus else ["all"])
     faults = _fault_plan(args.faults)
-    reports = [lint_source(source, name, level, streams=args.streams,
-                           faults=faults, validate=args.validate)
-               for source, name in _targets(targets)]
+    reports = []
+    for source, name in _targets(targets):
+        with _reporting(name):
+            reports.append(lint_source(source, name, level,
+                                       streams=args.streams, faults=faults,
+                                       validate=args.validate))
 
     corpus_results = check_corpus() if args.corpus else []
     corpus_misses = [r for r in corpus_results if not r.caught]
@@ -762,6 +804,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigError as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return 2
+    except _Failed as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return exc.status
 
 
 if __name__ == "__main__":

@@ -19,13 +19,13 @@ induction ranges plus a divisibility check on the outer coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional
 
 from ..ir.instructions import (Alloca, BinaryOp, Cast, GetElementPtr,
                                Instruction, Load, Select, Store)
 from ..ir.types import ArrayType, StructType
 from ..ir.values import Argument, Constant, GlobalVariable, Value
-from .loops import CountedLoop, Loop
+from .loops import CountedLoop
 
 
 @dataclass(frozen=True)

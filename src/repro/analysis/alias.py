@@ -11,7 +11,7 @@ involvement of an unknown root is conservatively treated as aliasing.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Set, Tuple, Union
+from typing import FrozenSet, Iterable, List, Tuple, Union
 
 from ..ir.instructions import (Alloca, BinaryOp, Call, Cast, GetElementPtr,
                                Instruction, Load, Select, Store)

@@ -12,7 +12,7 @@ from typing import Dict, List, Optional, Set
 
 from ..ir.block import BasicBlock
 from ..ir.function import Function
-from ..ir.instructions import (Alloca, BinaryOp, Branch, Compare, CondBranch,
+from ..ir.instructions import (Alloca, BinaryOp, Compare, CondBranch,
                                Instruction, Load, Store)
 from ..ir.values import Argument, Constant, GlobalVariable, Value
 from .cfg import predecessor_map, reachable_blocks

@@ -23,7 +23,7 @@ from typing import Dict, List, Set, Tuple
 from ..errors import CgcmUnsupportedError
 from ..ir.function import Function
 from ..ir.instructions import (Alloca, BinaryOp, Call, Cast, GetElementPtr,
-                               Instruction, Load, Select, Store)
+                               Load, Select, Store)
 from ..ir.module import Module
 from ..ir.values import GlobalVariable, Value
 

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..ir.instructions import Alloca, Call, LaunchKernel
 from ..ir.module import Module
-from ..ir.values import Constant, GlobalVariable
+from ..ir.values import Constant
 from .alias import Root
 
 #: Heap entry points whose results become trackable allocation units.

@@ -25,8 +25,8 @@ from typing import Dict, List, Set
 from ..analysis.alias import underlying_objects
 from ..analysis.typeinfer import infer_pointer_depths
 from ..ir.function import Function
-from ..ir.instructions import (Call, Cast, GetElementPtr, Instruction,
-                               LaunchKernel, Load, Store)
+from ..ir.instructions import (Call, Cast, GetElementPtr, LaunchKernel, Load,
+                               Store)
 from ..ir.module import Module
 from ..ir.values import Argument, GlobalVariable, Value
 

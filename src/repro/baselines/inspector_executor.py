@@ -25,11 +25,10 @@ only the modelled time differs.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple, Union
+from typing import List, Optional, Set
 
 from ..gpu.timing import CostModel, LANE_COMM, LANE_CPU, LANE_GPU
 from ..interp.machine import Machine
-from ..ir.function import Function
 from ..ir.instructions import LaunchKernel
 from ..ir.module import Module
 from ..ir.types import Type

@@ -16,12 +16,12 @@ the modelled timing breakdowns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..baselines.applicability import ProgramApplicability, analyze_module
 from ..baselines.inspector_executor import InspectorExecutorMachine
-from ..core.compiler import CgcmCompiler, CompileReport, ExecutionResult
+from ..core.compiler import CgcmCompiler, ExecutionResult
 from ..core.config import CgcmConfig, OptLevel
 from ..errors import ReproError
 from ..frontend import compile_minic

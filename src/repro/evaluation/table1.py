@@ -14,7 +14,7 @@ CGCM pipeline, proving the claimed cells rather than asserting them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from ..core.compiler import CgcmCompiler
 from ..core.config import CgcmConfig, OptLevel

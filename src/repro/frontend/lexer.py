@@ -12,7 +12,7 @@ typedef, unions, bitfields).  Two extensions mirror CUDA C:
 from __future__ import annotations
 
 import re
-from typing import Iterator, List, NamedTuple
+from typing import List, NamedTuple
 
 from ..errors import FrontendError
 

@@ -14,14 +14,14 @@ IR types exist for layout, not for safety.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import FrontendError
 from ..interp.externals import external_signatures
-from ..ir import (ArrayType, BasicBlock, Constant, FloatType, Function,
-                  FunctionType, GlobalRef, GlobalVariable, IRBuilder,
-                  IntType, Module, PointerType, StructType, Type, Value,
-                  VOID, F32, F64, I1, I8, I64, pointer_to)
+from ..ir import (ArrayType, BasicBlock, FloatType, Function, FunctionType,
+                  GlobalRef, GlobalVariable, IRBuilder, IntType, Module,
+                  PointerType, StructType, Type, Value, VOID, F32, F64, I1, I8,
+                  I64, pointer_to)
 from ..runtime.api import RUNTIME_SIGNATURES
 from . import ast
 from .parser import parse_minic

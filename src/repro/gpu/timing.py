@@ -30,7 +30,7 @@ The clock has two timing disciplines:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 #: Timeline lanes for the event trace (paper Figure 2).

@@ -12,10 +12,10 @@ run-time is attached.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List
 
 from ..errors import InterpError
-from ..ir.types import (FunctionType, Type, F64, I32, I64, RAW_PTR, VOID)
+from ..ir.types import FunctionType, F64, I64, RAW_PTR, VOID
 
 #: handler(machine, args) -> python value (or None for void).
 Handler = Callable[["object", List[object]], object]

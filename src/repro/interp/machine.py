@@ -48,8 +48,7 @@ from ..ir.instructions import (Alloca, BinaryOp, Branch, Call, Cast, Compare,
                                Return, Select, Store, Unreachable)
 from ..ir.module import Module
 from ..ir.types import ArrayType, FloatType, IntType, PointerType, StructType
-from ..ir.values import (Argument, Constant, GlobalVariable, UndefValue,
-                         Value)
+from ..ir.values import Constant, GlobalVariable, UndefValue, Value
 from ..memory.flatmem import FlatMemory, round_f32
 from ..memory.heap import Heap
 from ..memory.layout import GlobalLayout, STACK_BASE, make_cpu_memory
@@ -131,27 +130,46 @@ class Tier:
     for any other.  ``seen`` sums the predictions of the entries so
     far per mode; ``hot`` holds the modes that reached the threshold
     (for good: there is no way back).  ``depths`` is each block's loop
-    depth, by position, for srcgen's dispatch order.  Nothing here
-    refers to the IR, which would keep the weak key alive.
+    depth, by position, for srcgen's dispatch order.  ``counted`` holds
+    srcgen's range-proof facts of each counted loop, outermost first:
+    ``(ivar, start, end, step, pred, header, latch, blocks)``, where
+    ``ivar`` is the induction alloca's position in
+    ``fn.instructions()``, ``start`` and ``end`` are such a position or
+    a constant's ``(value, value)`` interval, and the blocks are
+    positions in ``fn.blocks``.  Nothing here refers to the IR, which
+    would keep the weak key alive.
     """
 
-    __slots__ = ("static", "predicted", "depths", "seen", "hot")
+    __slots__ = ("static", "predicted", "depths", "counted", "seen", "hot")
 
     def __init__(self, fn: Function):
         depth: Dict = {}
         weight: Dict = {}
+        facts: List[tuple] = []
         try:
             preds = predecessor_map(fn)
             scale: Dict = {}
+            insts: Dict = {}
+            blocks = {block: k for k, block in enumerate(fn.blocks)}
             for loop in find_loops(fn, preds):  # outermost first
                 counted = recognize_counted_loop(fn, loop, preds)
                 trips = UNKNOWN_TRIPS
-                if counted is not None \
-                        and isinstance(counted.start, Constant) \
-                        and isinstance(counted.end, Constant):
-                    span = int(counted.end.value) \
-                        - int(counted.start.value) + (counted.pred == "le")
-                    trips = max(0, -(-span // counted.step))
+                if counted is not None:
+                    if isinstance(counted.start, Constant) \
+                            and isinstance(counted.end, Constant):
+                        span = int(counted.end.value) \
+                            - int(counted.start.value) \
+                            + (counted.pred == "le")
+                        trips = max(0, -(-span // counted.step))
+                    if not insts:
+                        insts = {inst: k for k, inst
+                                 in enumerate(fn.instructions())}
+                    facts.append((
+                        insts[counted.ivar], _fact(counted.start, insts),
+                        _fact(counted.end, insts), counted.step,
+                        counted.pred, blocks[loop.header],
+                        blocks[counted.latch],
+                        frozenset(blocks[block] for block in loop.blocks)))
                 outer = scale.get(loop.parent, 1)
                 scale[loop] = outer * trips
                 for block in loop.blocks:  # inner loops overwrite
@@ -161,12 +179,13 @@ class Tier:
         except Exception:
             # A CFG the analysis cannot handle is predicted loop-free;
             # the tree-walker reports its faults when they execute.
-            depth, weight = {}, {}
+            depth, weight, facts = {}, {}, []
         sizes = [(block, len(block.instructions)) for block in fn.blocks]
         self.static = sum(size for _, size in sizes)
         self.predicted = sum(size * weight.get(block, 1)
                              for block, size in sizes)
         self.depths = tuple(depth.get(block, 0) for block, _ in sizes)
+        self.counted = tuple(facts)
         self.seen: Dict[str, int] = {}
         self.hot: set = set()
 
@@ -180,6 +199,14 @@ class Tier:
             self.hot.add(mode)
             return True
         return False
+
+
+def _fact(value: Value, positions: Dict) -> Optional[object]:
+    """A counted loop's bound in :attr:`Tier.counted`: a constant's
+    interval, an instruction's position, or None."""
+    if isinstance(value, Constant):
+        return (value.value, value.value)
+    return positions.get(value)
 
 
 _TIERS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()

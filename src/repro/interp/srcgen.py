@@ -21,13 +21,41 @@ the machine.
   functions skip the loop entirely.
 
 * **Block-fused cost charging, split at flush points.**  The static
-  ``_OP_COSTS`` of each straight-line run are summed at compile time
-  and emitted as one ``M._pending_cpu_ops += n`` (``M._gpu_ops`` in
-  kernels), with runs split at ``call``/``launch`` -- the only
-  instructions that can move pending ops onto the
-  :class:`~repro.gpu.timing.SimClock` -- so every simulated timestamp
-  is bit-identical to the tree-walker's.  Dynamic ``div``/``rem``
-  extras are emitted inline at their instruction.
+  ``_OP_COSTS`` of each straight-line run, ``div``/``rem`` extras
+  included, are summed at compile time and emitted as one
+  ``M._pending_cpu_ops += n`` (``M._gpu_ops`` in kernels), with runs
+  split at ``call``/``launch`` -- the only instructions that can move
+  pending ops onto the :class:`~repro.gpu.timing.SimClock` -- so
+  every simulated timestamp is bit-identical to the tree-walker's.
+
+* **One charge per fault-free run.**  A segment charges where it
+  starts, except a block's last segment when nothing in it can fault
+  (no memory access but a promoted slot's, no call, launch, alloca,
+  division by a variable, ...): its charge is carried into the first
+  segment of each fused successor, or emitted just before the jump,
+  ``return``, ``break`` or ``raise`` that leaves the fused path.  A
+  fault therefore sees the counts it saw without the carry, and every
+  flush point sees the same sum, since calls and launches both fault.
+
+* **Range-proven integer arithmetic.**  A promoted induction slot of
+  a counted loop (``Tier.counted``) whose start and end have bounds,
+  and whose ``i + step`` cannot leave its type, is bounded in the
+  loop; bounds pass through add, sub, mul, div and rem by a positive
+  constant from a non-negative operand, and casts whose input fits.
+  Any other load, and any result whose wrap ran, is bounded by its
+  type, so widening a value is free and ``i + 1`` of an ``i < n``
+  loop needs no wrap whatever a loaded ``n`` holds.  A result proven
+  inside its type is assigned without its wrap, and a non-negative
+  ``x`` divides by a positive constant with ``//`` and ``%`` instead
+  of C truncation.  ``i1`` and pointers keep their masks.
+
+* **Folds.**  A promoted-slot load whose uses all follow it in its
+  block, before any store to the slot, reads the slot in place; a
+  compare used only by the ``cbr`` after it becomes the ``if``
+  condition; a pure value (GEP, float add/sub/mul, ``sitofp``, proven
+  int op) used once, by the next instruction, is emitted inside that
+  instruction's expression, nesting at most ``_FOLD_DEPTH`` folds so
+  that a long chain never nears the parser's limit.
 
 * **Memory access compiles to typed-view indexing.**  The aligned
   in-bounds fast path is a single ``segment.vd[offset >> 3]`` typed
@@ -109,7 +137,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..analysis.cfg import reverse_postorder
 from ..analysis.dominators import DominatorTree
-from ..errors import CgcmUnsupportedError, InterpError, MemoryFault
+from ..errors import CgcmUnsupportedError, InterpError
 from ..ir.function import Function
 from ..ir.instructions import (Alloca, BinaryOp, Branch, Call, Cast, Compare,
                                CondBranch, GetElementPtr, Instruction,
@@ -133,6 +161,15 @@ _COMPARE_OPS = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=",
                 "gt": ">", "ge": ">="}
 _INT_BINOPS = {"add": "+", "sub": "-", "mul": "*", "and": "&",
                "or": "|", "xor": "^"}
+#: Operators of a range-proven int op (div and rem by a positive
+#: constant, from a non-negative operand, where C truncation agrees
+#: with Python's floor).
+_PROVEN_BINOPS = {"add": "+", "sub": "-", "mul": "*", "div": "//",
+                  "rem": "%"}
+#: Deepest nesting of single-use values folded into one expression;
+#: a value past it keeps its register, so no chain of folds nears the
+#: parser's limit on nested parentheses.
+_FOLD_DEPTH = 16
 
 
 # Integer results are wrapped into the type's signed range inline:
@@ -489,6 +526,17 @@ class _SourceCompiler:
         self._inlined: set = set()
         #: Promoted stack slots: alloca -> the local holding its value.
         self._slots: Dict[Alloca, str] = {}
+        #: Bounds of the promoted induction-slot loads (see
+        #: ``_prove_ranges``), the memo of ``_interval`` and the int
+        #: ops and casts it proved need no wrap.
+        self._ranges: Dict[Load, Tuple[int, int]] = {}
+        self._intervals: Dict[Value, Optional[Tuple[int, int]]] = {}
+        self._proven: set = set()
+        #: Values emitted into their use instead of a register.
+        self._folded: set = set()
+        #: (ops, instructions) the fault-free segment being emitted
+        #: hands on to its exits (see ``_emit_block_body``).
+        self._carry = (0, 0)
         if mode == "gpu":
             self.builders["_onds"] = lambda m, mem: \
                 m.device.memory.segment("device-stack").contains
@@ -605,8 +653,8 @@ class _SourceCompiler:
 
     def _stores_as_is(self, value: Value, type_, depth: int = 3) -> bool:
         """Whether ``value`` as emitted already reads back unchanged
-        from a ``type_`` store, so a promoted store needs no wrap or
-        rounding.  Int results are wrapped to their type where they
+        from a ``type_`` store, so a store needs no wrap or rounding.
+        Int results and constants are wrapped to their type where they
         are defined; float results are Python floats only by
         construction (an undef or bitcast operand can be an int)."""
         if isinstance(value, (Load, Alloca, GlobalVariable)):
@@ -627,7 +675,8 @@ class _SourceCompiler:
         if isinstance(value, Cast):
             return type_.is_pointer \
                 or value.kind not in ("bitcast", "inttoptr")
-        return isinstance(value, (BinaryOp, Compare))
+        return isinstance(value, (BinaryOp, Compare)) \
+            or isinstance(value, Constant) and isinstance(type_, IntType)
 
     def _emit_slot_store(self, slot: str, value: Value, type_) -> None:
         """Assign a promoted slot what a load would read back after
@@ -696,7 +745,10 @@ class _SourceCompiler:
         self._emit_guard("load", pointer, type_.size)
         slot = self._slots.get(inst.pointer)
         if slot is not None:
-            self._emit(f"{dest} = {slot}")
+            if inst in self._folded:
+                self.names[inst] = slot
+            else:
+                self._emit(f"{dest} = {slot}")
             return
         if self.hooked:
             self._emit("for _h in M.mem_hooks:")
@@ -743,7 +795,8 @@ class _SourceCompiler:
         index = "_o" if shift == 0 else f"_o >> {shift}"
         guard = f"0 <= _o <= {cs}.{hi}" if amask == 0 else \
             f"0 <= _o <= {cs}.{hi} and not _o & {amask}"
-        if isinstance(type_, FloatType):
+        if isinstance(type_, FloatType) \
+                or self._stores_as_is(inst.value, type_):
             stored = value
         else:
             mask, high, span = _int_params(type_)
@@ -777,15 +830,36 @@ class _SourceCompiler:
         self._emit(f"{dest} = _v - {self._literal(span)} "
                    f"if _v > {self._literal(high)} else _v")
 
+    def _pure(self, inst: Instruction) -> bool:
+        """Whether ``inst`` is one expression that cannot raise: a GEP,
+        a float add, sub or mul, ``sitofp``, or an int op or cast whose
+        result is proven inside its type (no wrap to emit)."""
+        if isinstance(inst, GetElementPtr):
+            return True
+        if isinstance(inst, BinaryOp) and isinstance(inst.type, FloatType):
+            return inst.op in ("add", "sub", "mul")
+        if isinstance(inst, Cast) and inst.kind == "sitofp":
+            return True
+        return isinstance(inst, (BinaryOp, Cast)) \
+            and self._needs_no_wrap(inst)
+
+    def _expression(self, inst: Instruction) -> str:
+        """The Python expression of a :meth:`_pure` instruction."""
+        if isinstance(inst, GetElementPtr):
+            return self._gep(inst)
+        if isinstance(inst, Cast):
+            source = self._ref(inst.value)
+            return f"float({source})" if inst.kind == "sitofp" else source
+        return f"{self._ref(inst.lhs)} {_PROVEN_BINOPS[inst.op]} " \
+            f"{self._ref(inst.rhs)}"
+
     def _emit_binop(self, inst: BinaryOp) -> None:
+        """A float div or rem, or an int op not proven in range."""
         dest = self.names[inst]
         a, b = self._ref(inst.lhs), self._ref(inst.rhs)
         op = inst.op
         if isinstance(inst.type, FloatType):
-            if op in ("add", "sub", "mul"):
-                self._emit(f"{dest} = {a} {_INT_BINOPS[op]} {b}")
-            elif op == "div":
-                self._emit_charge_div()
+            if op == "div":
                 self._emit(f"_f = {b}")
                 self._emit("if _f == 0.0:")
                 self._emit(f"    _g = {a}")
@@ -794,7 +868,6 @@ class _SourceCompiler:
                 self._emit("else:")
                 self._emit(f"    {dest} = {a} / _f")
             elif op == "rem":
-                self._emit_charge_div()
                 self._emit(f"_f = {b}")
                 self._emit("if _f == 0.0:")
                 self._emit(f"    {dest} = _NAN")
@@ -807,10 +880,8 @@ class _SourceCompiler:
         if op in _INT_BINOPS:
             raw = f"({a} {_INT_BINOPS[op]} {b})"
         elif op == "div":
-            self._emit_charge_div()
             raw = f"_tdi({a}, {b})"
         elif op == "rem":
-            self._emit_charge_div()
             raw = f"({a} - {b} * _tdi({a}, {b}))"
         elif op == "shl":
             raw = f"({a} << ({b} & 63))"
@@ -820,10 +891,8 @@ class _SourceCompiler:
             raise InterpError(f"int binop {op}")
         self._emit_wrapped(dest, raw, inst.type)
 
-    def _emit_charge_div(self) -> None:
-        self._emit(f"{self.charge} += {_DIV_EXTRA}")
-
     def _emit_cast(self, inst: Cast) -> None:
+        """A cast that is not :meth:`_pure`."""
         dest = self.names[inst]
         source = self._ref(inst.value)
         kind = inst.kind
@@ -845,8 +914,6 @@ class _SourceCompiler:
                 self._emit(f"{dest} = _rf32({source})")
             else:
                 self._emit(f"{dest} = float({source})")
-        elif kind == "sitofp":
-            self._emit(f"{dest} = float({source})")
         elif kind == "fptosi":
             mask, high, span = _int_params(to_type)
             self._emit(f"_f = {source}")
@@ -862,8 +929,7 @@ class _SourceCompiler:
         else:
             raise InterpError(f"cast kind {kind}")
 
-    def _emit_gep(self, inst: GetElementPtr) -> None:
-        dest = self.names[inst]
+    def _gep(self, inst: GetElementPtr) -> str:
         pointee = inst.pointer.type.pointee
         indices = inst.indices
         offset = 0
@@ -896,7 +962,126 @@ class _SourceCompiler:
                 raise InterpError(f"gep into non-aggregate {current}")
         if offset:
             terms.append(self._literal(offset))
-        self._emit(f"{dest} = " + " + ".join(terms))
+        return " + ".join(terms)
+
+    # -- range proofs -------------------------------------------------------
+
+    def _prove_ranges(self) -> None:
+        """Bound the loads of promoted induction slots (``_ranges``).
+
+        A counted loop of ``Tier.counted`` bounds its induction slot
+        when the slot is a promoted int (so only the latch writes it
+        inside the loop), the latch jumps straight back to the header,
+        the start and end have bounds, and the latch's ``i + step``
+        cannot leave the type.  With ``top`` the largest value the
+        header lets in, a load lies in ``[start_lo, max(start_hi, top
+        + step)]`` in the header and after the latch's store, and in
+        ``[start_lo, top]`` everywhere else in the loop.  Loops come
+        outermost first, so an inner loop's bounds can use the ranges
+        of the loops around it.
+        """
+        blocks = self.fn.blocks
+        insts: List[Instruction] = []
+        for ivar, start, end, step, pred, header, latch, members \
+                in tier_of(self.fn).counted:
+            insts = insts or list(self.fn.instructions())
+            alloca = insts[ivar]
+            if alloca not in self._slots:
+                continue
+            type_ = alloca.allocated_type
+            if not isinstance(type_, IntType) or type_.bits == 1 \
+                    or not isinstance(blocks[latch].instructions[-1], Branch):
+                continue
+            start, end = (self._interval(insts[fact])
+                          if isinstance(fact, int) else fact
+                          for fact in (start, end))
+            if start is None or end is None:
+                continue
+            top = end[1] - (pred == "lt")
+            if top + step > type_.max_value:
+                continue
+            entry = (start[0], max(start[1], top + step))
+            inside = (start[0], top)
+            for k in members:
+                known = entry if k == header else inside
+                for inst in blocks[k].instructions:
+                    if isinstance(inst, Store) and inst.pointer is alloca:
+                        known = entry
+                    elif isinstance(inst, Load) and inst.pointer is alloca:
+                        self._ranges[inst] = known
+            # Values first asked about before these loads had ranges.
+            self._intervals.clear()
+            self._proven.clear()
+
+    def _needs_no_wrap(self, inst: Instruction) -> bool:
+        """Whether int op or cast ``inst`` is proven inside its type."""
+        self._interval(inst)
+        return inst in self._proven
+
+    def _interval(self, value: Value,
+                  depth: int = 0) -> Optional[Tuple[int, int]]:
+        """``value``'s bounds as its uses read it, or None.
+
+        Constants and bounded induction-slot loads start them; add,
+        sub and mul carry them, as do div and rem by a positive
+        constant from a non-negative operand and sext, zext and trunc
+        of an input that fits.  An int op or cast whose result fits
+        its type joins ``_proven``; one whose wrap runs is bounded by
+        its type alone, as is any other load, since memory and
+        promoted slots hold wrapped values.  Nothing else is bounded:
+        not ``i1`` or pointers, and not arguments or call results,
+        which nothing wraps.
+        """
+        type_ = value.type
+        if not isinstance(type_, IntType) or type_.bits == 1:
+            return None
+        if isinstance(value, Constant):
+            return (value.value, value.value)
+        known = self._intervals.get(value, False)
+        if known is not False:
+            return known
+        whole = (type_.min_value, type_.max_value)
+        bounds = None
+        if isinstance(value, Load):
+            bounds = self._ranges.get(value, whole)
+        elif isinstance(value, BinaryOp) or isinstance(value, Cast) \
+                and value.kind != "bitcast":
+            raw = self._raw_interval(value, depth) if depth < 32 else None
+            bounds = whole
+            if raw is not None and whole[0] <= raw[0] \
+                    and raw[1] <= whole[1]:
+                bounds = raw
+                self._proven.add(value)
+        self._intervals[value] = bounds
+        return bounds
+
+    def _raw_interval(self, inst: Instruction,
+                      depth: int) -> Optional[Tuple[int, int]]:
+        """Bounds of ``inst``'s result before any wrap, or None."""
+        if isinstance(inst, Cast):
+            if inst.kind not in ("sext", "zext", "trunc"):
+                return None
+            bounds = self._interval(inst.value, depth + 1)
+            if bounds and inst.kind == "zext" and bounds[0] < 0:
+                return None
+            return bounds
+        a = self._interval(inst.lhs, depth + 1)
+        b = self._interval(inst.rhs, depth + 1)
+        if a is None or b is None:
+            return None
+        op = inst.op
+        if op == "add":
+            return (a[0] + b[0], a[1] + b[1])
+        if op == "sub":
+            return (a[0] - b[1], a[1] - b[0])
+        if op == "mul":
+            corners = [x * y for x in a for y in b]
+            return (min(corners), max(corners))
+        if op in ("div", "rem") and a[0] >= 0 \
+                and isinstance(inst.rhs, Constant) and b[0] > 0:
+            return (a[0] // b[0], a[1] // b[0]) if op == "div" \
+                else (0, min(a[1], b[0] - 1))
+        return None
 
     def _emit_alloca(self, inst: Alloca) -> None:
         dest = self.names[inst]
@@ -993,14 +1178,22 @@ class _SourceCompiler:
         self._emit(f"_launch({kernel}, int({self._ref(inst.grid)}), "
                    f"[{arg_list}])")
 
+    def _emit_jump(self, target, index: Dict[object, int],
+                   carry: Tuple[int, int]) -> None:
+        """Go on at ``target``: its body in place (fused), or the
+        carried charge and a dispatch jump."""
+        if target in self._inlined:
+            self._emit_block_body(target, index, carry)
+        else:
+            self._emit_charge(*carry)
+            self._emit(f"_b = {index[target]}")
+            self._emit("continue")
+
     def _emit_terminator(self, inst: Instruction,
                          index: Dict[object, int]) -> None:
+        carry = self._carry
         if isinstance(inst, Branch):
-            if inst.target in self._inlined:
-                self._emit_block_body(inst.target, index)
-            else:
-                self._emit(f"_b = {index[inst.target]}")
-                self._emit("continue")
+            self._emit_jump(inst.target, index, carry)
         elif isinstance(inst, CondBranch):
             # Fused arms: a single-predecessor successor's body is
             # emitted in place of the dispatch jump.  A diamond with
@@ -1010,32 +1203,23 @@ class _SourceCompiler:
             condition = self._ref(inst.condition)
             true_in = true_b in self._inlined and true_b is not false_b
             false_in = false_b in self._inlined
-            if true_in and false_in:
-                self._emit(f"if {condition}:")
+            if false_in or true_in:
+                guarded, flat = (true_b, false_b) if false_in \
+                    else (false_b, true_b)
+                self._emit(f"if {condition}:" if false_in
+                           else f"if not {condition}:")
                 self.indent += 1
-                self._emit_block_body(true_b, index)
+                self._emit_jump(guarded, index, carry)
                 self.indent -= 1
-                self._emit_block_body(false_b, index)
-            elif false_in:
-                self._emit(f"if {condition}:")
-                self.indent += 1
-                self._emit(f"_b = {index[true_b]}")
-                self._emit("continue")
-                self.indent -= 1
-                self._emit_block_body(false_b, index)
-            elif true_in:
-                self._emit(f"if not {condition}:")
-                self.indent += 1
-                self._emit(f"_b = {index[false_b]}")
-                self._emit("continue")
-                self.indent -= 1
-                self._emit_block_body(true_b, index)
+                self._emit_block_body(flat, index, carry)
             else:
+                self._emit_charge(*carry)
                 self._emit(f"_b = {index[true_b]} "
                            f"if {condition} "
                            f"else {index[false_b]}")
                 self._emit("continue")
         elif isinstance(inst, Return):
+            self._emit_charge(*carry)
             if self.grid:
                 # Kernels return void: the thread ends, the grid goes on.
                 self._emit("break")
@@ -1051,18 +1235,25 @@ class _SourceCompiler:
 
     def _emit_inst(self, inst: Instruction,
                    index: Dict[object, int]) -> None:
-        if isinstance(inst, Load):
+        if self._pure(inst):
+            text = self._expression(inst)
+            if inst in self._folded:
+                self.names[inst] = f"({text})"
+            else:
+                self._emit(f"{self.names[inst]} = {text}")
+        elif isinstance(inst, Load):
             self._emit_load(inst)
         elif isinstance(inst, Store):
             self._emit_store(inst)
-        elif isinstance(inst, GetElementPtr):
-            self._emit_gep(inst)
         elif isinstance(inst, BinaryOp):
             self._emit_binop(inst)
         elif isinstance(inst, Compare):
-            self._emit(f"{self.names[inst]} = "
-                       f"+({self._ref(inst.lhs)} "
-                       f"{_COMPARE_OPS[inst.pred]} {self._ref(inst.rhs)})")
+            test = f"{self._ref(inst.lhs)} {_COMPARE_OPS[inst.pred]} " \
+                f"{self._ref(inst.rhs)}"
+            if inst in self._folded:
+                self.names[inst] = test
+            else:
+                self._emit(f"{self.names[inst]} = +({test})")
         elif isinstance(inst, Cast):
             self._emit_cast(inst)
         elif isinstance(inst, Select):
@@ -1083,36 +1274,75 @@ class _SourceCompiler:
 
     # -- block assembly -----------------------------------------------------
 
-    def _emit_block_body(self, block, index: Dict[object, int]) -> None:
-        """One block: fused-charge segments split at call/launch."""
-        pending_cost = 0
-        pending: List[Instruction] = []
+    def _can_fault(self, inst: Instruction) -> bool:
+        """Whether ``inst`` can raise, so that its segment's charge must
+        land before it runs: a memory access (every access, in a
+        hooked or guarded variant), a kernel's pointer store, an int
+        div or rem by anything but a nonzero constant, a float rem,
+        and alloca, call, launch and unreachable."""
+        if isinstance(inst, (Load, Store)):
+            return self.hooked or self.guarded \
+                or inst.pointer not in self._slots \
+                or isinstance(inst, Store) and self.mode == "gpu" \
+                and inst.value.type.is_pointer
+        if isinstance(inst, BinaryOp):
+            if isinstance(inst.type, FloatType):
+                return inst.op == "rem"
+            return inst.op in ("div", "rem") and not (
+                isinstance(inst.rhs, Constant) and inst.rhs.value != 0)
+        return isinstance(inst, (Alloca, Call, LaunchKernel, Unreachable))
 
-        def flush() -> None:
-            if not pending:
-                return
-            self._emit(f"{self.charge} += {pending_cost}")
-            self._emit(f"{self.counter} += {len(pending)}")
-            for inst in pending:
-                self._emit_inst(inst, index)
+    @staticmethod
+    def _cost(inst: Instruction) -> int:
+        """``inst``'s static modelled ops, with a pure external's call
+        cost and a div or rem's extra."""
+        cost = _OP_COSTS.get(inst.opcode, 1)
+        if _pure_call(inst):
+            cost += call_cost(inst.callee.name)
+        elif isinstance(inst, BinaryOp) and inst.op in ("div", "rem"):
+            cost += _DIV_EXTRA
+        return cost
 
+    def _emit_charge(self, ops: int, count: int) -> None:
+        if count:
+            self._emit(f"{self.charge} += {ops}")
+            self._emit(f"{self.counter} += {count}")
+
+    def _emit_block_body(self, block, index: Dict[object, int],
+                         carry: Tuple[int, int] = (0, 0)) -> None:
+        """One block: fused-charge segments split at call/launch.
+
+        Calls and launches are the only instructions that can move
+        pending op counts onto the clock, so a segment closes at each
+        one and the integers visible at every flush match the
+        tree-walker exactly (pure-math externals never flush: their
+        call cost joins the running segment).  A segment charges where
+        it starts, unless it is the block's last and nothing in it can
+        fault (:meth:`_can_fault`): then its charge is carried, into
+        the first segment of each fused successor or to just before
+        the jump, return or raise that leaves the path.  ``carry`` is
+        what the fused predecessor handed on.  A fault therefore
+        counts what it would without the carry.
+        """
+        segments: List[List[Instruction]] = [[]]
         for inst in block.instructions:
-            pending_cost += _OP_COSTS.get(inst.opcode, 1)
-            pending.append(inst)
-            # Calls and launches are the only instructions that can
-            # move pending op counts onto the clock; close the fused
-            # segment at each one so the integers visible at every
-            # flush match the tree-walker exactly.  Pure-math
-            # externals never flush, so their modelled call cost
-            # folds into the running segment instead of closing it.
-            if _pure_call(inst):
-                pending_cost += call_cost(inst.callee.name)
-            elif isinstance(inst, (Call, LaunchKernel)):
-                flush()
-                pending_cost = 0
-                pending = []
-        flush()
+            segments[-1].append(inst)
+            if isinstance(inst, (Call, LaunchKernel)) \
+                    and not _pure_call(inst):
+                segments.append([])
+        ops, count = carry
+        for k, segment in enumerate(segments):
+            ops += sum(self._cost(inst) for inst in segment)
+            count += len(segment)
+            if k + 1 < len(segments) \
+                    or any(self._can_fault(inst) for inst in segment):
+                self._emit_charge(ops, count)
+                ops = count = 0
+            self._carry = (ops, count)
+            for inst in segment:
+                self._emit_inst(inst, index)
         if not block.is_terminated:
+            self._emit_charge(*self._carry)
             self._emit(f"raise _IE(\"block {block.name} in "
                        f"@{self.fn.name} fell through without a "
                        "terminator\")")
@@ -1212,11 +1442,78 @@ class _SourceCompiler:
         blocks = self.fn.blocks
         return [blocks[i] for i in order]
 
+    def _plan_folds(self) -> None:
+        """Pick the values emitted into their use (``_folded``).
+
+        * A promoted-slot load whose uses all follow it in its block,
+          with no store to the slot before the last of them, reads the
+          slot in place.
+        * A compare used only by the ``cbr`` right after it becomes
+          the branch's condition.
+        * A :meth:`_pure` value used once, by the next instruction,
+          becomes part of that instruction's expression -- unless the
+          nesting would pass ``_FOLD_DEPTH``, or the user is an
+          unproven int rem, which reads its operands twice.
+        """
+        blocks = self.fn.blocks
+        uses: Dict[Instruction, int] = {}
+        for block in blocks:
+            for inst in block.instructions:
+                for operand in inst.operands:
+                    if isinstance(operand, Instruction):
+                        uses[operand] = uses.get(operand, 0) + 1
+        slots = self._slots
+        for block in blocks:
+            insts = block.instructions
+            last = len(insts) - 1
+            #: slot load -> [uses so far, slot stored since, foldable]
+            reads: Dict[Load, list] = {}
+            depth: Dict[Instruction, int] = {}
+            for k, inst in enumerate(insts):
+                if reads:
+                    for operand in inst.operands:
+                        read = reads.get(operand) \
+                            if isinstance(operand, Load) else None
+                        if read is not None:
+                            read[0] += 1
+                            read[2] = read[2] and not read[1]
+                    if isinstance(inst, Store):
+                        for load, read in reads.items():
+                            if load.pointer is inst.pointer:
+                                read[1] = True
+                if isinstance(inst, Load) and inst.pointer in slots:
+                    reads[inst] = [0, False, True]
+                    continue
+                if k == last or uses.get(inst) != 1:
+                    continue
+                user = insts[k + 1]
+                if not any(operand is inst for operand in user.operands):
+                    continue
+                if isinstance(inst, Compare):
+                    if isinstance(user, CondBranch):
+                        self._folded.add(inst)
+                    continue
+                if not self._pure(inst) or isinstance(user, BinaryOp) \
+                        and user.op == "rem" \
+                        and isinstance(user.type, IntType) \
+                        and not self._needs_no_wrap(user):
+                    continue
+                level = 1 + max(depth.get(operand, 0)
+                                for operand in inst.operands)
+                if level <= _FOLD_DEPTH:
+                    self._folded.add(inst)
+                    depth[inst] = level
+            self._folded.update(
+                load for load, (count, _, foldable) in reads.items()
+                if foldable and count == uses.get(load, 0))
+
     def compile(self):
         fn = self.fn
         check_definitions(fn)
         if not self.hooked:
             self._slots = self._promoted_slots()
+            self._prove_ranges()
+        self._plan_folds()
         for i, arg in enumerate(fn.args):
             self.names[arg] = f"a{i}"
         serial = 0

@@ -16,7 +16,7 @@ compactly.  The syntax is LLVM-flavoured::
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import List
 
 from .block import BasicBlock
 from .function import Function
@@ -25,8 +25,7 @@ from .instructions import (Alloca, BinaryOp, Branch, Call, Cast, Compare,
                            LaunchKernel, Load, Return, Select, Store,
                            Unreachable)
 from .module import Module
-from .values import (Constant, GlobalRef, GlobalVariable, Initializer,
-                     UndefValue, Value)
+from .values import GlobalRef, Initializer, Value
 
 
 def operand_to_str(value: Value) -> str:

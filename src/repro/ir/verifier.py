@@ -7,7 +7,7 @@ the verifier adds whole-function and whole-module invariants.
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Set
 
 from ..errors import IRError
 from .function import Function

@@ -21,8 +21,8 @@ the test-suite through the ``differential_oracle`` fixture.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from ..core.compiler import (CgcmCompiler, ExecutionResult,
                              capture_globals_image)

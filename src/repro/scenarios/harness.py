@@ -32,7 +32,7 @@ budget); ``slow=True`` widens each property across levels/schedules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..api import compile_workload
 from ..core.config import CgcmConfig, OptLevel
@@ -42,7 +42,7 @@ from ..interp.machine import hot_ratio
 from ..staticcheck.findings import Severity
 from .generator import GeneratedProgram, generate_program, materialize
 from .shrink import minimize_spec
-from .spec import ScenarioSpec, emit_minic
+from .spec import ScenarioSpec
 
 __all__ = ["PropertyOutcome", "ScenarioVerdict", "FuzzReport",
            "check_program", "check_source", "run_fuzz"]

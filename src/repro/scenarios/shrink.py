@@ -20,9 +20,9 @@ budget is capped; the best spec so far is returned when it runs out.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
-from .spec import (ChecksumItem, Phase, RepeatPhase, ScenarioSpec)
+from .spec import Phase, RepeatPhase, ScenarioSpec
 
 __all__ = ["minimize_spec", "spec_size"]
 

@@ -27,8 +27,8 @@ Numeric discipline that makes bit-exactness possible:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "FLOAT_PALETTE", "ArrayDecl", "ScalarDecl", "Phase", "InitPhase",

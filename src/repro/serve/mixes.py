@@ -15,7 +15,7 @@ tenant-quota machinery something the device-heap cap actually governs
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .request import ServeRequest
 

@@ -34,9 +34,8 @@ from ..analysis.alias import may_alias_roots, underlying_objects
 from ..analysis.dominators import DominatorTree
 from ..analysis.loops import find_loops, recognize_counted_loop
 from ..ir.function import Function
-from ..ir.instructions import (Alloca, BinaryOp, Call, Cast, Compare,
-                               GetElementPtr, Instruction, LaunchKernel,
-                               Load, Select, Store)
+from ..ir.instructions import (Alloca, BinaryOp, Cast, Compare, GetElementPtr,
+                               Instruction, LaunchKernel, Load, Select, Store)
 from ..ir.module import Module
 from ..ir.types import ArrayType, StructType
 from ..ir.values import Argument, Constant, GlobalVariable, Value

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..ir.function import Function
-from ..ir.instructions import Call, Instruction
+from ..ir.instructions import Call
 from ..ir.module import Module
 from ..ir.types import FunctionType, RAW_PTR
 from ..ir.values import Argument, Constant

@@ -21,10 +21,8 @@ Escaping stack variables are rewritten from plain allocas to
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
-from ..errors import TransformError
-from ..ir.block import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import (Alloca, BinaryOp, Call, Cast, GetElementPtr,
                                Instruction, LaunchKernel)

@@ -17,9 +17,9 @@ from typing import List
 
 from ..errors import TransformError
 from ..ir.builder import IRBuilder
-from ..ir.instructions import Call, GetElementPtr, Instruction
+from ..ir.instructions import Instruction
 from ..ir.module import Module
-from ..ir.types import ArrayType, I8, I64, RAW_PTR
+from ..ir.types import ArrayType, I8, RAW_PTR
 from ..ir.values import GlobalVariable
 from ..runtime.cgcm import declare_runtime
 

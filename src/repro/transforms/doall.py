@@ -29,8 +29,8 @@ from ..interp.externals import GPU_SAFE
 from ..ir.block import BasicBlock
 from ..ir.builder import IRBuilder
 from ..ir.function import Function
-from ..ir.instructions import (Alloca, BinaryOp, Branch, Call, Compare,
-                               Instruction, LaunchKernel, Load, Store)
+from ..ir.instructions import (Alloca, BinaryOp, Branch, Call, Instruction,
+                               LaunchKernel, Load, Store)
 from ..ir.module import Module
 from ..ir.types import FunctionType, I64, VOID
 from ..ir.values import Argument, Constant, GlobalVariable, Value

@@ -32,16 +32,16 @@ from ..interp.externals import GPU_SAFE
 from ..ir.block import BasicBlock
 from ..ir.builder import IRBuilder
 from ..ir.function import Function
-from ..ir.instructions import (Alloca, BinaryOp, Branch, Call, Cast, Compare,
-                               CondBranch, GetElementPtr, Instruction,
-                               LaunchKernel, Load, Select, Store)
+from ..ir.instructions import (Alloca, BinaryOp, Call, Cast, Compare,
+                               GetElementPtr, Instruction, LaunchKernel, Load,
+                               Select, Store)
 from ..ir.module import Module
 from ..ir.types import FunctionType, I64, VOID
 from ..ir.values import Argument, Constant, GlobalVariable, Value
 from ..analysis.alias import UNKNOWN, ordered_roots, underlying_objects
 from ..analysis.loops import Loop, find_loops, loop_preheader
 from ..analysis.cfg import predecessor_map
-from ..runtime.api import MAP_FUNCTIONS, RUNTIME_FUNCTION_NAMES
+from ..runtime.api import MAP_FUNCTIONS
 from .contract import PassContract
 from .outline import clone_instruction, clone_region, erase_blocks
 
@@ -288,10 +288,13 @@ class GlueKernels:
     def _unblocks_promotion(self, cfg: _CfgAnalyses, block: BasicBlock,
                             region: Sequence[Instruction]) -> bool:
         """Is this region the *only* CPU code in its enclosing
-        launch-containing loop that touches some mapped allocation
-        unit?  If so, outlining it lets map promotion hoist that unit
-        (paper: glue kernels exist to unblock promotion); otherwise the
-        launch would be pure overhead."""
+        launch-containing loop that touches every allocation unit it
+        touches, at least one of them mapped there?  Then outlining it
+        lets map promotion hoist the mapped unit (paper: glue kernels
+        exist to unblock promotion) and adds no copy of its own.  A
+        unit that other CPU code in the loop also touches would be
+        copied in and out around the glue launch on every iteration,
+        which can cost more than the promotion saves."""
         from ..analysis.modref import ModRefAnalysis
         enclosing = None
         for loop in cfg.loops:
@@ -318,13 +321,15 @@ class GlueKernels:
                         root for root
                         in underlying_objects(inst.args[0])
                         if isinstance(root, (GlobalVariable, Call))}
+        if not region_roots & mapped_roots:
+            return False  # nothing to free
         modref = ModRefAnalysis()
-        for root in ordered_roots(region_roots & mapped_roots):
+        for root in ordered_roots(region_roots):
             mod, ref = modref.region_mod_ref(enclosing.blocks, root,
                                              exclude=region_set)
-            if not mod and not ref:
-                return True  # outlining frees this unit for promotion
-        return False
+            if mod or ref:
+                return False  # the glue launch would copy this unit
+        return True
 
     # -- inner loops --------------------------------------------------------------
 

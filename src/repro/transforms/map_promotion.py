@@ -51,8 +51,7 @@ def _slot_stable_in_region(pointer: Value, blocks) -> bool:
     for direct-use scalar slots (allocas and global pointer variables)
     with no stores inside the region -- every in-region load then
     yields the value the slot already holds at region entry."""
-    from ..analysis.alias import (_is_direct_global_slot, _is_direct_slot,
-                                  _module_of)
+    from ..analysis.alias import _is_direct_global_slot, _is_direct_slot
     if isinstance(pointer, Alloca):
         if not pointer.allocated_type.is_scalar:
             return False

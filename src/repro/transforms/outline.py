@@ -8,7 +8,7 @@ build on it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from ..errors import TransformError
 from ..ir.block import BasicBlock

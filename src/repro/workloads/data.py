@@ -8,8 +8,8 @@ counts are kernels manageable by each technique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 
 @dataclass(frozen=True)

@@ -208,3 +208,40 @@ int main(void) {
         # though the subject run died mid-way.
         assert "global A" in captured.out
         assert "0/1 clean" in captured.err
+
+
+class TestInputErrors:
+    """A bad input or a faulting run prints one ``repro:`` line naming
+    the path, not a traceback: exit 2 for input errors, 1 for a
+    run-time fault."""
+
+    SYNTAX_ERROR = "int main(void) {\n  long x = 1\n  return 0;\n}\n"
+
+    @pytest.fixture
+    def bad_file(self, tmp_path):
+        path = tmp_path / "bad.c"
+        path.write_text(self.SYNTAX_ERROR)
+        return str(path)
+
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        path = str(tmp_path / "missing.c")
+        assert main(["run", path]) == 2
+        assert capsys.readouterr().err == \
+            f"repro: {path}: No such file or directory\n"
+
+    @pytest.mark.parametrize("command", ("run", "lint", "sanitize"))
+    def test_syntax_error_names_path_line_and_column(self, command,
+                                                     bad_file, capsys):
+        assert main([command, bad_file]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: {bad_file}:3:3: expected ';'")
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_run_time_fault_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "null.c"
+        path.write_text("int main(void) {\n  long *p = (long *) 0;\n"
+                        "  print_i64(*p);\n  return 0;\n}\n")
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro: {path}: MemoryFault: ")
+        assert err.count("\n") == 1

@@ -458,6 +458,145 @@ class TestSlotPromotion:
         assert all(stack.contains(address) for _, address, _ in runs["tree"][0])
 
 
+def main_source(machine) -> str:
+    """The emitted source of ``main``'s unhooked CPU variant."""
+    fn = machine.module.get_function("main")
+    return compile_function_source(machine, fn, "cpu", False).source
+
+
+#: ``A[i]`` put through 240 adjacent single-use float ops, 120
+#: parentheses deep: folded without a cap, the emitted expression
+#: would pass the parser's limit on nested parentheses.
+CHAIN = "A[i]"
+for _ in range(120):
+    CHAIN = f"({CHAIN} + 0.5) * 0.5"
+
+
+class TestRangeProofsAndFolds:
+    """Range-proven int arithmetic, the charge carried along fault-free
+    paths, and the slot, compare and single-use folds keep the
+    tree-walker's results, clocks and instruction counts."""
+
+    WRAP = re.compile(r"^\s*_v = ", re.M)
+    SLOT_COPY = re.compile(r"^\s*r\d+ = s\d+$", re.M)
+
+    def test_char_counter_keeps_its_wraps(self):
+        """``c * 3`` passes 127, so the store into the char wraps."""
+        tree, source = machine_pair(r"""
+            char C[60];
+            int main(void) {
+                for (char c = 0; c < 60; c++) C[c] = c * 3;
+                long s = 0;
+                for (int i = 0; i < 60; i++) s += C[i];
+                print_i64(s);
+                print_i64(C[59]);
+                return 0;
+            }""")
+        same_run(tree, source)
+        assert source.stdout == ["958", "-79"]
+        assert self.WRAP.search(main_source(source))
+
+    def test_overflow_and_negative_dividends_keep_their_wraps(self):
+        """``L[k]`` near ``2^63`` overflows; ``k - 9`` can be negative,
+        so its div and rem keep C truncation, while the non-negative
+        ``k`` divides with Python's floor."""
+        tree, source = machine_pair(r"""
+            long L[20];
+            int main(void) {
+                for (long k = 0; k < 20; k++)
+                    L[k] = 9223372036854775800 + k % 3;
+                for (long k = 0; k < 20; k++)
+                    L[k] = L[k] + (k - 9) % 4 + (k - 9) / 4 + k % 3 + k / 2;
+                for (int i = 0; i < 20; i++) print_i64(L[i]);
+                return 0;
+            }""")
+        same_run(tree, source)
+        assert source.stdout[19] == "-9223372036854775801"
+        text = main_source(source)
+        assert text.count("_tdi(") == 2
+        assert " % 3" in text and " // 2" in text
+        assert self.WRAP.search(text)
+
+    def test_proof_at_the_top_of_the_type(self):
+        """``i + 1`` reaches ``2^63 - 1`` and needs no wrap."""
+        tree, source = machine_pair(r"""
+            long L[8];
+            int main(void) {
+                for (long i = 9223372036854775800;
+                     i <= 9223372036854775806; i++)
+                    L[i - 9223372036854775800] = i + 1;
+                for (int i = 0; i < 7; i++) print_i64(L[i]);
+                return 0;
+            }""")
+        same_run(tree, source)
+        assert source.stdout[-1] == "9223372036854775807"
+        assert not self.WRAP.search(main_source(source))
+
+    def test_loaded_bound_proves_the_latch(self):
+        """``i < n`` with ``n`` loaded: the load is bounded by its type
+        alone, so ``i`` stays below the maximum in the body and
+        ``i + 1`` cannot overflow."""
+        tree, source = machine_pair(r"""
+            long A[8];
+            long top = 9223372036854775807;
+            int main(void) {
+                long n = top;
+                for (long i = 9223372036854775800; i < n; i++)
+                    A[i - 9223372036854775800] = i + 1;
+                for (int i = 0; i < 7; i++) print_i64(A[i]);
+                return 0;
+            }""")
+        same_run(tree, source)
+        assert source.stdout[-1] == "9223372036854775807"
+        assert not self.WRAP.search(main_source(source))
+
+    def test_long_adjacent_chain_stops_folding_at_the_cap(self):
+        """Folds nest up to ``_FOLD_DEPTH``; past it a value keeps its
+        register, so the emitted function still parses."""
+        tree, source = machine_pair(r"""
+            double A[4];
+            double B[4];
+            int main(void) {
+                for (int i = 0; i < 4; i++) A[i] = i;
+                for (int i = 0; i < 4; i++) B[i] = %s;
+                for (int i = 0; i < 4; i++) print_f64(B[i]);
+                return 0;
+            }""" % CHAIN)
+        same_run(tree, source)
+        text = main_source(source)
+        deepest = depth = 0
+        for char in text:
+            depth += (char == "(") - (char == ")")
+            deepest = max(deepest, depth)
+        assert 16 <= deepest <= 40
+
+    def test_compare_feeding_a_branch_is_its_condition(self):
+        tree, source = machine_pair(TestSlotPromotion.COUNTER)
+        same_run(tree, source)
+        text = main_source(source)
+        assert "if s1 < 6:" in text
+        assert "+(" not in text and not self.SLOT_COPY.search(text)
+
+    def test_gemm_inner_loop_has_no_wrap_or_slot_copy(self):
+        """The ``k`` loop of the ``multiply`` kernel gemm, 2mm and 3mm
+        share: its bounds are constants, so ``k + 1`` needs no wrap,
+        and every slot load reads the slot in place.  The whole
+        iteration pays two charges: the body's loads can fault."""
+        from repro.workloads import get_workload
+        compiler = CgcmCompiler(CgcmConfig())
+        report = compiler.compile_source(get_workload("gemm").source, "gemm")
+        machine = Machine(report.module, engine="source")
+        kernel = next(k for k in report.doall_kernels
+                      if k.name.startswith("multiply"))
+        code = compile_function_source(machine, kernel, "gpu", False,
+                                       grid=True)
+        inner = code.source.split("if _b == 0:")[1].split("elif _b ==")[0]
+        assert not self.WRAP.search(inner)
+        assert not self.SLOT_COPY.search(inner)
+        body = inner.split("continue")[0]
+        assert body.count("_go += ") == 2 and "+(" not in body
+
+
 class TestGpuRestrictions:
     def test_kernel_pointer_store_rejected(self):
         module = compile_minic(r"""
@@ -619,9 +758,9 @@ class TestGridVariant:
 
     #: (executed_instructions, frame counter) after the fault.  Fused
     #: code counts a segment's instructions when it starts, so it reads
-    #: 3 more than the tree-walker (268 and 421).  The values were
-    #: measured on the retired closure engine's per-thread kernel loop
-    #: under ``hot_ratio(0)``, and the grid variant matched them.
+    #: 3 more than the tree-walker (268 and 421): the granularity is
+    #: the segment, and a charge carried past a fault-free segment
+    #: lands before anything that can fault.
     AFTER_FAULT = {"crash": (271, 4), "crash_in_call": (424, 17)}
 
     @pytest.mark.parametrize("kernel", ("crash", "crash_in_call"))

@@ -157,3 +157,85 @@ class TestInnerLoopGlue:
         from repro.analysis import find_loops
         for kernel in glue.kernels:
             assert len(find_loops(kernel)) <= 1
+
+
+def time_stepped(statements):
+    """A program running ``statements`` over A, B and C three times."""
+    body = "\n        ".join(statements)
+    return f"""
+double A[12];
+double B[12];
+double C[12];
+int main(void) {{
+    for (int i = 0; i < 12; i++) {{
+        A[i] = i * 0.25;
+        B[i] = (12 - i) * 0.5;
+        C[i] = (i % 3) * 1.5;
+    }}
+    for (int t = 0; t < 3; t++) {{
+        {body}
+    }}
+    print_f64(A[3] + B[5] + C[7]);
+    return 0;
+}}
+"""
+
+
+#: Programs whose glue regions each free a mapped unit but touch
+#: another that CPU code left in the time loop also touches; the glue
+#: launches then copied that unit in and out on every iteration, up to
+#: 1.65x the unoptimized modeled time.
+SHARED_UNIT_PROGRAMS = {
+    "write-shared": [
+        "for (int i = 0; i < 12; i++) B[i] = C[i] * 0.5 + 0.0;",
+        "for (int i = 0; i < 12; i++) A[i] = A[i] + A[11 - i];",
+        "for (int i = 0; i < 12; i++) A[i] = B[i] + A[11 - i];",
+        "for (int i = 0; i < 12; i++) A[i] = C[i] + A[11 - i];",
+    ],
+    "read-shared": [
+        "for (int i = 0; i < 12; i++) B[i] = A[i] + B[11 - i];",
+        "for (int i = 0; i < 12; i++) C[i] = A[i] + C[11 - i];",
+        "for (int i = 1; i < 12; i++) A[i] = A[i - 1] + 1.0;",
+        "for (int i = 0; i < 11; i++) B[i] = (C[i] + C[i + 1]) * 0.5;",
+    ],
+    "reductions": [
+        "{ double acc = 0.0; for (int i = 0; i < 12; i++) acc += C[i]; "
+        "B[0] = acc; }",
+        "{ double acc = 0.0; for (int i = 0; i < 12; i++) acc += C[i]; "
+        "A[0] = acc; }",
+        "{ double acc = 0.0; for (int i = 0; i < 12; i++) acc += C[i]; "
+        "A[0] = acc; }",
+        "for (int i = 0; i < 12; i++) B[i] = B[i] + A[11 - i];",
+    ],
+    "reductions-after-kernel": [
+        "for (int i = 0; i < 12; i++) A[i] = A[i] * 0.5 + -3.0;",
+        "{ double acc = 0.0; for (int i = 0; i < 12; i++) acc += C[i]; "
+        "B[0] = acc; }",
+        "{ double acc = 0.0; for (int i = 0; i < 12; i++) acc += C[i]; "
+        "B[0] = acc; }",
+        "{ double acc = 0.0; for (int i = 0; i < 12; i++) acc += C[i]; "
+        "A[0] = acc; }",
+    ],
+}
+
+
+class TestGlueProfitability:
+    def test_region_sharing_a_unit_with_cpu_code_not_glued(self):
+        """Each CPU loop touches A, which the other CPU loops touch
+        too: gluing any of them would copy A around its launch."""
+        _, glue = glued_module(
+            time_stepped(SHARED_UNIT_PROGRAMS["write-shared"]))
+        assert glue.kernels == []
+
+    @pytest.mark.parametrize("name", sorted(SHARED_UNIT_PROGRAMS))
+    def test_optimization_not_slower_than_unoptimized(self, name):
+        source = time_stepped(SHARED_UNIT_PROGRAMS[name])
+        results = {}
+        for level in (OptLevel.UNOPTIMIZED, OptLevel.OPTIMIZED):
+            compiler = CgcmCompiler(CgcmConfig(opt_level=level))
+            report = compiler.compile_source(source, name)
+            results[level] = compiler.execute(report)
+        unoptimized = results[OptLevel.UNOPTIMIZED]
+        optimized = results[OptLevel.OPTIMIZED]
+        assert optimized.observable() == unoptimized.observable()
+        assert optimized.total_seconds <= unoptimized.total_seconds
