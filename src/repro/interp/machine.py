@@ -69,6 +69,12 @@ MAX_CALL_DEPTH = 256
 #: first.
 ENGINES = ("tree", "source")
 
+#: ``grid`` of :meth:`Machine.compiled_for` for a kernel's *checked*
+#: grid variant: the one that proves no access in bounds at launch but
+#: tests each, run for a launch that fails the bounds proof of the
+#: default (``grid=True``) variant.
+CHECKED = "checked"
+
 
 class Frame:
     """One activation record."""
@@ -285,6 +291,11 @@ class Machine:
         #: guarded, grid) -> compiled callable.
         self._compiled: Dict[tuple, Callable] = {}
         self.kernel_launch_count = 0
+        #: Source-engine launches that failed their grid variant's
+        #: bounds proof and ran the checked variant (see
+        #: :mod:`repro.interp.srcgen`).  Not a clock counter: the
+        #: tree-walker has no such launches.
+        self.checked_launches = 0
         #: Admission gate run before each launch, set by the resilient
         #: runtime.  Called as ``gate(kernel, grid, args)``; it ensures
         #: operand residency (evicting/restoring under memory pressure)
@@ -451,7 +462,8 @@ class Machine:
         Each call counts ``entries`` entries of ``fn`` (a launch: its
         thread count) toward the tiering decision (see
         :data:`HOT_RATIO`).  ``grid`` selects the source engine's
-        whole-grid variant of a kernel.
+        whole-grid variant of a kernel, and :data:`CHECKED` its
+        checked grid variant.
 
         Variants are keyed by (function, mode, armed hook *set*):
         globals resolve to different addresses per address space, and
@@ -812,6 +824,13 @@ class Machine:
                 self._depth += 1
                 try:
                     max_ops = code(grid, args)
+                    if max_ops is None:
+                        # The launch failed the variant's bounds proof
+                        # before its first thread: run the variant
+                        # that tests every access.
+                        self.checked_launches += 1
+                        max_ops = self.compiled_for(kernel, CHECKED, 0)(
+                            grid, args)
                 finally:
                     self._depth -= 1
             else:

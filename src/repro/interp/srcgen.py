@@ -30,12 +30,13 @@ the machine.
 
 * **One charge per fault-free run.**  A segment charges where it
   starts, except a block's last segment when nothing in it can fault
-  (no memory access but a promoted slot's, no call, launch, alloca,
-  division by a variable, ...): its charge is carried into the first
-  segment of each fused successor, or emitted just before the jump,
-  ``return``, ``break`` or ``raise`` that leaves the fused path.  A
-  fault therefore sees the counts it saw without the carry, and every
-  flush point sees the same sum, since calls and launches both fault.
+  (no memory access but a promoted slot's or a proven one's, no call,
+  launch, alloca, division by a variable, ...): its charge is carried
+  into the first segment of each fused successor, or emitted just
+  before the jump, ``return``, ``break`` or ``raise`` that leaves the
+  fused path.  A fault therefore sees the counts it saw without the
+  carry, and every flush point sees the same sum, since calls and
+  launches both fault.
 
 * **Range-proven integer arithmetic.**  A promoted induction slot of
   a counted loop (``Tier.counted``) whose start and end have bounds,
@@ -52,10 +53,11 @@ the machine.
 * **Folds.**  A promoted-slot load whose uses all follow it in its
   block, before any store to the slot, reads the slot in place; a
   compare used only by the ``cbr`` after it becomes the ``if``
-  condition; a pure value (GEP, float add/sub/mul, ``sitofp``, proven
-  int op) used once, by the next instruction, is emitted inside that
-  instruction's expression, nesting at most ``_FOLD_DEPTH`` folds so
-  that a long chain never nears the parser's limit.
+  condition; a pure value (GEP, proven load, float add/sub/mul,
+  ``sitofp``, proven int op) used once, by the next instruction, is
+  emitted inside that instruction's expression, nesting at most
+  ``_FOLD_DEPTH`` folds so that a long chain never nears the parser's
+  limit.
 
 * **Memory access compiles to typed-view indexing.**  The aligned
   in-bounds fast path is a single ``segment.vd[offset >> 3]`` typed
@@ -65,7 +67,41 @@ the machine.
   unaligned, big-endian hosts) drops to a struct-codec slow helper
   that re-locates the segment.  The last-hit segment is cached in a
   *local* (``_cs``), not on the memory object, so the common case
-  never leaves the frame.
+  never leaves the frame.  This checked path stays for CPU code,
+  hooked code, and the checked grid variant of a kernel.
+
+* **Launch-time bounds proofs.**  A kernel's unhooked grid variant
+  knows at launch what a thread cannot: the grid size and every
+  argument.  Its range proofs therefore take *launch expressions*,
+  Python expressions in ``grid`` and ``a1..aN``, as ends: the thread
+  id lies in ``[0, grid - 1]``, an argument ``aJ`` in ``[aJ, aJ]``, a
+  counted loop's slot runs between launch-expression bounds, and any
+  other promoted slot holds the hull of its stored values (plus the
+  zero fill, unless the entry run stores it first).  A result whose
+  fit in its type rests on a launch expression carries a *launch
+  condition*.  An access whose address is a global or such a base
+  plus GEP terms with bounded indices, every scale a multiple of the
+  access size, is *proven*: before its first thread, when ``grid >
+  0``, the launch tests the conditions, and for each distinct base
+  finds the segment whose allocated bytes hold the union of its
+  sites' ranges, aligned to the access size, binding the segment and
+  the base's element offset (``_lsK``, ``_ljN``).  A proven access is
+  then one index in element units, ``_ls1.vd[s0 * 32 + s3 + _lj1]``,
+  which keeps every per-thread int small, and as it cannot fault the
+  charge carries across it and a proven load folds into its user.
+  Views are read through the segment on every access: a checked site
+  of the same launch may grow the segment, which rebuilds its views,
+  but segments never move, so the proven range stays allocated.  A
+  launch that fails any test returns None before anything is charged
+  or written, and :meth:`Machine.launch_evaluated
+  <repro.interp.machine.Machine.launch_evaluated>` runs the kernel's
+  checked grid variant (``grid=CHECKED``, compiled on first need) and
+  counts it in ``Machine.checked_launches``.
+
+* **Dead values are not emitted.**  A value nothing reads -- a DOALL
+  kernel's unstored latch increment, a proven access's GEP chain --
+  whose instruction cannot fault is left out; its ops stay in its
+  segment's static charge.
 
 * **Non-escaping stack slots are locals.**  MiniC keeps every local
   variable in an ``alloca`` (the modelled clock charges each of its
@@ -133,6 +169,7 @@ across the workload sweep and the fuzz corpus.
 from __future__ import annotations
 
 import weakref
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.cfg import reverse_postorder
@@ -145,13 +182,14 @@ from ..ir.instructions import (Alloca, BinaryOp, Branch, Call, Cast, Compare,
                                Unreachable)
 from ..ir.types import (ArrayType, FloatType, IntType, PointerType,
                         StructType)
-from ..ir.values import Constant, GlobalVariable, UndefValue, Value
+from ..ir.values import (Argument, Constant, GlobalVariable, UndefValue,
+                         Value)
 from ..memory.flatmem import (VIEW_ACCESS, round_f32, scalar_format,
                               scalar_struct)
 from .externals import GPU_SAFE, call_cost
-from .machine import (_DIV_EXTRA, _OP_COSTS, Frame, MAX_CALL_DEPTH,
-                      needs_frame, tier_of, _trunc_div_float,
-                      _trunc_div_int)
+from .machine import (_DIV_EXTRA, _OP_COSTS, CHECKED, Frame,
+                      MAX_CALL_DEPTH, needs_frame, tier_of,
+                      _trunc_div_float, _trunc_div_int)
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _INF = float("inf")
@@ -183,6 +221,118 @@ def _int_params(type_) -> Tuple[int, int, int]:
         return 1, 1, 0
     mask = (1 << type_.bits) - 1
     return mask, type_.max_value, 1 << type_.bits
+
+
+# -- launch expressions -------------------------------------------------------
+#
+# A grid variant's bounds may end in a *launch expression*: an int, or
+# ``(constant, ((atom, coefficient), ...))``, a sum over atoms that are
+# Python expressions in ``grid`` and the launch arguments ``a1..aN``:
+# the names themselves, products of them, and the min, max and floor
+# quotients the algebra below cannot reduce.  Ints fold at codegen.
+
+#: ``grid - 1``, the last thread id.
+_LAST_TID = (-1, (("grid", 1),))
+
+
+def _linear(end) -> Tuple[int, Dict[str, int]]:
+    """``end`` as ``(constant, {atom: coefficient})``."""
+    if isinstance(end, int):
+        return end, {}
+    return end[0], dict(end[1])
+
+
+def _launch_expr(constant: int, terms: Dict[str, int]):
+    terms = tuple(sorted((atom, k) for atom, k in terms.items() if k))
+    return (constant, terms) if terms else constant
+
+
+def _atom(text: str):
+    return (0, ((text, 1),))
+
+
+def _plus(x, y):
+    if isinstance(x, int) and isinstance(y, int):
+        return x + y
+    constant, terms = _linear(x)
+    more, others = _linear(y)
+    for atom, k in others.items():
+        terms[atom] = terms.get(atom, 0) + k
+    return _launch_expr(constant + more, terms)
+
+
+def _times(x, y):
+    if isinstance(x, int) and isinstance(y, int):
+        return x * y
+    c, terms = _linear(x)
+    d, others = _linear(y)
+    out = {atom: k * d for atom, k in terms.items()}
+    for atom, k in others.items():
+        out[atom] = out.get(atom, 0) + k * c
+    for a, k in terms.items():
+        for b, m in others.items():
+            atom = " * ".join(sorted((a, b)))
+            out[atom] = out.get(atom, 0) + k * m
+    return _launch_expr(c * d, out)
+
+
+def _extreme(pick, ends):
+    """``pick`` (``min`` or ``max``) of launch expressions: the
+    constants of ends over the same atoms fold, the rest stay a call."""
+    best: Dict[tuple, int] = {}
+    for end in ends:
+        constant, terms = _linear(end)
+        key = tuple(sorted(terms.items()))
+        best[key] = constant if key not in best \
+            else pick(best[key], constant)
+    folded = sorted((_launch_expr(constant, dict(key))
+                     for key, constant in best.items()), key=_render)
+    if len(folded) == 1:
+        return folded[0]
+    return _atom(f"{pick.__name__}({', '.join(map(_render, folded))})")
+
+
+def _quotient(x, k: int):
+    """``x // k`` for a positive constant ``k``."""
+    if isinstance(x, int):
+        return x // k
+    return _atom(f"(({_render(x)}) // {k})")
+
+
+def _render(end) -> str:
+    """A launch expression as Python source."""
+    if isinstance(end, int):
+        return str(end)
+    constant, terms = end
+    text = ""
+    for atom, k in terms:
+        part = atom if abs(k) == 1 else f"{atom} * {abs(k)}"
+        if text:
+            text += (" - " if k < 0 else " + ") + part
+        else:
+            text = ("-" if k < 0 else "") + part
+    if constant:
+        text += f" - {-constant}" if constant < 0 else f" + {constant}"
+    return text
+
+
+def _nonnegative(end) -> bool:
+    return isinstance(end, int) and end >= 0
+
+
+def _solved(end, op: str, limit: int) -> Tuple[str, str, int]:
+    """Condition ``end op limit`` (``op`` is ``<=`` or ``>=``) as
+    ``(lhs, op, bound)``: the constant moved to the bound and, when one
+    atom is left, its coefficient divided out, so that conditions on
+    one atom keep only the tightest bound."""
+    constant, terms = end
+    bound = limit - constant
+    if len(terms) != 1:
+        return _render((0, terms)), op, bound
+    atom, k = terms[0]
+    if k < 0:
+        k, bound, op = -k, -bound, "<=" if op == ">=" else ">="
+    return atom, op, bound // k if op == "<=" else -(-bound // k)
 
 
 def check_definitions(fn: Function) -> None:
@@ -439,6 +589,24 @@ def _make_slow_fill(memory, size: int):
     return slow_fill
 
 
+def _make_cover(memory):
+    """Launch-time segment lookup for a grid variant's bounds proofs:
+    ``cover(lo, hi, base, mask)`` is the segment whose allocated bytes
+    hold ``[lo, hi)``, provided ``base - segment.base`` has no bit of
+    ``mask`` set, else None.  Only segments whose capacity is a
+    multiple of 8 qualify: their growth keeps the typed views armed,
+    so the segment a launch proved stays indexable for all of it."""
+    segments = [segment for segment in memory.segments
+                if not segment.capacity & 7]
+
+    def cover(lo, hi, base, mask):
+        for segment in segments:
+            if segment.base <= lo and hi <= segment.base + segment.hi1 + 1:
+                return None if (base - segment.base) & mask else segment
+        return None
+    return cover
+
+
 def _make_slow_store(memory, codec):
     """Codec fallback for one store shape (value pre-wrapped);
     returns the located segment."""
@@ -473,6 +641,9 @@ class _SourceCompiler:
         self.hooked = hooked
         self.guarded = guarded
         self.grid = grid
+        #: Launch-time bounds proofs: a kernel's unhooked grid variant
+        #: only, never its checked one (``grid == CHECKED``).
+        self.proofs = grid is True and not hooked
         self.memory = machine.device.memory if mode == "gpu" \
             else machine.cpu_memory
         #: A grid variant whose threads can reach code that uses the
@@ -529,9 +700,23 @@ class _SourceCompiler:
         #: Bounds of the promoted induction-slot loads (see
         #: ``_prove_ranges``), the memo of ``_interval`` and the int
         #: ops and casts it proved need no wrap.
-        self._ranges: Dict[Load, Tuple[int, int]] = {}
-        self._intervals: Dict[Value, Optional[Tuple[int, int]]] = {}
+        self._ranges: Dict[Load, tuple] = {}
+        self._intervals: Dict[Value, Optional[tuple]] = {}
         self._proven: set = set()
+        #: With ``proofs``: each promoted slot's stores, the memo of
+        #: ``_slot_interval``, the launch conditions of the memoized
+        #: bounds (by value or slot) and of the counted loops and
+        #: bitcasts, and the proven access sites with their bases and
+        #: element offsets (see ``_plan_sites``).
+        self._slot_stores: Dict[Alloca, List[Store]] = {}
+        self._hulls: Dict[Alloca, Optional[tuple]] = {}
+        self._conditions: Dict[Value, list] = {}
+        self._fixed_conditions: list = []
+        self._proofs: Dict[Instruction, tuple] = {}
+        self._bases: Dict[object, list] = {}
+        self._offsets: Dict[tuple, str] = {}
+        #: Values nothing reads, left out of the emitted code.
+        self._dead: set = set()
         #: Values emitted into their use instead of a register.
         self._folded: set = set()
         #: (ops, instructions) the fault-free segment being emitted
@@ -678,9 +863,12 @@ class _SourceCompiler:
         return isinstance(value, (BinaryOp, Compare)) \
             or isinstance(value, Constant) and isinstance(type_, IntType)
 
-    def _emit_slot_store(self, slot: str, value: Value, type_) -> None:
+    def _emit_slot_store(self, alloca: Alloca, value: Value, type_) -> None:
         """Assign a promoted slot what a load would read back after
-        the store: the value wrapped or rounded to the slot's type."""
+        the store: the value wrapped or rounded to the slot's type.  A
+        launch argument that the slot's bounds prove inside the type
+        needs no wrap."""
+        slot = self._slots[alloca]
         if isinstance(value, Constant):
             raw = value.value
             if isinstance(type_, FloatType):
@@ -694,7 +882,9 @@ class _SourceCompiler:
             self._emit(f"{slot} = {self._literal(raw)}")
             return
         ref = self._ref(value)
-        if self._stores_as_is(value, type_):
+        if self._stores_as_is(value, type_) or self.proofs \
+                and isinstance(value, Argument) \
+                and self._slot_interval(alloca) is not None:
             self._emit(f"{slot} = {ref}")
         elif isinstance(type_, FloatType):
             convert = "_rf32" if type_.bits == 32 else "float"
@@ -786,15 +976,9 @@ class _SourceCompiler:
             return
         if self.mode == "gpu" and type_.is_pointer:
             self._emit_pointer_guard(pointer)
-        slot = self._slots.get(inst.pointer)
-        if slot is not None:
-            self._emit_slot_store(slot, inst.value, type_)
+        if inst.pointer in self._slots:
+            self._emit_slot_store(inst.pointer, inst.value, type_)
             return
-        cs, k = self._site()
-        view, hi, shift, amask = VIEW_ACCESS[scalar_format(type_)[-1]]
-        index = "_o" if shift == 0 else f"_o >> {shift}"
-        guard = f"0 <= _o <= {cs}.{hi}" if amask == 0 else \
-            f"0 <= _o <= {cs}.{hi} and not _o & {amask}"
         if isinstance(type_, FloatType) \
                 or self._stores_as_is(inst.value, type_):
             stored = value
@@ -805,6 +989,14 @@ class _SourceCompiler:
                 self._emit(f"if _v > {self._literal(high)}:")
                 self._emit(f"    _v -= {self._literal(span)}")
             stored = "_v"
+        if inst in self._proofs:
+            self._emit(f"{self._proven_view(inst)} = {stored}")
+            return
+        cs, k = self._site()
+        view, hi, shift, amask = VIEW_ACCESS[scalar_format(type_)[-1]]
+        index = "_o" if shift == 0 else f"_o >> {shift}"
+        guard = f"0 <= _o <= {cs}.{hi}" if amask == 0 else \
+            f"0 <= _o <= {cs}.{hi} and not _o & {amask}"
         self._emit(f"_o = {pointer} - {cs}.base")
         self._emit(f"if {guard}:")
         self._emit(f"    {cs}.{view}[{index}] = {stored}")
@@ -817,6 +1009,19 @@ class _SourceCompiler:
         self._emit(f"if not _onds({pointer}):")
         self._emit(f"    raise _CUE(\"kernel @{self.fn.name} stores a "
                    "pointer into memory (CGCM restriction)\")")
+
+    def _proven_view(self, inst: Instruction) -> str:
+        """A proven site's typed-view index in element units, read
+        through the segment on every access: a checked site of the
+        same launch may grow the segment, which rebuilds its views."""
+        segment, view, terms, offset, lj = self._proofs[inst]
+        parts = [self._ref(value) if k == 1
+                 else f"{self._ref(value)} * {self._literal(k)}"
+                 for value, k in terms]
+        if offset:
+            parts.append(self._literal(offset))
+        parts.append(lj)
+        return f"{segment}.{view}[{' + '.join(parts)}]"
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -832,10 +1037,13 @@ class _SourceCompiler:
 
     def _pure(self, inst: Instruction) -> bool:
         """Whether ``inst`` is one expression that cannot raise: a GEP,
-        a float add, sub or mul, ``sitofp``, or an int op or cast whose
-        result is proven inside its type (no wrap to emit)."""
+        a proven load, a float add, sub or mul, ``sitofp``, or an int
+        op or cast whose result is proven inside its type (no wrap to
+        emit)."""
         if isinstance(inst, GetElementPtr):
             return True
+        if isinstance(inst, Load):
+            return inst in self._proofs
         if isinstance(inst, BinaryOp) and isinstance(inst.type, FloatType):
             return inst.op in ("add", "sub", "mul")
         if isinstance(inst, Cast) and inst.kind == "sitofp":
@@ -847,6 +1055,10 @@ class _SourceCompiler:
         """The Python expression of a :meth:`_pure` instruction."""
         if isinstance(inst, GetElementPtr):
             return self._gep(inst)
+        if isinstance(inst, Load):
+            view = self._proven_view(inst)
+            i1 = isinstance(inst.type, IntType) and inst.type.bits == 1
+            return f"{view} & 1" if i1 else view
         if isinstance(inst, Cast):
             source = self._ref(inst.value)
             return f"float({source})" if inst.kind == "sitofp" else source
@@ -930,19 +1142,29 @@ class _SourceCompiler:
             raise InterpError(f"cast kind {kind}")
 
     def _gep(self, inst: GetElementPtr) -> str:
+        steps, offset = self._gep_steps(inst)
+        terms = [self._ref(inst.pointer)]
+        terms.extend(self._ref(index) if scale == 1
+                     else f"{self._ref(index)} * {scale}"
+                     for index, scale in steps)
+        if offset:
+            terms.append(self._literal(offset))
+        return " + ".join(terms)
+
+    def _gep_steps(self, inst: GetElementPtr) -> Tuple[list, int]:
+        """``inst``'s address less its pointer: the ``(index, scale)``
+        terms of its variable indices and the constant offset."""
         pointee = inst.pointer.type.pointee
         indices = inst.indices
         offset = 0
-        terms: List[str] = [self._ref(inst.pointer)]
+        steps: List[Tuple[Value, int]] = []
 
         def accumulate(index: Value, scale: int) -> None:
             nonlocal offset
             if isinstance(index, Constant):
                 offset += int(index.value) * scale
-            elif scale == 1:
-                terms.append(self._ref(index))
             else:
-                terms.append(f"{self._ref(index)} * {scale}")
+                steps.append((index, scale))
 
         accumulate(indices[0], pointee.size)
         current = pointee
@@ -960,9 +1182,7 @@ class _SourceCompiler:
                 current = current.fields[field][1]
             else:
                 raise InterpError(f"gep into non-aggregate {current}")
-        if offset:
-            terms.append(self._literal(offset))
-        return " + ".join(terms)
+        return steps, offset
 
     # -- range proofs -------------------------------------------------------
 
@@ -973,7 +1193,8 @@ class _SourceCompiler:
         when the slot is a promoted int (so only the latch writes it
         inside the loop), the latch jumps straight back to the header,
         the start and end have bounds, and the latch's ``i + step``
-        cannot leave the type.  With ``top`` the largest value the
+        cannot leave the type -- a launch condition when its bound is
+        a launch expression.  With ``top`` the largest value the
         header lets in, a load lies in ``[start_lo, max(start_hi, top
         + step)]`` in the header and after the latch's store, and in
         ``[start_lo, top]`` everywhere else in the loop.  Loops come
@@ -997,10 +1218,15 @@ class _SourceCompiler:
                           for fact in (start, end))
             if start is None or end is None:
                 continue
-            top = end[1] - (pred == "lt")
-            if top + step > type_.max_value:
-                continue
-            entry = (start[0], max(start[1], top + step))
+            top = _plus(end[1], -(pred == "lt"))
+            last = _plus(top, step)
+            if isinstance(last, int):
+                if last > type_.max_value:
+                    continue
+            else:
+                self._fixed_conditions.append(
+                    (last, "<=", type_.max_value))
+            entry = (start[0], _extreme(max, (start[1], last)))
             inside = (start[0], top)
             for k in members:
                 known = entry if k == header else inside
@@ -1012,57 +1238,99 @@ class _SourceCompiler:
             # Values first asked about before these loads had ranges.
             self._intervals.clear()
             self._proven.clear()
+            self._hulls.clear()
+            self._conditions.clear()
 
     def _needs_no_wrap(self, inst: Instruction) -> bool:
         """Whether int op or cast ``inst`` is proven inside its type."""
         self._interval(inst)
         return inst in self._proven
 
-    def _interval(self, value: Value,
-                  depth: int = 0) -> Optional[Tuple[int, int]]:
+    def _fits(self, bounds: tuple, type_) -> Optional[list]:
+        """The launch conditions under which ``bounds`` lies inside
+        ``type_`` (a pointer: 64 unsigned bits): ``[]`` when it always
+        does, None when an int end shows it cannot."""
+        if isinstance(type_, PointerType):
+            low, high = 0, _MASK64
+        else:
+            low, high = type_.min_value, type_.max_value
+        conditions = []
+        for end, op, limit in ((bounds[0], ">=", low),
+                               (bounds[1], "<=", high)):
+            if not isinstance(end, int):
+                conditions.append((end, op, limit))
+            elif end < low if op == ">=" else end > high:
+                return None
+        return conditions
+
+    def _interval(self, value: Value, depth: int = 0) -> Optional[tuple]:
         """``value``'s bounds as its uses read it, or None.
 
         Constants and bounded induction-slot loads start them; add,
         sub and mul carry them, as do div and rem by a positive
-        constant from a non-negative operand and sext, zext and trunc
-        of an input that fits.  An int op or cast whose result fits
-        its type joins ``_proven``; one whose wrap runs is bounded by
-        its type alone, as is any other load, since memory and
-        promoted slots hold wrapped values.  Nothing else is bounded:
-        not ``i1`` or pointers, and not arguments or call results,
-        which nothing wraps.
+        constant from an operand whose lower end is a non-negative int,
+        and sext, zext and trunc of an input that fits.  An int op or
+        cast whose result fits its type joins ``_proven``; one whose
+        wrap runs is bounded by its type alone, as is any other int
+        load, since memory and promoted slots hold wrapped values.
+
+        With ``proofs`` (a kernel's grid variant) ends may be launch
+        expressions: the thread id ``a0`` lies in ``[0, grid - 1]``,
+        an int or pointer argument ``aJ`` in ``[aJ, aJ]``, a global at
+        its address, and a promoted slot's load in the slot's hull
+        (``_slot_interval``); a result whose fit rests on a launch
+        expression records its launch conditions.  Nothing else is
+        bounded: not ``i1``, other pointers or call results.
         """
         type_ = value.type
-        if not isinstance(type_, IntType) or type_.bits == 1:
+        pointer = isinstance(type_, PointerType)
+        if not pointer and (not isinstance(type_, IntType)
+                            or type_.bits == 1):
             return None
         if isinstance(value, Constant):
-            return (value.value, value.value)
+            return None if pointer else (value.value, value.value)
         known = self._intervals.get(value, False)
         if known is not False:
             return known
-        whole = (type_.min_value, type_.max_value)
+        whole = None if pointer else (type_.min_value, type_.max_value)
         bounds = None
         if isinstance(value, Load):
-            bounds = self._ranges.get(value, whole)
-        elif isinstance(value, BinaryOp) or isinstance(value, Cast) \
-                and value.kind != "bitcast":
+            bounds = self._ranges.get(value)
+            if bounds is None and self.proofs and depth < 32 \
+                    and value.pointer in self._slots:
+                bounds = self._slot_interval(value.pointer, depth + 1)
+            bounds = bounds or whole
+        elif isinstance(value, Argument):
+            if self.proofs:
+                bounds = (0, _LAST_TID) if value.index == 0 \
+                    else (_atom(f"a{value.index}"),) * 2
+        elif isinstance(value, GlobalVariable):
+            if self.proofs:
+                address = self.machine.device.module_get_global(value.name)
+                bounds = (address, address)
+        elif not pointer and (isinstance(value, BinaryOp)
+                              or isinstance(value, Cast)
+                              and value.kind != "bitcast"):
             raw = self._raw_interval(value, depth) if depth < 32 else None
+            fits = None if raw is None else self._fits(raw, type_)
             bounds = whole
-            if raw is not None and whole[0] <= raw[0] \
-                    and raw[1] <= whole[1]:
+            if fits is not None:
                 bounds = raw
                 self._proven.add(value)
+                if fits:
+                    self._conditions[value] = fits
         self._intervals[value] = bounds
         return bounds
 
     def _raw_interval(self, inst: Instruction,
-                      depth: int) -> Optional[Tuple[int, int]]:
+                      depth: int) -> Optional[tuple]:
         """Bounds of ``inst``'s result before any wrap, or None."""
         if isinstance(inst, Cast):
             if inst.kind not in ("sext", "zext", "trunc"):
                 return None
             bounds = self._interval(inst.value, depth + 1)
-            if bounds and inst.kind == "zext" and bounds[0] < 0:
+            if bounds and inst.kind == "zext" \
+                    and not _nonnegative(bounds[0]):
                 return None
             return bounds
         a = self._interval(inst.lhs, depth + 1)
@@ -1071,17 +1339,211 @@ class _SourceCompiler:
             return None
         op = inst.op
         if op == "add":
-            return (a[0] + b[0], a[1] + b[1])
+            return (_plus(a[0], b[0]), _plus(a[1], b[1]))
         if op == "sub":
-            return (a[0] - b[1], a[1] - b[0])
+            return (_plus(a[0], _times(b[1], -1)),
+                    _plus(a[1], _times(b[0], -1)))
         if op == "mul":
-            corners = [x * y for x in a for y in b]
-            return (min(corners), max(corners))
-        if op in ("div", "rem") and a[0] >= 0 \
+            for x, (k, other) in ((a, b), (b, a)):
+                if isinstance(k, int) and k == other:
+                    low, high = _times(x[0], k), _times(x[1], k)
+                    return (low, high) if k >= 0 else (high, low)
+            corners = [_times(x, y) for x in a for y in b]
+            return (_extreme(min, corners), _extreme(max, corners))
+        if op in ("div", "rem") and _nonnegative(a[0]) \
                 and isinstance(inst.rhs, Constant) and b[0] > 0:
-            return (a[0] // b[0], a[1] // b[0]) if op == "div" \
-                else (0, min(a[1], b[0] - 1))
+            k = b[0]
+            if op == "div":
+                return (a[0] // k, _quotient(a[1], k))
+            return (0, min(a[1], k - 1) if isinstance(a[1], int)
+                    else k - 1)
         return None
+
+    def _slot_interval(self, alloca: Alloca,
+                       depth: int = 0) -> Optional[tuple]:
+        """Bounds of what promoted slot ``alloca`` holds in a grid
+        variant: the hull of every stored value's bounds, each of
+        which must fit the slot's type (its store's wrap then changes
+        nothing), and of 0, for the alloca's zero fill, unless
+        ``_written_first``.  A stored value that reads the slot itself
+        has no bounds, and then neither has the slot."""
+        known = self._hulls.get(alloca, False)
+        if known is not False:
+            return known
+        self._hulls[alloca] = None
+        type_ = alloca.allocated_type
+        ends = [] if self._written_first(alloca) else [(0, 0)]
+        conditions: list = []
+        for store in self._slot_stores.get(alloca, ()):
+            bounds = self._interval(store.value, depth)
+            fits = None if bounds is None else self._fits(bounds, type_)
+            if fits is None:
+                return None
+            conditions += fits
+            ends.append(bounds)
+        hull = (_extreme(min, [low for low, _ in ends]),
+                _extreme(max, [high for _, high in ends]))
+        self._hulls[alloca] = hull
+        if conditions:
+            self._conditions[alloca] = conditions
+        return hull
+
+    def _written_first(self, alloca: Alloca) -> bool:
+        """Whether every load of ``alloca`` reads a stored value: the
+        alloca and a store sit in the entry run, the store ahead of
+        every load of the slot there.  The entry run is the entry
+        block, which nothing may jump back to, and each block that
+        only an unconditional branch from the run's last block
+        reaches (MiniC stores a function's arguments in the block
+        after its allocas): it runs once per activation, straight
+        through, before any other block."""
+        block = self.fn.entry_block
+        if self._preds.get(block, 0) or alloca.parent is None:
+            return False
+        run = set()
+        while block not in run:
+            run.add(block)
+            for inst in block.instructions:
+                if isinstance(inst, (Load, Store)) \
+                        and inst.pointer is alloca:
+                    return isinstance(inst, Store) \
+                        and alloca.parent in run
+            term = block.instructions[-1] if block.instructions else None
+            if not isinstance(term, Branch) \
+                    or self._preds.get(term.target, 0) != 1:
+                return False
+            block = term.target
+        return False
+
+    # -- launch-time bounds proofs ------------------------------------------
+
+    def _plan_sites(self) -> None:
+        """Pick the accesses a launch proves in bounds (``_proofs``).
+
+        A load, or a store of anything but a pointer (which keeps its
+        device-stack guard), qualifies when its pointer is a base -- a
+        global, or a launch expression such as a pointer argument --
+        plus GEP terms (``_address``), every scale and the constant
+        offset a multiple of the access size.  Its address range then
+        joins its base's, which the launch checks once (see
+        ``_proof_lines``); the access becomes one typed-view index in
+        element units off the base's element offset ``_ljN``.
+        """
+        for inst in self.fn.instructions():
+            if isinstance(inst, Load):
+                type_ = inst.type
+            elif isinstance(inst, Store) and not inst.value.type.is_pointer:
+                type_ = inst.value.type
+            else:
+                continue
+            if inst.pointer in self._slots:
+                continue
+            address = self._address(inst.pointer)
+            if address is None:
+                continue
+            base, terms, offset, low, high, conditions = address
+            view, _, shift, _ = VIEW_ACCESS[scalar_format(type_)[-1]]
+            size = 1 << shift
+            if offset % size or any(scale % size for _, scale in terms):
+                continue
+            # [segment, lows, highs, alignment mask]
+            record = self._bases.setdefault(
+                base, [f"_ls{len(self._bases)}", [], [], 0])
+            record[1].append(low)
+            record[2].append(_plus(high, size))
+            record[3] = max(record[3], size - 1)
+            lj = self._offsets.setdefault((base, shift),
+                                          f"_lj{len(self._offsets)}")
+            self._proofs[inst] = (record[0], view,
+                                  [(index, scale // size)
+                                   for index, scale in terms],
+                                  offset // size, lj)
+            self._fixed_conditions += conditions
+        if self._bases:
+            self.builders["_cover"] = lambda m, mem: _make_cover(mem)
+
+    def _address(self, pointer: Value) -> Optional[tuple]:
+        """``pointer`` as ``(base, terms, offset, low, high,
+        conditions)``: a base launch expression plus the ``(index,
+        scale)`` GEP terms and constant ``offset`` that ``_gep``
+        would add, ``[low, high]`` the range of that sum, and the
+        launch conditions of the bitcasts looked through (each masks
+        its pointer to 64 bits, a no-op only where it fits).  None
+        unless the base is bounded to one value and every index is
+        bounded."""
+        chain: List[Instruction] = []
+        while isinstance(pointer, GetElementPtr) or isinstance(
+                pointer, Cast) and pointer.kind == "bitcast":
+            chain.append(pointer)
+            pointer = pointer.pointer if isinstance(pointer, GetElementPtr) \
+                else pointer.value
+        bounds = self._interval(pointer)
+        if bounds is None or bounds[0] != bounds[1]:
+            return None
+        base = bounds[0]
+        terms: List[Tuple[Value, int]] = []
+        offset = low = high = 0
+        conditions: list = []
+        for link in reversed(chain):
+            if isinstance(link, Cast):
+                fits = self._fits((_plus(base, low), _plus(base, high)),
+                                  link.type)
+                if fits is None:
+                    return None
+                conditions += fits
+                continue
+            steps, constant = self._gep_steps(link)
+            offset += constant
+            low, high = _plus(low, constant), _plus(high, constant)
+            for index, scale in steps:
+                bounds = self._interval(index)
+                if bounds is None:
+                    return None
+                first, last = bounds if scale > 0 else bounds[::-1]
+                low = _plus(low, _times(first, scale))
+                high = _plus(high, _times(last, scale))
+                terms.append((index, scale))
+        return base, terms, offset, low, high, conditions
+
+    def _proof_lines(self) -> List[str]:
+        """The launch prologue of a grid variant with proven sites or
+        launch conditions: when ``grid > 0``, test the conditions,
+        then bind each base's segment ``_lsK``, which must hold the
+        union of the base's site ranges and sit aligned to its
+        largest access, and the base's element offsets ``_ljN``.  Any
+        failure returns None before anything is charged or written,
+        and the launch runs the checked variant instead."""
+        tightest: Dict[Tuple[str, str], int] = {}
+        for end, op, limit in chain(self._fixed_conditions,
+                                    *self._conditions.values()):
+            lhs, op, bound = _solved(end, op, limit)
+            pick = min if op == "<=" else max
+            tightest[lhs, op] = pick(tightest.get((lhs, op), bound), bound)
+        fails = [f"{lhs} > {bound}" if op == "<=" else f"{lhs} < {bound}"
+                 for (lhs, op), bound in sorted(tightest.items())
+                 if not (lhs == "grid" and op == ">=" and bound <= 1)]
+        if not fails and not self._bases:
+            return []
+        lines = ["    if grid:"]
+        if fails:
+            lines.append(f"        if {' or '.join(fails)}:")
+            lines.append("            return None")
+        for base, (segment, lows, highs, mask) in self._bases.items():
+            lines.append(
+                f"        {segment} = _cover("
+                f"{_render(_plus(base, _extreme(min, lows)))}, "
+                f"{_render(_plus(base, _extreme(max, highs)))}, "
+                f"{_render(base)}, {mask})")
+        if self._bases:
+            missing = " or ".join(f"{record[0]} is None"
+                                  for record in self._bases.values())
+            lines.append(f"        if {missing}:")
+            lines.append("            return None")
+        for (base, shift), lj in self._offsets.items():
+            lines.append(f"        {lj} = ({_render(base)} - "
+                         f"{self._bases[base][0]}.base)"
+                         + (f" >> {shift}" if shift else ""))
+        return lines
 
     def _emit_alloca(self, inst: Alloca) -> None:
         dest = self.names[inst]
@@ -1276,13 +1738,15 @@ class _SourceCompiler:
 
     def _can_fault(self, inst: Instruction) -> bool:
         """Whether ``inst`` can raise, so that its segment's charge must
-        land before it runs: a memory access (every access, in a
-        hooked or guarded variant), a kernel's pointer store, an int
-        div or rem by anything but a nonzero constant, a float rem,
-        and alloca, call, launch and unreachable."""
+        land before it runs: a memory access but a promoted slot's or a
+        proven site's (every access, in a hooked or guarded variant), a
+        kernel's pointer store, an int div or rem by anything but a
+        nonzero constant, a float rem, and alloca, call, launch and
+        unreachable."""
         if isinstance(inst, (Load, Store)):
             return self.hooked or self.guarded \
                 or inst.pointer not in self._slots \
+                and inst not in self._proofs \
                 or isinstance(inst, Store) and self.mode == "gpu" \
                 and inst.value.type.is_pointer
         if isinstance(inst, BinaryOp):
@@ -1340,7 +1804,8 @@ class _SourceCompiler:
                 ops = count = 0
             self._carry = (ops, count)
             for inst in segment:
-                self._emit_inst(inst, index)
+                if inst not in self._dead:
+                    self._emit_inst(inst, index)
         if not block.is_terminated:
             self._emit_charge(*self._carry)
             self._emit(f"raise _IE(\"block {block.name} in "
@@ -1442,6 +1907,35 @@ class _SourceCompiler:
         blocks = self.fn.blocks
         return [blocks[i] for i in order]
 
+    def _operands(self, inst: Instruction):
+        """The values ``inst``'s emitted code reads: a proven site reads
+        its GEP indices (and stored value), not its pointer."""
+        proof = self._proofs.get(inst)
+        if proof is None:
+            return inst.operands
+        values = [index for index, _ in proof[2]]
+        if isinstance(inst, Store):
+            values.append(inst.value)
+        return values
+
+    def _plan_dead(self) -> None:
+        """Pick the values nothing reads (``_dead``): every value but a
+        call's or an alloca's that cannot fault and that no emitted
+        instruction reads (``_operands``), such as a DOALL kernel's
+        unstored latch increment or a proven site's GEP chain.  Their
+        ops stay in their segment's static charge."""
+        live = [inst for inst in self.fn.instructions()
+                if not inst.produces_value
+                or isinstance(inst, (Call, Alloca)) or self._can_fault(inst)]
+        seen = set(live)
+        while live:
+            for operand in self._operands(live.pop()):
+                if isinstance(operand, Instruction) and operand not in seen:
+                    seen.add(operand)
+                    live.append(operand)
+        self._dead = {inst for inst in self.fn.instructions()
+                      if inst not in seen}
+
     def _plan_folds(self) -> None:
         """Pick the values emitted into their use (``_folded``).
 
@@ -1454,24 +1948,31 @@ class _SourceCompiler:
           becomes part of that instruction's expression -- unless the
           nesting would pass ``_FOLD_DEPTH``, or the user is an
           unproven int rem, which reads its operands twice.
+
+        Dead values (``_dead``) neither count as uses nor stand between
+        a value and the next instruction.
         """
         blocks = self.fn.blocks
+        dead = self._dead
         uses: Dict[Instruction, int] = {}
         for block in blocks:
             for inst in block.instructions:
-                for operand in inst.operands:
+                if inst in dead:
+                    continue
+                for operand in self._operands(inst):
                     if isinstance(operand, Instruction):
                         uses[operand] = uses.get(operand, 0) + 1
         slots = self._slots
         for block in blocks:
-            insts = block.instructions
+            insts = [inst for inst in block.instructions
+                     if inst not in dead]
             last = len(insts) - 1
             #: slot load -> [uses so far, slot stored since, foldable]
             reads: Dict[Load, list] = {}
             depth: Dict[Instruction, int] = {}
             for k, inst in enumerate(insts):
                 if reads:
-                    for operand in inst.operands:
+                    for operand in self._operands(inst):
                         read = reads.get(operand) \
                             if isinstance(operand, Load) else None
                         if read is not None:
@@ -1487,7 +1988,8 @@ class _SourceCompiler:
                 if k == last or uses.get(inst) != 1:
                     continue
                 user = insts[k + 1]
-                if not any(operand is inst for operand in user.operands):
+                if not any(operand is inst
+                           for operand in self._operands(user)):
                     continue
                 if isinstance(inst, Compare):
                     if isinstance(user, CondBranch):
@@ -1498,8 +2000,9 @@ class _SourceCompiler:
                         and isinstance(user.type, IntType) \
                         and not self._needs_no_wrap(user):
                     continue
-                level = 1 + max(depth.get(operand, 0)
-                                for operand in inst.operands)
+                level = 1 + max((depth.get(operand, 0)
+                                 for operand in self._operands(inst)),
+                                default=0)
                 if level <= _FOLD_DEPTH:
                     self._folded.add(inst)
                     depth[inst] = level
@@ -1510,9 +2013,18 @@ class _SourceCompiler:
     def compile(self):
         fn = self.fn
         check_definitions(fn)
+        self._preds = preds = self._edge_counts()
         if not self.hooked:
             self._slots = self._promoted_slots()
+            if self.proofs:
+                for inst in fn.instructions():
+                    if isinstance(inst, Store) and inst.pointer in self._slots:
+                        self._slot_stores.setdefault(inst.pointer, []) \
+                            .append(inst)
             self._prove_ranges()
+        if self.proofs:
+            self._plan_sites()
+        self._plan_dead()
         self._plan_folds()
         for i, arg in enumerate(fn.args):
             self.names[arg] = f"a{i}"
@@ -1521,7 +2033,6 @@ class _SourceCompiler:
             if inst.produces_value:
                 self.names[inst] = f"r{serial}"
                 serial += 1
-        preds = self._edge_counts()
         self._inlined = self._plan_fusion(preds, nest=True)
         if self._max_nesting(self._inlined) > 40:
             # Degenerate conditional ladders would nest past the
@@ -1569,17 +2080,22 @@ class _SourceCompiler:
                 lambda m, mem, n=len(self._sites): [mem.segments[0]] * n
             prologue.append(f"    {sites} = _cc")
         if self.grid:
-            body = self._grid_lines(body, sites)
+            body = self._proof_lines() + self._grid_lines(body, sites)
         params = ", ".join(f"{name}={name}" for name in self.builders)
         header = f"def __srcgen({'grid, ' if self.grid else ''}args, " \
             f"*, {params}):"
         source = "\n".join([header] + prologue + body) + "\n"
         tag = f"<srcgen @{fn.name}:{self.mode}" \
             + (":grid" if self.grid else "") \
+            + (":checked" if self.grid == CHECKED else "") \
             + (":hooked" if self.hooked else "") \
             + (":guarded>" if self.guarded else ">")
         code_obj = compile(source, tag, "exec")
-        return source, code_obj, self.builders
+        accesses = sum(isinstance(inst, (Load, Store))
+                       and inst.pointer not in self._slots
+                       for inst in fn.instructions())
+        return source, code_obj, self.builders, \
+            (len(self._proofs), accesses)
 
     def _grid_lines(self, body: List[str], sites: str) -> List[str]:
         """Wrap one thread's emitted body in the launch's thread loop.
@@ -1639,7 +2155,7 @@ class _SourceCompiler:
 
 
 def _instantiate(machine, fn: Function, key: tuple, entry) -> "object":
-    source, code_obj, builders = entry
+    source, code_obj, builders, (proven, accesses) = entry
     mode, hooked, guarded, grid = key
     memory = machine.device.memory if mode == "gpu" \
         else machine.cpu_memory
@@ -1655,6 +2171,10 @@ def _instantiate(machine, fn: Function, key: tuple, entry) -> "object":
     code.hooked = hooked
     code.guarded = guarded
     code.grid = grid
+    #: Memory access sites (loads and stores of anything but a
+    #: promoted slot), and those a launch proves in bounds.
+    code.access_sites = accesses
+    code.proven_sites = proven
     return code
 
 
@@ -1666,7 +2186,9 @@ def compile_function_source(machine, fn: Function, mode: str,
     ``guarded`` code checks ``machine.writeback_guard`` before every
     load/store.  A ``grid`` variant of a kernel runs a whole launch:
     ``code(grid, args)`` with the operands after the thread id, and
-    returns the max per-thread op count.
+    returns the max per-thread op count -- or None, before running a
+    thread, when the launch fails its bounds proof; the ``CHECKED``
+    grid variant proves nothing and tests every access instead.
 
     Emission and ``compile()`` happen once per (function, mode,
     hooked, guarded, grid) process-wide; each machine only

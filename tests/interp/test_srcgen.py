@@ -4,11 +4,13 @@ Holds srcgen to the tree-walker (results, clocks, hook events, GPU
 restrictions, compile-time checks) and covers the compiled-cache
 keying regression (a sanitizer-armed run must never reuse an
 unhooked compiled body, and vice versa), the stack-slot promotion
-rules, and the whole-grid kernel variant.
+rules, and the whole-grid kernel variant with its launch-time bounds
+proofs.
 """
 
 import gc
 import re
+import struct
 import weakref
 
 import pytest
@@ -18,8 +20,10 @@ from repro.core import CgcmCompiler, CgcmConfig, OptLevel
 from repro.errors import CgcmUnsupportedError, InterpError
 from repro.frontend import compile_minic
 from repro.interp import Machine
+from repro.interp.machine import CHECKED
 from repro.interp.srcgen import _SourceCompiler, compile_function_source
-from repro.ir import (FunctionType, I64, IRBuilder, Module, verify_module)
+from repro.ir import (FunctionType, I64, IRBuilder, Module, VOID,
+                      pointer_to, verify_module)
 from repro.ir.instructions import Alloca, Call, LaunchKernel, Load, Store
 from repro.runtime import CgcmRuntime
 from repro.staticcheck.corpus import CORPUS
@@ -580,8 +584,9 @@ class TestRangeProofsAndFolds:
     def test_gemm_inner_loop_has_no_wrap_or_slot_copy(self):
         """The ``k`` loop of the ``multiply`` kernel gemm, 2mm and 3mm
         share: its bounds are constants, so ``k + 1`` needs no wrap,
-        and every slot load reads the slot in place.  The whole
-        iteration pays two charges: the body's loads can fault."""
+        and every slot load reads the slot in place.  The launch
+        proves the body's loads in bounds, so none can fault and the
+        whole iteration pays one charge, at the back edge."""
         from repro.workloads import get_workload
         compiler = CgcmCompiler(CgcmConfig())
         report = compiler.compile_source(get_workload("gemm").source, "gemm")
@@ -594,7 +599,9 @@ class TestRangeProofsAndFolds:
         assert not self.WRAP.search(inner)
         assert not self.SLOT_COPY.search(inner)
         body = inner.split("continue")[0]
-        assert body.count("_go += ") == 2 and "+(" not in body
+        assert body.count("_go += ") == body.count("_ei += ") == 1
+        assert "+(" not in body
+        assert "_o =" not in body and not re.search(r"_ld\d+\(", body)
 
 
 class TestGpuRestrictions:
@@ -785,6 +792,350 @@ class TestGridVariant:
                              machine._frame_counter)
         assert after["source"] == self.AFTER_FAULT[kernel]
         assert after["source"][1] == after["tree"][1]
+
+
+class TestLaunchProofs:
+    """A kernel's grid variant proves at launch that its affine
+    accesses stay inside one segment's allocated bytes and indexes
+    each as one typed view; a launch whose proof fails runs the
+    checked grid variant.  Either way every run matches the
+    tree-walker, launch by launch."""
+
+    #: A proven access: one segment view indexed in element units.
+    PROVEN = re.compile(r"_ls\d+\.v[bhiqQfd]\[")
+    #: A checked access's slow-path helper call.
+    SLOW_PATH = re.compile(r"_(ld|st)\d+\(")
+
+    #: ``j < tid``: the thread id bounds the inner loop.
+    TRIANGULAR = r"""
+        double X[24];
+        double S[24];
+        __global__ void prefix(long tid, double *x, double *s) {
+            double acc = 0.0;
+            for (long j = 0; j < tid; j++) acc += x[j];
+            s[tid] = acc;
+        }
+        int main(void) {
+            for (int i = 0; i < 24; i++) X[i] = i * 0.5;
+            double *dx = (double *) map((char *) X);
+            double *ds = (double *) map((char *) S);
+            __launch(prefix, 24, dx, ds);
+            unmap((char *) S);
+            release((char *) S);
+            release((char *) X);
+            print_f64(S[23]);
+            return 0;
+        }
+    """
+
+    PROVEN_SHAPES = {
+        "triangular": TRIANGULAR,
+        # The stored value is bounded, by ``% 200``, but not inside
+        # the char range: the store keeps its i8 wrap.
+        "reversed_char": r"""
+            char C[64];
+            __global__ void rev(long tid, char *c) {
+                c[63 - tid] = (tid * 7) % 200;
+            }
+            int main(void) {
+                char *d = (char *) map((char *) C);
+                __launch(rev, 64, d);
+                unmap((char *) C);
+                release((char *) C);
+                long s = 0;
+                for (int i = 0; i < 64; i++) s += C[i] * (i + 1);
+                print_i64(s);
+                return 0;
+            }
+        """,
+        "heap_argument": r"""
+            __global__ void scale(long tid, double *x, long n) {
+                if (tid < n) x[tid] = x[tid] * 2.0 + tid;
+            }
+            int main(void) {
+                double *h = (double *) malloc(40 * 8);
+                for (int i = 0; i < 40; i++) h[i] = i;
+                double *d = (double *) map((char *) h);
+                __launch(scale, 40, d, 40);
+                unmap((char *) h);
+                release((char *) h);
+                print_f64(h[39]);
+                free((char *) h);
+                return 0;
+            }
+        """,
+        "struct_field": r"""
+            struct cell { long tag; double mass; double speed; };
+            struct cell cells[12];
+            __global__ void push(long tid, struct cell *c) {
+                c[tid].speed = c[tid].mass * c[tid].tag + 0.25;
+            }
+            int main(void) {
+                for (int i = 0; i < 12; i++) {
+                    cells[i].tag = i;
+                    cells[i].mass = 1.5 * i;
+                }
+                struct cell *d = (struct cell *) map((char *) cells);
+                __launch(push, 12, d);
+                unmap((char *) cells);
+                release((char *) cells);
+                print_f64(cells[11].speed);
+                return 0;
+            }
+        """,
+    }
+
+    #: One launch of each fails its proof.
+    FALLBACKS = {
+        # ``A`` is the first global, at its segment's base: the
+        # guarded ``a[i - 1]`` ranges one element below the segment.
+        "guarded_left": r"""
+            double A[16];
+            double L[16];
+            __global__ void left(long i, double *a, double *l) {
+                double v = 0.0;
+                if (i > 0) v = a[i - 1];
+                l[i] = v;
+            }
+            int main(void) {
+                for (int i = 0; i < 16; i++) A[i] = i * 1.5;
+                double *da = (double *) map((char *) A);
+                double *dl = (double *) map((char *) L);
+                __launch(left, 16, da, dl);
+                unmap((char *) L);
+                release((char *) L);
+                release((char *) A);
+                print_f64(L[15]);
+                return 0;
+            }
+        """,
+        # ``k + tid`` leaves the 64-bit range at the second launch;
+        # ``i - k`` wraps back to the thread id.
+        "wrapping_index": r"""
+            long O[4];
+            __global__ void shift(long tid, long *o, long k) {
+                long i = k + tid;
+                o[i - k] = i;
+            }
+            int main(void) {
+                long *d = (long *) map((char *) O);
+                __launch(shift, 4, d, 5);
+                __launch(shift, 4, d, 9223372036854775806);
+                unmap((char *) O);
+                release((char *) O);
+                for (int t = 0; t < 4; t++) print_i64(O[t]);
+                return 0;
+            }
+        """,
+        "misaligned_argument": r"""
+            long O[8];
+            __global__ void fill(long tid, long *o) { o[tid] = tid * 3; }
+            int main(void) {
+                long *d = (long *) map((char *) O);
+                __launch(fill, 4, d);
+                __launch(fill, 4, (long *) ((char *) d + 4));
+                unmap((char *) O);
+                release((char *) O);
+                for (int t = 0; t < 8; t++) print_i64(O[t]);
+                return 0;
+            }
+        """,
+    }
+
+    @staticmethod
+    def run_both(program: str, monkeypatch, hook=None):
+        """Run ``program`` on both engines, assert that they agree and
+        that the source engine tree-walked nothing; its machine."""
+        _, tree = TestGridVariant.observe(program, "tree", hook)
+        walked = []
+        execute = Machine._execute
+
+        def tracking(machine, frame):
+            walked.append(frame.function.name)
+            return execute(machine, frame)
+
+        monkeypatch.setattr(Machine, "_execute", tracking)
+        machine, source = TestGridVariant.observe(program, "source", hook)
+        assert source == tree
+        assert walked == []
+        return machine
+
+    @staticmethod
+    def kernel_codes(machine):
+        return {code.grid: code for code in machine._compiled.values()
+                if code.grid}
+
+    def test_gemm_multiply_indexes_its_segments(self):
+        """The inner arm reads A, B and alpha through segment views:
+        no offset test, no slow path, one charge pair.  The unstored
+        latch increment of the outlined loop is not emitted."""
+        from repro.workloads import get_workload
+        compiler = CgcmCompiler(CgcmConfig())
+        report = compiler.compile_source(get_workload("gemm").source, "gemm")
+        machine = Machine(report.module, engine="source")
+        kernel = next(k for k in report.doall_kernels
+                      if k.name.startswith("multiply"))
+        code = compile_function_source(machine, kernel, "gpu", False,
+                                       grid=True)
+        inner = code.source.split("if _b == 0:")[1].split("elif _b ==")[0]
+        arm = inner.split("continue")[0]
+        assert len(self.PROVEN.findall(arm)) == 3
+        assert "_o =" not in arm and not self.SLOW_PATH.search(arm)
+        assert arm.count("_go += ") == 1
+        assert code.proven_sites == code.access_sites == 6
+        assert "s0 + 1" not in code.source
+
+    @pytest.mark.parametrize("name", sorted(PROVEN_SHAPES))
+    def test_proven_shapes(self, name, monkeypatch):
+        machine = self.run_both(self.PROVEN_SHAPES[name], monkeypatch)
+        assert machine.checked_launches == 0
+        (code,) = self.kernel_codes(machine).values()
+        assert code.grid is True
+        assert code.proven_sites == code.access_sites > 0
+        assert not self.SLOW_PATH.search(code.source)
+        if name == "reversed_char":
+            assert ".vb[" in code.source and "& 255" in code.source
+        elif name == "struct_field":
+            assert ".vq[" in code.source and ".vd[" in code.source
+        elif name == "heap_argument":
+            assert "_cover(a1" in code.source
+
+    @pytest.mark.parametrize("name", sorted(FALLBACKS))
+    def test_failed_proofs_run_the_checked_variant(self, name, monkeypatch):
+        machine = self.run_both(self.FALLBACKS[name], monkeypatch)
+        assert machine.checked_launches == 1
+        codes = self.kernel_codes(machine)
+        assert set(codes) == {True, CHECKED}
+        assert codes[True].proven_sites > 0
+        assert codes[CHECKED].proven_sites == 0
+        assert "_cover" not in codes[CHECKED].source
+
+    def test_signed_dividend_adds_no_condition(self, monkeypatch):
+        """``k + tid`` may be negative, so its div and rem keep C
+        truncation rather than ask the launch for ``k >= 0``: a
+        negative ``k`` still runs the proven variant."""
+        machine = self.run_both(r"""
+            long O[8];
+            __global__ void split(long tid, long *o, long k) {
+                o[tid] = (k + tid) % 4 * 10 + (k + tid) / 4;
+            }
+            int main(void) {
+                long *d = (long *) map((char *) O);
+                __launch(split, 8, d, -6);
+                unmap((char *) O);
+                release((char *) O);
+                for (int t = 0; t < 8; t++) print_i64(O[t]);
+                return 0;
+            }
+        """, monkeypatch)
+        assert machine.stdout[:3] == ["-21", "-11", "-1"]
+        assert machine.checked_launches == 0
+        (code,) = self.kernel_codes(machine).values()
+        assert code.proven_sites == 1 and code.source.count("_tdi(") == 2
+
+    def test_hooked_launches_compile_no_proofs(self, monkeypatch):
+        log = []
+        machine = self.run_both(
+            self.TRIANGULAR, monkeypatch,
+            lambda m, kind, address, size: log.append((kind, address)))
+        assert log and machine.checked_launches == 0
+        (code,) = self.kernel_codes(machine).values()
+        assert code.hooked and code.proven_sites == 0
+        assert "_cover" not in code.source
+
+    @pytest.mark.parametrize("kernel", ("crash", "crash_in_call"))
+    def test_fault_in_a_proven_launch_keeps_its_counts(self, kernel):
+        """The faulting kernels' stores are proven, and a fault in a
+        middle thread still leaves ``AFTER_FAULT``."""
+        machine = Machine(compile_minic(TestGridVariant.FAULTING),
+                          engine="source")
+        runtime = CgcmRuntime(machine)
+        runtime.declare_all_globals()
+        device = runtime.map_ptr(machine.global_address("out"))
+        with pytest.raises(InterpError, match="division by zero"):
+            machine.launch_evaluated(
+                machine.module.get_function(kernel), 8, [device])
+        assert (machine.executed_instructions, machine._frame_counter) \
+            == TestGridVariant.AFTER_FAULT[kernel]
+        (code,) = self.kernel_codes(machine).values()
+        assert code.proven_sites == 1 and machine.checked_launches == 0
+
+    @staticmethod
+    def unwritten_slot(store_first_elsewhere: bool):
+        """A kernel whose slot ``s`` is read before any store on some
+        path: its store sits outside the entry run, or after a load
+        of the slot there.  Returns (module, kernel, the load that
+        can read the zero fill)."""
+        module = compile_minic("long out[4]; int main(void) { return 0; }")
+        kernel = module.add_function(
+            "k", FunctionType(VOID, [I64, pointer_to(I64)]),
+            ["tid", "out"], is_kernel=True)
+        tid, out = kernel.args
+        entry = kernel.new_block("entry")
+        b = IRBuilder(entry)
+        slot = b.alloca(I64)
+        if store_first_elsewhere:
+            set_, use = kernel.new_block("set"), kernel.new_block("use")
+            b.cbr(b.cmp("gt", tid, 0), set_, use)
+            b.position_at_end(set_)
+            b.store(b.add(tid, 5), slot)
+            b.br(use)
+            b.position_at_end(use)
+            read = b.load(slot)
+        else:
+            read = b.load(slot)
+            b.store(b.add(tid, 5), slot)
+        b.store(read, b.gep(out, [tid]))
+        b.ret()
+        verify_module(module)
+        return module, kernel, read
+
+    @pytest.mark.parametrize("elsewhere", (True, False),
+                             ids=("outside_entry_run", "after_a_load"))
+    def test_slot_read_before_its_store_keeps_zero(self, elsewhere):
+        module, kernel, read = self.unwritten_slot(elsewhere)
+        machine = Machine(module, engine="source")
+        compiler = _SourceCompiler(machine, kernel, "gpu", False, False,
+                                   grid=True)
+        compiler.compile()
+        assert compiler._interval(read)[0] == 0
+        after = {}
+        for engine in ("tree", "source"):
+            module, kernel, _ = self.unwritten_slot(elsewhere)
+            machine = Machine(module, engine=engine)
+            runtime = CgcmRuntime(machine)
+            runtime.declare_all_globals()
+            device = runtime.map_ptr(machine.global_address("out"))
+            machine.launch_evaluated(kernel, 4, [device])
+            after[engine] = (machine.device.memory.read(device, 32),
+                             machine.executed_instructions,
+                             machine._frame_counter)
+        assert after["source"] == after["tree"]
+        expected = [0, 0, 0, 0] if not elsewhere else [0, 6, 7, 8]
+        assert list(struct.unpack("<4q", after["tree"][0])) == expected
+
+    #: Proven access sites over the grid variants the 24 workloads
+    #: compile (of 370 sites in 86 variants).  The sites left checked
+    #: index through pointers loaded from global tables (cfd, srad,
+    #: blackscholes).
+    PROVEN_FLOOR = 312
+
+    def test_workloads_prove_their_sites(self):
+        """Every launch of the 24 workloads passes its proof, and the
+        proofs cover at least ``PROVEN_FLOOR`` sites."""
+        from repro.workloads import get_workload, workload_names
+        proven = 0
+        for name in workload_names():
+            report = CgcmCompiler(CgcmConfig()).compile_source(
+                get_workload(name).source, name)
+            machine = Machine(report.module, engine="source")
+            CgcmRuntime(machine)
+            machine.run()
+            assert machine.checked_launches == 0, name
+            proven += sum(code.proven_sites
+                          for code in machine._compiled.values()
+                          if code.grid)
+        assert proven >= self.PROVEN_FLOOR
 
 
 class TestCompileTimeChecks:
