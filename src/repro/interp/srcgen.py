@@ -79,11 +79,12 @@ the machine.
   other promoted slot holds the hull of its stored values (plus the
   zero fill, unless the entry run stores it first).  A result whose
   fit in its type rests on a launch expression carries a *launch
-  condition*.  An access whose address is a global or such a base
-  plus GEP terms with bounded indices, every scale a multiple of the
-  access size, is *proven*: before its first thread, when ``grid >
-  0``, the launch tests the conditions, and for each distinct base
-  finds the segment whose allocated bytes hold the union of its
+  condition* -- one that holds for every ordinary launch, or the
+  result keeps its wrap.  An access whose address is a global or such
+  a base plus GEP terms with bounded indices, every scale a multiple
+  of the access size, is *proven*: before its first thread, when
+  ``grid > 0``, the launch tests the conditions, and for each distinct
+  base finds the segment whose allocated bytes hold the union of its
   sites' ranges, aligned to the access size, binding the segment and
   the base's element offset (``_lsK``, ``_ljN``).  A proven access is
   then one index in element units, ``_ls1.vd[s0 * 32 + s3 + _lj1]``,
@@ -230,25 +231,40 @@ def _int_params(type_) -> Tuple[int, int, int]:
 # Python expressions in ``grid`` and the launch arguments ``a1..aN``:
 # the names themselves, products of them, and the min, max and floor
 # quotients the algebra below cannot reduce.  Ints fold at codegen.
+# An atom is ``(text, low, high)``: its range over *ordinary launches*,
+# up to ``_ORDINARY`` threads with every argument within
+# ``[-_ORDINARY, _ORDINARY]``, for which an int's launch condition
+# must hold (see ``_SourceCompiler._fits``).
 
+_ORDINARY = 1 << 31
 #: ``grid - 1``, the last thread id.
-_LAST_TID = (-1, (("grid", 1),))
+_LAST_TID = (-1, ((("grid", 1, _ORDINARY), 1),))
 
 
-def _linear(end) -> Tuple[int, Dict[str, int]]:
+def _linear(end) -> Tuple[int, Dict[tuple, int]]:
     """``end`` as ``(constant, {atom: coefficient})``."""
     if isinstance(end, int):
         return end, {}
     return end[0], dict(end[1])
 
 
-def _launch_expr(constant: int, terms: Dict[str, int]):
+def _launch_expr(constant: int, terms: Dict[tuple, int]):
     terms = tuple(sorted((atom, k) for atom, k in terms.items() if k))
     return (constant, terms) if terms else constant
 
 
-def _atom(text: str):
-    return (0, ((text, 1),))
+def _atom(text: str, low: int, high: int):
+    return (0, (((text, low, high), 1),))
+
+
+def _ordinary(end) -> Tuple[int, int]:
+    """``end``'s range over ordinary launches."""
+    if isinstance(end, int):
+        return end, end
+    low = high = end[0]
+    for (_, a, b), k in end[1]:
+        low, high = low + min(k * a, k * b), high + max(k * a, k * b)
+    return low, high
 
 
 def _plus(x, y):
@@ -271,7 +287,9 @@ def _times(x, y):
         out[atom] = out.get(atom, 0) + k * c
     for a, k in terms.items():
         for b, m in others.items():
-            atom = " * ".join(sorted((a, b)))
+            corners = [p * q for p in a[1:] for q in b[1:]]
+            atom = (" * ".join(sorted((a[0], b[0]))), min(corners),
+                    max(corners))
             out[atom] = out.get(atom, 0) + k * m
     return _launch_expr(c * d, out)
 
@@ -289,14 +307,18 @@ def _extreme(pick, ends):
                      for key, constant in best.items()), key=_render)
     if len(folded) == 1:
         return folded[0]
-    return _atom(f"{pick.__name__}({', '.join(map(_render, folded))})")
+    ranges = [_ordinary(end) for end in folded]
+    return _atom(f"{pick.__name__}({', '.join(map(_render, folded))})",
+                 pick(low for low, _ in ranges),
+                 pick(high for _, high in ranges))
 
 
 def _quotient(x, k: int):
     """``x // k`` for a positive constant ``k``."""
     if isinstance(x, int):
         return x // k
-    return _atom(f"(({_render(x)}) // {k})")
+    low, high = _ordinary(x)
+    return _atom(f"(({_render(x)}) // {k})", low // k, high // k)
 
 
 def _render(end) -> str:
@@ -305,7 +327,7 @@ def _render(end) -> str:
         return str(end)
     constant, terms = end
     text = ""
-    for atom, k in terms:
+    for (atom, _, _), k in terms:
         part = atom if abs(k) == 1 else f"{atom} * {abs(k)}"
         if text:
             text += (" - " if k < 0 else " + ") + part
@@ -329,7 +351,7 @@ def _solved(end, op: str, limit: int) -> Tuple[str, str, int]:
     bound = limit - constant
     if len(terms) != 1:
         return _render((0, terms)), op, bound
-    atom, k = terms[0]
+    (atom, _, _), k = terms[0]
     if k < 0:
         k, bound, op = -k, -bound, "<=" if op == ">=" else ">="
     return atom, op, bound // k if op == "<=" else -(-bound // k)
@@ -1220,12 +1242,10 @@ class _SourceCompiler:
                 continue
             top = _plus(end[1], -(pred == "lt"))
             last = _plus(top, step)
-            if isinstance(last, int):
-                if last > type_.max_value:
-                    continue
-            else:
-                self._fixed_conditions.append(
-                    (last, "<=", type_.max_value))
+            fits = self._fits((start[0], last), type_)
+            if fits is None:
+                continue
+            self._fixed_conditions += fits
             entry = (start[0], _extreme(max, (start[1], last)))
             inside = (start[0], top)
             for k in members:
@@ -1249,8 +1269,15 @@ class _SourceCompiler:
     def _fits(self, bounds: tuple, type_) -> Optional[list]:
         """The launch conditions under which ``bounds`` lies inside
         ``type_`` (a pointer: 64 unsigned bits): ``[]`` when it always
-        does, None when an int end shows it cannot."""
-        if isinstance(type_, PointerType):
+        does, None when it cannot be shown.  An int's condition must
+        hold for every ordinary launch (see ``_ordinary``), or it
+        could send most launches to the checked variant: that rules
+        out an end that only some launch values keep in the type,
+        such as a loaded value (its type's whole range) plus a launch
+        argument, and a char store of an int expression, which C
+        truncates by design."""
+        pointer = isinstance(type_, PointerType)
+        if pointer:
             low, high = 0, _MASK64
         else:
             low, high = type_.min_value, type_.max_value
@@ -1258,6 +1285,10 @@ class _SourceCompiler:
         for end, op, limit in ((bounds[0], ">=", low),
                                (bounds[1], "<=", high)):
             if not isinstance(end, int):
+                ordinary = _ordinary(end)
+                if not pointer and (ordinary[0] < low if op == ">="
+                                    else ordinary[1] > high):
+                    return None
                 conditions.append((end, op, limit))
             elif end < low if op == ">=" else end > high:
                 return None
@@ -1303,7 +1334,8 @@ class _SourceCompiler:
         elif isinstance(value, Argument):
             if self.proofs:
                 bounds = (0, _LAST_TID) if value.index == 0 \
-                    else (_atom(f"a{value.index}"),) * 2
+                    else (_atom(f"a{value.index}", -_ORDINARY,
+                                _ORDINARY),) * 2
         elif isinstance(value, GlobalVariable):
             if self.proofs:
                 address = self.machine.device.module_get_global(value.name)

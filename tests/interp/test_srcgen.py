@@ -9,6 +9,7 @@ proofs.
 """
 
 import gc
+import random
 import re
 import struct
 import weakref
@@ -1033,6 +1034,42 @@ class TestLaunchProofs:
         (code,) = self.kernel_codes(machine).values()
         assert code.proven_sites == 1 and code.source.count("_tdi(") == 2
 
+    def test_conditions_hold_for_ordinary_launches(self, monkeypatch):
+        """``x[tid] + k`` fits its type only where ``k`` cancels the
+        loaded value's range, and a char store of an int expression
+        truncates by design: neither becomes a launch condition, so
+        each keeps its wrap and the launch stays proven."""
+        machine = self.run_both(r"""
+            long X[16];
+            char C[16];
+            long O[16];
+            __global__ void mix(long tid, long *x, char *c, long *o,
+                                long k) {
+                o[tid] = x[tid] + k;
+                c[tid] = x[tid] * 3 + k;
+            }
+            int main(void) {
+                for (int i = 0; i < 16; i++) X[i] = i * 9;
+                long *dx = (long *) map((char *) X);
+                char *dc = (char *) map((char *) C);
+                long *do_ = (long *) map((char *) O);
+                __launch(mix, 16, dx, dc, do_, 7);
+                unmap((char *) C);
+                unmap((char *) O);
+                release((char *) C);
+                release((char *) O);
+                release((char *) X);
+                print_i64(O[15] * 1000 + C[15]);
+                return 0;
+            }
+        """, monkeypatch)
+        assert machine.stdout == ["141900"]
+        assert machine.checked_launches == 0
+        (code,) = self.kernel_codes(machine).values()
+        assert code.proven_sites == code.access_sites == 4
+        assert "& 255" in code.source
+        assert "& 18446744073709551615" in code.source
+
     def test_hooked_launches_compile_no_proofs(self, monkeypatch):
         log = []
         machine = self.run_both(
@@ -1113,6 +1150,60 @@ class TestLaunchProofs:
         assert after["source"] == after["tree"]
         expected = [0, 0, 0, 0] if not elsewhere else [0, 6, 7, 8]
         assert list(struct.unpack("<4q", after["tree"][0])) == expected
+
+    @staticmethod
+    def affine_kernel(rng) -> str:
+        """A kernel whose guarded accesses index by a random affine
+        mix of the thread id, a loop counter and launch arguments,
+        launched three times, one argument in five near 2^63."""
+        c1, c2, c3 = (rng.randint(-4, 4) for _ in range(3))
+        offset = rng.choice((rng.randint(-20, 80), 300))
+        kind = rng.choice(("long", "char"))
+        launches = []
+        for _ in range(3):
+            p = rng.choice((9223372036854775800, -9223372036854775800)) \
+                if rng.random() < 0.2 else rng.randint(-10, 30)
+            launches.append(f"__launch(k, {rng.randint(0, 40)}, da, db, "
+                            f"{p}, {p + rng.randint(-2, 12)});")
+        return f"""
+            {kind} A[512];
+            long B[512];
+            __global__ void k(long tid, {kind} *a, long *b, long p,
+                              long q) {{
+                for (long j = p; j < q; j++) {{
+                    long i = tid * {c1} + j * {c2} + p * {c3} + {offset};
+                    if (i >= 0 && i < 512) a[i] = a[i] + i * 3 + j;
+                }}
+                long w = tid + p;
+                if (w >= 0 && w < 512) b[w] = b[w] + w * {c1};
+            }}
+            int main(void) {{
+                {kind} *da = ({kind} *) map((char *) A);
+                long *db = (long *) map((char *) B);
+                {" ".join(launches)}
+                unmap((char *) A);
+                unmap((char *) B);
+                release((char *) A);
+                release((char *) B);
+                long s = 0;
+                for (int i = 0; i < 512; i++) s = s * 31 + A[i] + B[i] * 7;
+                print_i64(s);
+                return 0;
+            }}
+        """
+
+    def test_random_affine_kernels_match(self, monkeypatch):
+        """Seeded random kernels: launches that prove their accesses
+        and launches that fail (a guard the proof does not see, a
+        value leaving its type) both match the tree-walker."""
+        rng = random.Random(3)
+        checked = launches = 0
+        for _ in range(12):
+            machine = self.run_both(self.affine_kernel(rng), monkeypatch)
+            checked += machine.checked_launches
+            launches += machine.kernel_launch_count
+            monkeypatch.undo()
+        assert 0 < checked < launches
 
     #: Proven access sites over the grid variants the 24 workloads
     #: compile (of 370 sites in 86 variants).  The sites left checked
