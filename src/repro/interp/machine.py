@@ -38,7 +38,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.cfg import predecessor_map
 from ..analysis.loops import find_loops, recognize_counted_loop
-from ..errors import CgcmUnsupportedError, ConfigError, InterpError
+from ..errors import (CgcmUnsupportedError, ConfigError, InterpError,
+                      MemoryFault)
 from ..gpu.device import GpuDevice
 from ..gpu.timing import (CostModel, LANE_CPU, LANE_GPU, STREAM_COMPUTE,
                           STREAM_D2H, STREAM_H2D, SimClock)
@@ -49,7 +50,7 @@ from ..ir.instructions import (Alloca, BinaryOp, Branch, Call, Cast, Compare,
 from ..ir.module import Module
 from ..ir.types import ArrayType, FloatType, IntType, PointerType, StructType
 from ..ir.values import Constant, GlobalVariable, UndefValue, Value
-from ..memory.flatmem import FlatMemory, round_f32
+from ..memory.flatmem import FlatMemory, Segment, round_f32
 from ..memory.heap import Heap
 from ..memory.layout import GlobalLayout, STACK_BASE, make_cpu_memory
 from .externals import (ExitProgram, GPU_SAFE, call_cost, default_externals,
@@ -500,15 +501,17 @@ class Machine:
         return self._frame_stack[-1] if self._frame_stack else None
 
     def stack_allocate(self, size: int, align: int = 16) -> int:
-        """Bump-allocate in the current frame's stack (for declareAlloca)."""
-        if self.mode == "gpu":
-            address = (self._gpu_sp + align - 1) // align * align
+        """Bump-allocate ``size`` zeroed bytes in the current frame's
+        stack (allocas and declareAlloca); an allocation that would
+        pass the mode's stack segment faults before the bump."""
+        gpu = self._mode == "gpu"
+        sp = self._gpu_sp if gpu else self._cpu_sp
+        address = (sp + align - 1) // align * align
+        stack_fill(self.memory, address, size)
+        if gpu:
             self._gpu_sp = address + size
         else:
-            address = (self._cpu_sp + align - 1) // align * align
             self._cpu_sp = address + size
-        if size:
-            self.memory.fill(address, size, 0)
         return address
 
     def _call_external(self, name: str, args: List):
@@ -634,17 +637,8 @@ class Machine:
         count = int(self.eval(inst.count, frame))
         if count < 0:
             raise InterpError("alloca with negative count")
-        size = inst.allocated_type.size * count
-        align = max(inst.allocated_type.align, 8)
-        if self.mode == "gpu":
-            address = (self._gpu_sp + align - 1) // align * align
-            self._gpu_sp = address + size
-        else:
-            address = (self._cpu_sp + align - 1) // align * align
-            self._cpu_sp = address + size
-        if size:
-            self.memory.fill(address, size, 0)
-        return address
+        return self.stack_allocate(inst.allocated_type.size * count,
+                                   max(inst.allocated_type.align, 8))
 
     def _gep(self, inst: GetElementPtr, frame: Frame) -> int:
         address = int(self.eval(inst.pointer, frame))
@@ -876,6 +870,27 @@ class Machine:
             LANE_GPU, duration, STREAM_COMPUTE, f"{kernel.name}[{grid}]",
             after=(clock.stream_cursor(STREAM_H2D),
                    clock.stream_cursor(STREAM_D2H)))
+
+
+def stack_segment(memory: FlatMemory) -> Segment:
+    """The stack segment of an address space: the CPU's ``stack`` or
+    the device's ``device-stack``."""
+    return memory.segment("device-stack" if memory.name == "gpu"
+                          else "stack")
+
+
+def stack_fill(memory: FlatMemory, address: int, size: int) -> None:
+    """Zero the ``size`` bytes an alloca takes at ``address`` on
+    ``memory``'s stack; the stack-overflow fault, in both engines,
+    when they pass the stack segment's limit (the next segment may
+    start right there, so the bytes' own segment is no test)."""
+    stack = stack_segment(memory)
+    if address + size > stack.limit:
+        raise MemoryFault(
+            f"{stack.name} overflow: {size} bytes at {address:#x} pass "
+            f"its limit {stack.limit:#x}", address)
+    if size:
+        memory.fill(address, size, 0)
 
 
 def _trunc_div_int(lhs: int, rhs: int) -> int:

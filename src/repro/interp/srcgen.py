@@ -15,10 +15,11 @@ the machine.
 
 * **Blocks are a ``while``-dispatched jump table.**  The emitted body
   is ``while True:`` over an ``if _b == k: ... elif`` chain; every
-  terminator assigns the successor's dispatch index and ``continue``s.
-  Dispatch positions are ordered by loop depth (innermost first) so
-  hot back edges scan the shortest prefix of the chain.  Single-block
-  functions skip the loop entirely.
+  terminator assigns the successor's dispatch index and ``continue``s,
+  but the latch of a loop run as a ``for`` (below), whose back edge
+  ``range`` takes.  Dispatch positions are ordered by loop depth
+  (innermost first) so hot back edges scan the shortest prefix of the
+  chain.  Single-block functions skip the loop entirely.
 
 * **Block-fused cost charging, split at flush points.**  The static
   ``_OP_COSTS`` of each straight-line run, ``div``/``rem`` extras
@@ -31,12 +32,25 @@ the machine.
 * **One charge per fault-free run.**  A segment charges where it
   starts, except a block's last segment when nothing in it can fault
   (no memory access but a promoted slot's or a proven one's, no call,
-  launch, alloca, division by a variable, ...): its charge is carried
-  into the first segment of each fused successor, or emitted just
-  before the jump, ``return``, ``break`` or ``raise`` that leaves the
-  fused path.  A fault therefore sees the counts it saw without the
-  carry, and every flush point sees the same sum, since calls and
-  launches both fault.
+  launch, division by a variable, no alloca but in a launch-tested
+  frame, ...): its charge is carried into the first segment of each
+  fused successor, or emitted just before the jump, ``return``,
+  ``break`` or ``raise`` that leaves the fused path.  A fault
+  therefore sees the counts it saw without the carry, and every flush
+  point sees the same sum, since calls and launches both fault.
+
+* **Fault-free counted loops run as ``for``.**  In a kernel's proven
+  grid variant, an innermost counted loop whose induction slot has a
+  range-proven latch, whose body and latch fuse into the header's
+  arm, and where nothing can fault, is emitted as ``for sK in
+  range(start, end, step):`` over the body without the latch's store,
+  then the slot's exit value; all its trips charge once, ``_t`` times
+  the per-trip ops, carried with the final header test to the exit.
+  The header's end computation, the body's views (``_ls1vd =
+  _ls1.vd``) and the sums of its indices' loop-invariant terms (``_i0
+  = s0 * 32 + _lj1``) are bound once ahead of the loop, as a body with
+  no checked site, call or alloca cannot grow a segment or rebuild a
+  view.
 
 * **Range-proven integer arithmetic.**  A promoted induction slot of
   a counted loop (``Tier.counted``) whose start and end have bounds,
@@ -90,11 +104,15 @@ the machine.
   then one index in element units, ``_ls1.vd[s0 * 32 + s3 + _lj1]``,
   which keeps every per-thread int small, and as it cannot fault the
   charge carries across it and a proven load folds into its user.
-  Views are read through the segment on every access: a checked site
-  of the same launch may grow the segment, which rebuilds its views,
-  but segments never move, so the proven range stays allocated.  A
-  launch that fails any test returns None before anything is charged
-  or written, and :meth:`Machine.launch_evaluated
+  Views are read through the segment on every access outside a
+  ``for`` body: a checked site of the same launch may grow the
+  segment, which rebuilds its views, but segments never move, so the
+  proven range stays allocated.  When every alloca is a promoted slot
+  of the entry block, the launch also tests that each thread's frame
+  ends within the device stack, so the threads keep only the slots'
+  zeros and the allocas stop no charge from carrying.  A launch that
+  fails any test returns None before anything is charged or written,
+  and :meth:`Machine.launch_evaluated
   <repro.interp.machine.Machine.launch_evaluated>` runs the kernel's
   checked grid variant (``grid=CHECKED``, compiled on first need) and
   counts it in ``Machine.checked_launches``.
@@ -114,13 +132,21 @@ the machine.
   store assigns what memory would read back (the int wrap, the f32
   rounding), a load reads the local.  No other instruction can reach
   such a slot's bytes, so nothing observable moves.  The alloca keeps
-  its effects -- the stack-pointer bump and the zero-fill -- so later
-  addresses, stack-overflow faults and memory bytes stay put; guarded
-  variants still test the write-back guard ahead of every promoted
-  access, because the runtime does not retire a declared alloca's
-  pending write-back at frame exit and a new slot at that address
-  must still trigger the sync.  Hooked variants keep the memory path,
-  so observers see every access.
+  the stack-pointer bump and one compare against the stack segment's
+  limit, so later addresses and stack-overflow faults stay put, but
+  not the zero-fill of bytes that nothing unhooked reads and no
+  promoted store writes; the slot's local starts at zero unless the
+  entry run stores it first.  Every alloca tests its end against the
+  stack segment's limit, in both engines, as the next segment may
+  start right there; so a kernel's pointer store into a slot needs
+  no device-stack guard.  In a grid variant whose allocas are all
+  promoted slots run once per thread, the launch tests the frame's
+  end once instead (see below).  Guarded variants still test the
+  write-back guard ahead of every promoted access, because the
+  runtime does not retire a declared alloca's pending write-back at
+  frame exit and a new slot at that address must still trigger the
+  sync.  Hooked variants keep the memory path, so observers see every
+  access.
 
 * **Hook specialization at codegen time.**  Armed ``mem_hooks``
   select a hook-calling load/store emission (and the sanitizer then
@@ -170,6 +196,7 @@ across the workload sweep and the fuzz corpus.
 from __future__ import annotations
 
 import weakref
+from functools import partial
 from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
@@ -189,8 +216,9 @@ from ..memory.flatmem import (VIEW_ACCESS, round_f32, scalar_format,
                               scalar_struct)
 from .externals import GPU_SAFE, call_cost
 from .machine import (_DIV_EXTRA, _OP_COSTS, CHECKED, Frame,
-                      MAX_CALL_DEPTH, needs_frame, tier_of,
-                      _trunc_div_float, _trunc_div_int)
+                      MAX_CALL_DEPTH, needs_frame, stack_fill,
+                      stack_segment, tier_of, _trunc_div_float,
+                      _trunc_div_int)
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _INF = float("inf")
@@ -599,18 +627,6 @@ def _make_call_thunk(machine, callee, gpu: bool):
     return thunk
 
 
-def _make_slow_fill(memory, size: int):
-    """Zero-fill fallback for one constant-size alloca site;
-    returns the located segment."""
-    zeros = bytes(size)
-
-    def slow_fill(address):
-        segment, offset = memory._span(address, size)
-        segment.data[offset:offset + size] = zeros
-        return segment
-    return slow_fill
-
-
 def _make_cover(memory):
     """Launch-time segment lookup for a grid variant's bounds proofs:
     ``cover(lo, hi, base, mask)`` is the segment whose allocated bytes
@@ -700,7 +716,6 @@ class _SourceCompiler:
             "M": lambda m, mem: m,
             "_call": lambda m, mem: m.call,
             "_launch": lambda m, mem: m.launch_evaluated,
-            "_fill": lambda m, mem: mem.fill,
             "_IE": _const(InterpError),
             "_CUE": _const(CgcmUnsupportedError),
             "_tdi": _const(_trunc_div_int),
@@ -741,9 +756,24 @@ class _SourceCompiler:
         self._dead: set = set()
         #: Values emitted into their use instead of a register.
         self._folded: set = set()
-        #: (ops, instructions) the fault-free segment being emitted
-        #: hands on to its exits (see ``_emit_block_body``).
-        self._carry = (0, 0)
+        #: (ops, instructions, trips) the fault-free segment being
+        #: emitted hands on to its exits (see ``_emit_block_body``);
+        #: ``trips`` is None or a ``for`` loop's per-trip (ops,
+        #: instructions), owed ``_t`` times (see ``_emit_loop``).
+        self._carry = (0, 0, None)
+        #: Counted loops whose induction slot ``_prove_ranges`` bounds:
+        #: (slot alloca, step, pred, header, latch, blocks).
+        self._counted: List[tuple] = []
+        #: With ``proofs``: the loops emitted as ``for`` (header ->
+        #: (slot alloca, step, pred, body blocks)), and the frame size
+        #: the launch tests when every alloca is a promoted slot run
+        #: once per thread (see ``_plan_frame``).
+        self._loops: Dict[object, tuple] = {}
+        self._frame: Optional[int] = None
+        #: While a ``for`` body is emitted: its blocks, the slots it
+        #: stores, and the views and loop-invariant index sums bound
+        #: ahead of the loop.
+        self._hoist: Optional[tuple] = None
         if mode == "gpu":
             self.builders["_onds"] = lambda m, mem: \
                 m.device.memory.segment("device-stack").contains
@@ -996,11 +1026,12 @@ class _SourceCompiler:
             self._emit(f"_sts({pointer}, {self._bake('_T', type_)}, "
                        f"{value})")
             return
-        if self.mode == "gpu" and type_.is_pointer:
-            self._emit_pointer_guard(pointer)
         if inst.pointer in self._slots:
+            # The alloca's limit test put the slot on the device stack.
             self._emit_slot_store(inst.pointer, inst.value, type_)
             return
+        if self.mode == "gpu" and type_.is_pointer:
+            self._emit_pointer_guard(pointer)
         if isinstance(type_, FloatType) \
                 or self._stores_as_is(inst.value, type_):
             stored = value
@@ -1035,15 +1066,43 @@ class _SourceCompiler:
     def _proven_view(self, inst: Instruction) -> str:
         """A proven site's typed-view index in element units, read
         through the segment on every access: a checked site of the
-        same launch may grow the segment, which rebuilds its views."""
+        same launch may grow the segment, which rebuilds its views.
+        In a ``for`` body, which has no checked site, the view and the
+        sum of the index's loop-invariant terms are bound ahead of the
+        loop instead (``_hoist``)."""
         segment, view, terms, offset, lj = self._proofs[inst]
-        parts = [self._ref(value) if k == 1
-                 else f"{self._ref(value)} * {self._literal(k)}"
-                 for value, k in terms]
+        moving, fixed = [], []
+        for value, k in terms:
+            part = self._ref(value) if k == 1 \
+                else f"{self._ref(value)} * {self._literal(k)}"
+            hoisted = self._hoist is not None and self._fixed(value)
+            (fixed if hoisted else moving).append(part)
         if offset:
-            parts.append(self._literal(offset))
-        parts.append(lj)
-        return f"{segment}.{view}[{' + '.join(parts)}]"
+            fixed.append(self._literal(offset))
+        fixed.append(lj)
+        if self._hoist is None:
+            return f"{segment}.{view}[{' + '.join(moving + fixed)}]"
+        views, sums = self._hoist[2:]
+        name = views.setdefault(f"{segment}.{view}", f"{segment}{view}")
+        if len(fixed) > 1:
+            fixed = [sums.setdefault(" + ".join(fixed), f"_i{len(sums)}")]
+        return f"{name}[{' + '.join(moving + fixed)}]"
+
+    def _fixed(self, value: Value) -> bool:
+        """Whether ``value``, read in the ``for`` body being emitted,
+        holds one value on every trip and can be read ahead of the
+        loop: a value from outside the body (its register is set), or
+        a folded slot read of a slot the body never stores, or a folded
+        pure value of such values."""
+        blocks, stored = self._hoist[:2]
+        if not isinstance(value, Instruction) or value.parent not in blocks:
+            return True
+        if value not in self._folded:
+            return False
+        if isinstance(value, Load):
+            return value.pointer in self._slots and value.pointer not in stored
+        return self._pure(value) and all(
+            self._fixed(operand) for operand in self._operands(value))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -1248,6 +1307,9 @@ class _SourceCompiler:
             self._fixed_conditions += fits
             entry = (start[0], _extreme(max, (start[1], last)))
             inside = (start[0], top)
+            self._counted.append((alloca, step, pred, blocks[header],
+                                  blocks[latch],
+                                  {blocks[k] for k in members}))
             for k in members:
                 known = entry if k == header else inside
                 for inst in blocks[k].instructions:
@@ -1538,9 +1600,10 @@ class _SourceCompiler:
         return base, terms, offset, low, high, conditions
 
     def _proof_lines(self) -> List[str]:
-        """The launch prologue of a grid variant with proven sites or
-        launch conditions: when ``grid > 0``, test the conditions,
-        then bind each base's segment ``_lsK``, which must hold the
+        """The launch prologue of a grid variant with proven sites,
+        launch conditions or a launch-tested frame: when ``grid > 0``,
+        test the conditions and that the frame ends within the device
+        stack, then bind each base's segment ``_lsK``, which must hold the
         union of the base's site ranges and sit aligned to its
         largest access, and the base's element offsets ``_ljN``.  Any
         failure returns None before anything is charged or written,
@@ -1554,6 +1617,10 @@ class _SourceCompiler:
         fails = [f"{lhs} > {bound}" if op == "<=" else f"{lhs} < {bound}"
                  for (lhs, op), bound in sorted(tightest.items())
                  if not (lhs == "grid" and op == ">=" and bound <= 1)]
+        if self._frame is not None:
+            limit = stack_segment(self.memory).limit
+            fails.append(f"(M._gpu_sp + 7 & -8) + {self._frame} > "
+                         f"{self._literal(limit)}")
         if not fails and not self._bases:
             return []
         lines = ["    if grid:"]
@@ -1578,52 +1645,73 @@ class _SourceCompiler:
         return lines
 
     def _emit_alloca(self, inst: Alloca) -> None:
+        """Bump the stack pointer past the alloca and zero its bytes,
+        or raise the stack-overflow fault of :func:`stack_fill` where
+        they would pass the stack segment's limit.  Nothing unhooked
+        reads a promoted slot's bytes, so its alloca keeps the bump
+        and one compare against the limit -- none once the launch
+        tested the whole frame (``_frame``) -- and then sets the slot
+        to zero, unless ``_written_first``."""
         dest = self.names[inst]
-        count = self._ref(inst.count)
-        elem_size = inst.allocated_type.size
+        size = inst.allocated_type.size
         align = max(inst.allocated_type.align, 8)
         sp = self.sp
         if align & (align - 1) == 0:
             aligned = f"({sp} + {align - 1}) & {-align}"
         else:
             aligned = f"({sp} + {align - 1}) // {align} * {align}"
-        if isinstance(inst.count, Constant):
-            size = elem_size * int(inst.count.value)
-            if size < 0:
-                raise InterpError("alloca with negative count")
-            self._emit(f"{dest} = {aligned}")
-            self._emit(f"{sp} = {dest} + {size}")
-            if size:
-                # Zero the frame slot inline: a slice-assign of baked
-                # zeros while the bytes are already allocated, the
-                # growth/fault path otherwise.  ``hi1 + 1`` is the
-                # allocated length (and the -1 disarmed value sends
-                # every fill down the slow path).
-                cs, k = self._site()
-                helper = self._helper(
-                    "_fl", ("fl", size),
-                    lambda m, mem, s=size: _make_slow_fill(mem, s))
-                zeros = self._bake("_Z", bytes(size))
-                self._emit(f"_o = {dest} - {cs}.base")
-                self._emit(f"if 0 <= _o and _o + {size} <= {cs}.hi1 + 1:")
-                self._emit(f"    {cs}.data[_o:_o + {size}] = {zeros}")
-                self._emit("else:")
-                self._emit(f"    {cs} = {helper}({dest})")
-                self._emit_site_kept(cs, k)
-            slot = self._slots.get(inst)
-            if slot is not None:
+        stack = stack_segment(self.memory)
+        slot = self._slots.get(inst)
+        if slot is not None:
+            if self._frame is None:
+                if self.guarded:
+                    # The write-back guard reads the slot's address.
+                    self._emit(f"{dest} = {aligned}")
+                    self._emit(f"{sp} = {dest} + {size}")
+                else:
+                    self._emit(f"{sp} = ({aligned}) + {size}")
+                self._emit(f"if {sp} > {self._literal(stack.limit)}:")
+                self._emit(f"    {self._stack_fill()}({sp} - {size}, "
+                           f"{size})")
+            if not self._written_first(inst):
                 zero = 0.0 if isinstance(inst.allocated_type, FloatType) \
                     else 0
                 self._emit(f"{slot} = {zero!r}")
             return
-        self._emit(f"_n = {count}")
-        self._emit("if _n < 0:")
-        self._emit("    raise _IE(\"alloca with negative count\")")
-        self._emit(f"_sz = _n * {elem_size}")
+        fill = self._stack_fill()
+        if not isinstance(inst.count, Constant):
+            self._emit(f"_n = {self._ref(inst.count)}")
+            self._emit("if _n < 0:")
+            self._emit("    raise _IE(\"alloca with negative count\")")
+            self._emit(f"_sz = _n * {size}")
+            self._emit(f"{dest} = {aligned}")
+            self._emit(f"{sp} = {dest} + _sz")
+            self._emit(f"{fill}({dest}, _sz)")
+            return
+        size *= int(inst.count.value)
+        if size < 0:
+            raise InterpError("alloca with negative count")
+        # Zero the bytes inline while they are already allocated -- the
+        # stack pointer never drops below the segment's base, and
+        # ``hi1 + 1`` is the allocated length (the -1 of disarmed views
+        # sends every fill down the slow path) -- and through the limit
+        # test and the segment's growth otherwise.
+        segment = self._helper("_stk", ("stk",),
+                               lambda m, mem: stack_segment(mem))
+        zeros = self._bake("_Z", bytes(size))
         self._emit(f"{dest} = {aligned}")
-        self._emit(f"{sp} = {dest} + _sz")
-        self._emit("if _sz:")
-        self._emit(f"    _fill({dest}, _sz, 0)")
+        self._emit(f"{sp} = {dest} + {size}")
+        self._emit(f"_o = {dest} - {self._literal(stack.base)}")
+        self._emit(f"if _o + {size} <= {segment}.hi1 + 1:")
+        self._emit(f"    {segment}.data[_o:_o + {size}] = {zeros}")
+        self._emit("else:")
+        self._emit(f"    {fill}({dest}, {size})")
+
+    def _stack_fill(self) -> str:
+        """The baked :func:`stack_fill` of this mode's stack."""
+        return self._helper(
+            "_sf", ("sf",),
+            lambda m, mem: partial(stack_fill, mem))
 
     # -- calls, launches, terminators ---------------------------------------
 
@@ -1673,7 +1761,7 @@ class _SourceCompiler:
                    f"[{arg_list}])")
 
     def _emit_jump(self, target, index: Dict[object, int],
-                   carry: Tuple[int, int]) -> None:
+                   carry: tuple) -> None:
         """Go on at ``target``: its body in place (fused), or the
         carried charge and a dispatch jump."""
         if target in self._inlined:
@@ -1771,22 +1859,22 @@ class _SourceCompiler:
     def _can_fault(self, inst: Instruction) -> bool:
         """Whether ``inst`` can raise, so that its segment's charge must
         land before it runs: a memory access but a promoted slot's or a
-        proven site's (every access, in a hooked or guarded variant), a
-        kernel's pointer store, an int div or rem by anything but a
-        nonzero constant, a float rem, and alloca, call, launch and
-        unreachable."""
+        proven site's (every access, in a hooked or guarded variant;
+        a kernel's pointer store is never proven), an int div or rem by
+        anything but a nonzero constant, a float rem, an alloca but in
+        a launch-tested frame, and call, launch and unreachable."""
         if isinstance(inst, (Load, Store)):
             return self.hooked or self.guarded \
                 or inst.pointer not in self._slots \
-                and inst not in self._proofs \
-                or isinstance(inst, Store) and self.mode == "gpu" \
-                and inst.value.type.is_pointer
+                and inst not in self._proofs
         if isinstance(inst, BinaryOp):
             if isinstance(inst.type, FloatType):
                 return inst.op == "rem"
             return inst.op in ("div", "rem") and not (
                 isinstance(inst.rhs, Constant) and inst.rhs.value != 0)
-        return isinstance(inst, (Alloca, Call, LaunchKernel, Unreachable))
+        if isinstance(inst, Alloca):
+            return self._frame is None
+        return isinstance(inst, (Call, LaunchKernel, Unreachable))
 
     @staticmethod
     def _cost(inst: Instruction) -> int:
@@ -1799,13 +1887,18 @@ class _SourceCompiler:
             cost += _DIV_EXTRA
         return cost
 
-    def _emit_charge(self, ops: int, count: int) -> None:
-        if count:
+    def _emit_charge(self, ops: int, count: int, trips=None) -> None:
+        """Charge ``ops`` and ``count`` instructions, plus ``_t`` times
+        a ``for`` loop's per-trip (ops, instructions) ``trips``."""
+        if trips:
+            self._emit(f"{self.charge} += {trips[0]} * _t + {ops}")
+            self._emit(f"{self.counter} += {trips[1]} * _t + {count}")
+        elif count:
             self._emit(f"{self.charge} += {ops}")
             self._emit(f"{self.counter} += {count}")
 
     def _emit_block_body(self, block, index: Dict[object, int],
-                         carry: Tuple[int, int] = (0, 0)) -> None:
+                         carry: tuple = (0, 0, None)) -> None:
         """One block: fused-charge segments split at call/launch.
 
         Calls and launches are the only instructions that can move
@@ -1818,23 +1911,28 @@ class _SourceCompiler:
         the first segment of each fused successor or to just before
         the jump, return or raise that leaves the path.  ``carry`` is
         what the fused predecessor handed on.  A fault therefore
-        counts what it would without the carry.
+        counts what it would without the carry.  The header of a loop
+        in ``_loops`` emits the whole loop (:meth:`_emit_loop`).
         """
+        if block in self._loops:
+            self._emit_loop(block, index)
+            return
         segments: List[List[Instruction]] = [[]]
         for inst in block.instructions:
             segments[-1].append(inst)
             if isinstance(inst, (Call, LaunchKernel)) \
                     and not _pure_call(inst):
                 segments.append([])
-        ops, count = carry
+        ops, count, trips = carry
         for k, segment in enumerate(segments):
             ops += sum(self._cost(inst) for inst in segment)
             count += len(segment)
             if k + 1 < len(segments) \
                     or any(self._can_fault(inst) for inst in segment):
-                self._emit_charge(ops, count)
+                self._emit_charge(ops, count, trips)
                 ops = count = 0
-            self._carry = (ops, count)
+                trips = None
+            self._carry = (ops, count, trips)
             for inst in segment:
                 if inst not in self._dead:
                     self._emit_inst(inst, index)
@@ -1843,6 +1941,62 @@ class _SourceCompiler:
             self._emit(f"raise _IE(\"block {block.name} in "
                        f"@{self.fn.name} fell through without a "
                        "terminator\")")
+
+    def _emit_loop(self, header, index: Dict[object, int]) -> None:
+        """The dispatch arm of a loop of ``_loops``: ``for sK in
+        range(start, end, step):`` over its body without the latch's
+        store.
+
+        The header's end computation runs once, ahead of the loop, as
+        it cannot vary or fault; so do the bindings of the body's
+        views and loop-invariant index sums (``_hoist``).  After the
+        loop the views are dropped, the slot takes its exit value, and
+        the final header test is carried on, with the ``_t`` trips'
+        ops, to the exit.
+        """
+        alloca, step, pred, body = self._loops[header]
+        slot = self._slots[alloca]
+        term = header.instructions[-1]
+        test = term.condition
+        for inst in header.instructions:
+            if inst not in (test.lhs, test, term) and inst not in self._dead:
+                self._emit_inst(inst, index)
+        end = self._ref(test.rhs) + (" + 1" if pred == "le" else "")
+        start = len(self.lines)
+        self._emit(f"_r = range({slot}, {end}"
+                   + (f", {step})" if step != 1 else ")"))
+        self._emit(f"for {slot} in _r:")
+        self.indent += 1
+        stored = {inst.pointer for block in body
+                  for inst in block.instructions if isinstance(inst, Store)}
+        self._hoist = (set(body), stored, {}, {})
+        size = len(self.lines)
+        for block in body:
+            for inst in block.instructions[:-1]:
+                if inst not in self._dead:
+                    self._emit_inst(inst, index)
+        if len(self.lines) == size:
+            self._emit("pass")
+        self.indent -= 1
+        views, sums = self._hoist[2:]
+        self._hoist = None
+        pad = "    " * self.indent
+        self.lines[start:start] = \
+            [f"{pad}{name} = {view}" for view, name in views.items()] \
+            + [f"{pad}{name} = {text}" for text, name in sums.items()]
+        if views:
+            # A live view would stop a later checked site from growing
+            # the segment (``BufferError``).
+            self._emit(f"del {', '.join(views.values())}")
+        self._emit("_t = len(_r)")
+        self._emit(f"{slot} = _r.start + _t"
+                   + (f" * {step}" if step != 1 else ""))
+        per_trip = [inst for block in [header] + body
+                    for inst in block.instructions]
+        self._emit_jump(term.if_false, index, (
+            sum(self._cost(inst) for inst in header.instructions),
+            len(header.instructions),
+            (sum(self._cost(inst) for inst in per_trip), len(per_trip))))
 
     def _edge_counts(self) -> Dict[object, int]:
         """Incoming edge count per block (both arms of a two-way
@@ -1950,15 +2104,74 @@ class _SourceCompiler:
             values.append(inst.value)
         return values
 
+    def _plan_loops(self) -> None:
+        """Pick the loops a proven grid variant emits as ``for``
+        (``_loops``, see :meth:`_emit_loop`): the counted loops whose
+        slot ``_prove_ranges`` bounds, so ``i + step`` never wraps,
+        where no instruction can fault, the body is a chain of blocks
+        fused into the header's dispatch arm and ending in the latch,
+        the latch stores the slot last, and the header's slot load and
+        compare feed only its branch.  Such a loop is innermost and
+        leaves only through the header's test, which ``range`` runs."""
+        uses: Dict[Value, int] = {}
+        for inst in self.fn.instructions():
+            for operand in inst.operands:
+                uses[operand] = uses.get(operand, 0) + 1
+        for alloca, step, pred, header, latch, blocks in self._counted:
+            term = header.instructions[-1]
+            test = term.condition
+            body = [term.if_true]
+            while body[-1] is not latch and len(body) < len(blocks):
+                jump = body[-1].instructions[-1:]
+                if not (jump and isinstance(jump[0], Branch)):
+                    break
+                body.append(jump[0].target)
+            insts = [inst for block in [header] + body
+                     for inst in block.instructions]
+            store = latch.instructions[-2] \
+                if len(latch.instructions) > 1 else None
+            if body[-1] is latch and {header, *body} == blocks \
+                    and all(block in self._inlined for block in body) \
+                    and isinstance(store, Store) and store.pointer is alloca \
+                    and uses[test.lhs] == uses[test] == 1 \
+                    and not any(self._can_fault(inst) for inst in insts):
+                self._loops[header] = (alloca, step, pred, body)
+
+    def _plan_frame(self) -> None:
+        """With ``proofs``, in a grid variant that keeps its stack
+        pointer local: when every alloca is a promoted slot of the
+        entry block, which nothing jumps back to, each thread's frame
+        takes the same bytes past the launch's stack pointer, so the
+        launch tests their end against the stack segment's limit once
+        (``_frame``, see ``_proof_lines``) and the allocas keep only
+        their slots' zeros.  Every slot's alignment is 8."""
+        allocas = [inst for inst in self.fn.instructions()
+                   if isinstance(inst, Alloca)]
+        entry = self.fn.entry_block
+        if not self.proofs or self.reaches_out or not allocas \
+                or self._preds.get(entry, 0) \
+                or any(alloca not in self._slots or alloca.parent is not entry
+                       for alloca in allocas):
+            return
+        frame = 0
+        for alloca in allocas:
+            frame = ((frame + 7) & -8) + alloca.allocated_type.size
+        self._frame = frame
+
     def _plan_dead(self) -> None:
         """Pick the values nothing reads (``_dead``): every value but a
         call's or an alloca's that cannot fault and that no emitted
         instruction reads (``_operands``), such as a DOALL kernel's
-        unstored latch increment or a proven site's GEP chain.  Their
-        ops stay in their segment's static charge."""
+        unstored latch increment or a proven site's GEP chain, and the
+        latch stores of ``for`` loops, whose ``range`` steps the slot.
+        Their ops stay in their segment's static charge."""
+        latches = {body[-1].instructions[-2]
+                   for _, _, _, body in self._loops.values()}
         live = [inst for inst in self.fn.instructions()
-                if not inst.produces_value
-                or isinstance(inst, (Call, Alloca)) or self._can_fault(inst)]
+                if inst not in latches and (
+                    not inst.produces_value
+                    or isinstance(inst, (Call, Alloca))
+                    or self._can_fault(inst))]
         seen = set(live)
         while live:
             for operand in self._operands(live.pop()):
@@ -2054,8 +2267,16 @@ class _SourceCompiler:
                         self._slot_stores.setdefault(inst.pointer, []) \
                             .append(inst)
             self._prove_ranges()
+        self._inlined = self._plan_fusion(preds, nest=True)
+        if self._max_nesting(self._inlined) > 40:
+            # Degenerate conditional ladders would nest past the
+            # parser's indentation comfort zone; fall back to flat
+            # fusion only (continuation arms, no indent growth).
+            self._inlined = self._plan_fusion(preds, nest=False)
         if self.proofs:
             self._plan_sites()
+            self._plan_frame()
+            self._plan_loops()
         self._plan_dead()
         self._plan_folds()
         for i, arg in enumerate(fn.args):
@@ -2065,12 +2286,6 @@ class _SourceCompiler:
             if inst.produces_value:
                 self.names[inst] = f"r{serial}"
                 serial += 1
-        self._inlined = self._plan_fusion(preds, nest=True)
-        if self._max_nesting(self._inlined) > 40:
-            # Degenerate conditional ladders would nest past the
-            # parser's indentation comfort zone; fall back to flat
-            # fusion only (continuation arms, no indent growth).
-            self._inlined = self._plan_fusion(preds, nest=False)
         dispatch = [block for block in self._dispatch_order()
                     if block not in self._inlined]
         index = {block: i for i, block in enumerate(dispatch)}
@@ -2127,7 +2342,7 @@ class _SourceCompiler:
                        and inst.pointer not in self._slots
                        for inst in fn.instructions())
         return source, code_obj, self.builders, \
-            (len(self._proofs), accesses)
+            (len(self._proofs), accesses, len(self._loops))
 
     def _grid_lines(self, body: List[str], sites: str) -> List[str]:
         """Wrap one thread's emitted body in the launch's thread loop.
@@ -2140,8 +2355,8 @@ class _SourceCompiler:
         id, so ``a0 + 1`` once the loop stops at thread ``a0``.  The
         access sites' segments are kept for the next launch.
         """
-        framed = any(isinstance(inst, Alloca)
-                     for inst in self.fn.instructions())
+        framed = self._frame is None and any(
+            isinstance(inst, Alloca) for inst in self.fn.instructions())
         local = not self.reaches_out
         lines: List[str] = []
 
@@ -2187,7 +2402,7 @@ class _SourceCompiler:
 
 
 def _instantiate(machine, fn: Function, key: tuple, entry) -> "object":
-    source, code_obj, builders, (proven, accesses) = entry
+    source, code_obj, builders, (proven, accesses, loops) = entry
     mode, hooked, guarded, grid = key
     memory = machine.device.memory if mode == "gpu" \
         else machine.cpu_memory
@@ -2207,6 +2422,8 @@ def _instantiate(machine, fn: Function, key: tuple, entry) -> "object":
     #: promoted slot), and those a launch proves in bounds.
     code.access_sites = accesses
     code.proven_sites = proven
+    #: Counted loops emitted as ``for`` over ``range``.
+    code.for_loops = loops
     return code
 
 

@@ -265,6 +265,54 @@ class TestMemoryBehaviour:
             machine.run()
 
 
+class TestStackLimit:
+    """An allocation that would pass its stack segment's limit faults
+    before the stack pointer moves, though the next segment may start
+    right at the limit (the device heap follows the device stack)."""
+
+    def test_kernel_alloca_past_the_device_stack_faults(self):
+        from repro.runtime import CgcmRuntime
+        machine = Machine(compile_minic("""
+        double H[4];
+        __global__ void big(long tid, double *h) {
+            char pad[33554416];
+            double more[64];
+            more[tid] = 1.0;
+            h[tid] = more[tid] + pad[tid];
+        }
+        int main(void) {
+            double *d = (double *) map((char *) H);
+            __launch(big, 1, d);
+            return 0;
+        }"""))
+        CgcmRuntime(machine).declare_all_globals()
+        with pytest.raises(MemoryFault, match=r"^device-stack overflow: "
+                           r"512 bytes at 0xd6000000 pass its limit "):
+            machine.run()
+        assert machine.device.memory.segment("device-heap").data \
+            == bytearray()
+
+    def test_cpu_alloca_past_the_stack_faults(self):
+        machine = Machine(compile_minic("""
+        int main(void) {
+            char pad[67108848];
+            double more[64];
+            more[0] = 1.0;
+            return (int) more[0];
+        }"""))
+        with pytest.raises(MemoryFault, match=r"^stack overflow: 512 bytes"):
+            machine.run()
+
+    def test_declared_alloca_stops_at_the_limit(self):
+        machine = Machine(compile_minic("int main(void) { return 0; }"))
+        limit = machine.cpu_memory.segment("stack").limit
+        machine._cpu_sp = limit - 40
+        assert machine.stack_allocate(24) == limit - 32
+        with pytest.raises(MemoryFault, match="stack overflow: 1 bytes"):
+            machine.stack_allocate(1)
+        assert machine._cpu_sp == limit - 8
+
+
 class TestDeterminism:
     def test_rng_is_deterministic(self):
         results = []

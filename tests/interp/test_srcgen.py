@@ -18,20 +18,39 @@ import pytest
 
 from repro.api import Session
 from repro.core import CgcmCompiler, CgcmConfig, OptLevel
-from repro.errors import CgcmUnsupportedError, InterpError
+from repro.errors import CgcmUnsupportedError, InterpError, MemoryFault
 from repro.frontend import compile_minic
 from repro.interp import Machine
-from repro.interp.machine import CHECKED
+from repro.interp.machine import CHECKED, hot_ratio
 from repro.interp.srcgen import _SourceCompiler, compile_function_source
 from repro.ir import (FunctionType, I64, IRBuilder, Module, VOID,
                       pointer_to, verify_module)
-from repro.ir.instructions import Alloca, Call, LaunchKernel, Load, Store
+from repro.ir.instructions import Call, LaunchKernel, Load, Store
 from repro.runtime import CgcmRuntime
 from repro.staticcheck.corpus import CORPUS
 
 #: The source engine compiles every function it enters: these tests
 #: hold srcgen, not the tree-walked cold tier, to the tree-walker.
 pytestmark = pytest.mark.usefixtures("compile_all")
+
+
+@pytest.fixture(scope="module")
+def workload_grids():
+    """The 24 workloads, each run once with every function compiled:
+    (name, checked launches, the grid variants it compiled)."""
+    from repro.workloads import get_workload, workload_names
+    runs = []
+    with hot_ratio(0):
+        for name in workload_names():
+            report = CgcmCompiler(CgcmConfig()).compile_source(
+                get_workload(name).source, name)
+            machine = Machine(report.module, engine="source")
+            CgcmRuntime(machine)
+            machine.run()
+            runs.append((name, machine.checked_launches,
+                         [code for code in machine._compiled.values()
+                          if code.grid]))
+    return runs
 
 
 def machine_pair(source: str):
@@ -309,9 +328,10 @@ class TestSlotPromotion:
         machine = Machine(compile_minic(self.COUNTER), engine="source")
         fn = machine.module.get_function("main")
         code = compile_function_source(machine, fn, "cpu", False)
-        allocas = [i for i in fn.instructions() if isinstance(i, Alloca)]
-        # The only segment sites left are the allocas' zero-fills.
-        assert len(set(re.findall(r"_cs\d+", code.source))) == len(allocas)
+        # Both allocas are promoted: each keeps the stack-pointer bump
+        # and the limit test, but no zero-fill through a segment site.
+        assert not re.search(r"_cs\d+|_stk", code.source)
+        assert code.source.count("if M._cpu_sp > ") == 2
         assert not self.MEMORY_ACCESS.search(code.source)
         assert promoted_names(machine, "main") == {"s.addr", "i.addr"}
         same_run(Machine(compile_minic(self.COUNTER), engine="tree"),
@@ -586,23 +606,51 @@ class TestRangeProofsAndFolds:
         """The ``k`` loop of the ``multiply`` kernel gemm, 2mm and 3mm
         share: its bounds are constants, so ``k + 1`` needs no wrap,
         and every slot load reads the slot in place.  The launch
-        proves the body's loads in bounds, so none can fault and the
-        whole iteration pays one charge, at the back edge."""
-        from repro.workloads import get_workload
-        compiler = CgcmCompiler(CgcmConfig())
-        report = compiler.compile_source(get_workload("gemm").source, "gemm")
-        machine = Machine(report.module, engine="source")
-        kernel = next(k for k in report.doall_kernels
-                      if k.name.startswith("multiply"))
-        code = compile_function_source(machine, kernel, "gpu", False,
-                                       grid=True)
-        inner = code.source.split("if _b == 0:")[1].split("elif _b ==")[0]
-        assert not self.WRAP.search(inner)
-        assert not self.SLOT_COPY.search(inner)
-        body = inner.split("continue")[0]
-        assert body.count("_go += ") == body.count("_ei += ") == 1
-        assert "+(" not in body
-        assert "_o =" not in body and not re.search(r"_ld\d+\(", body)
+        proves the body's loads in bounds, so none can fault: the loop
+        is one ``for`` over ``range``, with no dispatch, and all its
+        trips pay one charge, after it."""
+        code, (ahead, body, after) = gemm_k_loop()
+        for text in (ahead, body, after):
+            assert not self.WRAP.search(text)
+            assert not self.SLOT_COPY.search(text)
+        assert re.search(r"^ *_r = range\(s\d+, 32\)$", ahead, re.M)
+        for token in ("_go", "_ei", "_b =", "continue", "_o =", "+("):
+            assert token not in body
+        assert not re.search(r"_ld\d+\(", body)
+        assert after.count("_go += ") == after.count("_ei += ") == 1
+        assert code.for_loops == 1
+
+
+def gemm_k_loop():
+    """The unhooked grid variant of gemm's ``multiply`` kernel and its
+    ``k`` loop's parts (see ``for_loop_parts``)."""
+    from repro.workloads import get_workload
+    compiler = CgcmCompiler(CgcmConfig())
+    report = compiler.compile_source(get_workload("gemm").source, "gemm")
+    machine = Machine(report.module, engine="source")
+    kernel = next(k for k in report.doall_kernels
+                  if k.name.startswith("multiply"))
+    code = compile_function_source(machine, kernel, "gpu", False, grid=True)
+    return code, for_loop_parts(code.source)
+
+
+def for_loop_parts(source: str):
+    """The dispatch arm of the one ``for`` in ``source``, split at it:
+    the arm's lines ahead of the loop, its body, and the path after
+    it, to the jump or break that leaves the arm."""
+    lines = source.splitlines()
+    (start,) = [k for k, line in enumerate(lines)
+                if re.match(r" *for s\d+ in _r:$", line)]
+    arm = max(k for k in range(start) if "if _b == " in lines[k])
+    depth = len(lines[start]) - len(lines[start].lstrip())
+    end = start + 1
+    while len(lines[end]) - len(lines[end].lstrip()) > depth:
+        end += 1
+    leave = next(k for k in range(end, len(lines))
+                 if lines[k].strip() in ("continue", "break"))
+    return ("\n".join(lines[arm + 1:start]),
+            "\n".join(lines[start + 1:end]),
+            "\n".join(lines[end:leave + 1]))
 
 
 class TestGpuRestrictions:
@@ -967,22 +1015,20 @@ class TestLaunchProofs:
                 if code.grid}
 
     def test_gemm_multiply_indexes_its_segments(self):
-        """The inner arm reads A, B and alpha through segment views:
-        no offset test, no slow path, one charge pair.  The unstored
-        latch increment of the outlined loop is not emitted."""
-        from repro.workloads import get_workload
-        compiler = CgcmCompiler(CgcmConfig())
-        report = compiler.compile_source(get_workload("gemm").source, "gemm")
-        machine = Machine(report.module, engine="source")
-        kernel = next(k for k in report.doall_kernels
-                      if k.name.startswith("multiply"))
-        code = compile_function_source(machine, kernel, "gpu", False,
-                                       grid=True)
-        inner = code.source.split("if _b == 0:")[1].split("elif _b ==")[0]
-        arm = inner.split("continue")[0]
-        assert len(self.PROVEN.findall(arm)) == 3
-        assert "_o =" not in arm and not self.SLOW_PATH.search(arm)
-        assert arm.count("_go += ") == 1
+        """The inner loop reads A, B and alpha through segment views
+        bound ahead of it, with their loop-invariant index terms
+        summed there too: no offset test, no slow path, no charge.
+        The unstored latch increment of the outlined loop is not
+        emitted."""
+        code, (ahead, body, after) = gemm_k_loop()
+        views = dict(re.findall(r"^ *(_ls\d+v[bhiqQfd]) = (_ls\d+\.v\w)$",
+                                ahead, re.M))
+        reads = re.findall(r"(_ls\d+v[bhiqQfd])\[", body)
+        assert len(reads) == 3 and set(reads) == set(views)
+        assert re.search(r"^ *_i\d+ = s\d+ \* 32 \+ _lj\d+$", ahead, re.M)
+        assert not self.PROVEN.search(body)
+        assert "_o =" not in body and not self.SLOW_PATH.search(body)
+        assert "_go" not in body and after.count("_go += ") == 1
         assert code.proven_sites == code.access_sites == 6
         assert "s0 + 1" not in code.source
 
@@ -1211,22 +1257,454 @@ class TestLaunchProofs:
     #: blackscholes).
     PROVEN_FLOOR = 312
 
-    def test_workloads_prove_their_sites(self):
+    def test_workloads_prove_their_sites(self, workload_grids):
         """Every launch of the 24 workloads passes its proof, and the
         proofs cover at least ``PROVEN_FLOOR`` sites."""
-        from repro.workloads import get_workload, workload_names
         proven = 0
-        for name in workload_names():
-            report = CgcmCompiler(CgcmConfig()).compile_source(
-                get_workload(name).source, name)
-            machine = Machine(report.module, engine="source")
-            CgcmRuntime(machine)
-            machine.run()
-            assert machine.checked_launches == 0, name
-            proven += sum(code.proven_sites
-                          for code in machine._compiled.values()
-                          if code.grid)
+        for name, checked, codes in workload_grids:
+            assert checked == 0, name
+            proven += sum(code.proven_sites for code in codes)
         assert proven >= self.PROVEN_FLOOR
+
+
+#: The launch prologue's test of a frame of promoted slots.
+FRAME_TEST = "(M._gpu_sp + 7 & -8) + "
+
+
+class TestCountedLoops:
+    """In a kernel's proven grid variant an innermost counted loop that
+    cannot fault runs as ``for`` over ``range`` with one batched
+    charge, and a frame of promoted slots is tested once per launch.
+    Every run matches the tree-walker, launch by launch."""
+
+    #: Kernels whose loop -- the inner one of ``nested`` -- is a ``for``.
+    LOOPS = {
+        "lt_step_1": r"""
+            double X[16];
+            double S[16];
+            __global__ void dot(long tid, double *x, double *s) {
+                double acc = 0.0;
+                for (long j = 0; j < 16; j++) acc += x[j] * (j + tid);
+                s[tid] = acc;
+            }
+            int main(void) {
+                for (int i = 0; i < 16; i++) X[i] = i * 0.25;
+                double *dx = (double *) map((char *) X);
+                double *ds = (double *) map((char *) S);
+                __launch(dot, 16, dx, ds);
+                unmap((char *) S);
+                release((char *) S);
+                release((char *) X);
+                print_f64(S[15]);
+                return 0;
+            }
+        """,
+        "le_step_3": r"""
+            long X[32];
+            long S[32];
+            __global__ void hop(long tid, long *x, long *s) {
+                long acc = 0;
+                for (long j = tid; j <= 31; j += 3) acc += x[j] * 2 + j;
+                s[tid] = acc;
+            }
+            int main(void) {
+                for (int i = 0; i < 32; i++) X[i] = i * i;
+                long *dx = (long *) map((char *) X);
+                long *ds = (long *) map((char *) S);
+                __launch(hop, 32, dx, ds);
+                unmap((char *) S);
+                release((char *) S);
+                release((char *) X);
+                print_i64(S[0] * 100000 + S[31] * 1000 + S[5]);
+                return 0;
+            }
+        """,
+        # Threads 4 to 7 of the first launch and every thread of the
+        # second run no trip.
+        "zero_trips": r"""
+            long S[8];
+            __global__ void tail(long tid, long *s, long n) {
+                long acc = tid;
+                for (long j = tid; j < n; j++) acc += j;
+                s[tid] = s[tid] * 100 + acc;
+            }
+            int main(void) {
+                long *ds = (long *) map((char *) S);
+                __launch(tail, 8, ds, 4);
+                __launch(tail, 8, ds, 0);
+                unmap((char *) S);
+                release((char *) S);
+                for (int t = 0; t < 8; t++) print_i64(S[t]);
+                return 0;
+            }
+        """,
+        "argument_end": r"""
+            double X[64];
+            double S[8];
+            __global__ void span(long tid, double *x, double *s, long lo,
+                                 long hi) {
+                double acc = 0.0;
+                for (long j = lo; j < hi; j += 2) acc += x[j] + tid;
+                s[tid] = s[tid] + acc;
+            }
+            int main(void) {
+                for (int i = 0; i < 64; i++) X[i] = i * 1.5;
+                double *dx = (double *) map((char *) X);
+                double *ds = (double *) map((char *) S);
+                __launch(span, 8, dx, ds, 0, 64);
+                __launch(span, 8, dx, ds, 5, 40);
+                __launch(span, 8, dx, ds, 30, 30);
+                unmap((char *) S);
+                release((char *) S);
+                release((char *) X);
+                print_f64(S[7]);
+                return 0;
+            }
+        """,
+        # The end is a slot loaded in the header; some are negative.
+        "loaded_end": r"""
+            long N[8];
+            long S[8];
+            __global__ void tri(long tid, long *n, long *s) {
+                long m = n[tid];
+                long acc = 0;
+                for (long j = 0; j < m; j++) acc += j * j + tid;
+                s[tid] = acc;
+            }
+            int main(void) {
+                for (int i = 0; i < 8; i++) N[i] = i * 3 - 4;
+                long *dn = (long *) map((char *) N);
+                long *ds = (long *) map((char *) S);
+                __launch(tri, 8, dn, ds);
+                unmap((char *) S);
+                release((char *) S);
+                release((char *) N);
+                for (int t = 0; t < 8; t++) print_i64(S[t]);
+                return 0;
+            }
+        """,
+        # The slot's exit value is read after the loop.
+        "read_after": r"""
+            long S[8];
+            __global__ void last(long tid, long *s, long n) {
+                long j = 100;
+                for (j = tid; j <= n; j += 3) s[tid] = s[tid] + j;
+                s[tid] = s[tid] * 1000 + j;
+            }
+            int main(void) {
+                long *ds = (long *) map((char *) S);
+                __launch(last, 8, ds, 10);
+                __launch(last, 8, ds, -1);
+                unmap((char *) S);
+                release((char *) S);
+                for (int t = 0; t < 8; t++) print_i64(S[t]);
+                return 0;
+            }
+        """,
+        "nested": r"""
+            double A[64];
+            double S[8];
+            __global__ void rows(long tid, double *a, double *s) {
+                double acc = 0.0;
+                for (long i = 0; i < 8; i++)
+                    for (long j = 0; j <= i; j++) acc += a[i * 8 + j] * tid;
+                s[tid] = acc;
+            }
+            int main(void) {
+                for (int i = 0; i < 64; i++) A[i] = i * 0.5;
+                double *da = (double *) map((char *) A);
+                double *ds = (double *) map((char *) S);
+                __launch(rows, 8, da, ds);
+                unmap((char *) S);
+                release((char *) S);
+                release((char *) A);
+                print_f64(S[7]);
+                return 0;
+            }
+        """,
+    }
+
+    FOR = re.compile(r"^ *for s\d+ in _r:$", re.M)
+
+    @pytest.mark.parametrize("name", sorted(LOOPS))
+    def test_loop_runs_as_a_for(self, name, monkeypatch):
+        machine = TestLaunchProofs.run_both(self.LOOPS[name], monkeypatch)
+        assert machine.checked_launches == 0
+        (code,) = TestLaunchProofs.kernel_codes(machine).values()
+        assert code.for_loops == len(self.FOR.findall(code.source)) == 1
+        ahead, body, after = for_loop_parts(code.source)
+        assert "_r = range(" in ahead
+        for token in ("_go", "_ei", "_b =", "continue"):
+            assert token not in body
+        assert after.count("_go += ") == 1 and "* _t + " in after
+        assert FRAME_TEST in code.source and "_sp = " not in code.source
+
+    def test_checked_site_grows_a_segment_after_the_loop(self, monkeypatch):
+        """A ``for`` body reads the device heap through a view bound
+        ahead of it; past the loop a checked load lands beyond the
+        heap's allocated bytes, which grows the segment, as it may
+        once the loop let go of the view."""
+        machine = TestLaunchProofs.run_both(r"""
+            __global__ void grow(long tid, double *x, double *s, long far) {
+                double acc = 0.0;
+                for (long j = 0; j < 8; j++) acc += x[j];
+                double *p = x;
+                for (long k = 0; k < 2; k++) p = p + far;
+                s[tid] = acc + *p;
+            }
+            int main(void) {
+                double *h = (double *) malloc(8 * 8);
+                double *o = (double *) malloc(4 * 8);
+                for (int i = 0; i < 8; i++) h[i] = i;
+                double *dh = (double *) map((char *) h);
+                double *dout = (double *) map((char *) o);
+                __launch(grow, 4, dh, dout, 65536);
+                unmap((char *) o);
+                print_f64(o[3]);
+                return 0;
+            }
+        """, monkeypatch)
+        assert machine.stdout == ["28"]
+        (code,) = TestLaunchProofs.kernel_codes(machine).values()
+        assert code.for_loops == 2 and code.proven_sites == 2
+        assert len(machine.device.memory.segment("device-heap").data) \
+            > 1 << 20
+
+    #: Thread 0 faults in trip 3 of a loop that keeps its dispatch
+    #: form: ``k - d`` is 0, or ``p`` has walked below the first
+    #: global, at the base of the device's module segment.
+    FAULTING = r"""
+        long A[8];
+        long O[8];
+        __global__ void divide(long tid, long *o, long d) {
+            long acc = 0;
+            for (long k = 0; k < 6; k++) acc += 100 / (k - d);
+            o[tid] = acc;
+        }
+        __global__ void walk(long tid, long *o, long *a, long s) {
+            long *p = a + s;
+            long acc = 0;
+            for (long k = 0; k < 6; k++) {
+                acc += *p;
+                p = p - 1;
+            }
+            o[tid] = acc;
+        }
+        int main(void) { return 0; }
+    """
+
+    #: (tree-walker, source engine) instruction counts after the
+    #: fault: fused code also counts the rest of the faulting segment,
+    #: the body block past the division (``acc``'s add and store, the
+    #: branch) or past the load (7 instructions).
+    AFTER_FAULT = {"divide": (65, 68), "walk": (76, 83)}
+
+    @pytest.mark.parametrize("kernel", ("divide", "walk"))
+    def test_faulting_body_keeps_its_dispatch(self, kernel):
+        after = {}
+        for engine in ("tree", "source"):
+            machine = Machine(compile_minic(self.FAULTING), engine=engine)
+            runtime = CgcmRuntime(machine)
+            runtime.declare_all_globals()
+            out = runtime.map_ptr(machine.global_address("O"))
+            args = [out, 3] if kernel == "divide" else \
+                [out, runtime.map_ptr(machine.global_address("A")), 2]
+            with pytest.raises((InterpError, MemoryFault)) as fault:
+                machine.launch_evaluated(
+                    machine.module.get_function(kernel), 4, args)
+            after[engine] = (type(fault.value), str(fault.value),
+                             machine.clock.totals(), machine._frame_counter,
+                             machine._gpu_sp, machine.executed_instructions)
+        assert after["source"][:-1] == after["tree"][:-1]
+        assert (after["tree"][-1], after["source"][-1]) \
+            == self.AFTER_FAULT[kernel]
+        (code,) = TestLaunchProofs.kernel_codes(machine).values()
+        assert code.grid is True and code.for_loops == 0
+        assert "_r = range(" not in code.source
+        assert machine.checked_launches == 0
+
+    @staticmethod
+    def counted_kernel(rng) -> str:
+        """A kernel whose counted loop (inside another, one time in
+        four) has a random start, end, test and step and indexes its
+        arrays by a non-negative affine mix modulo their length,
+        launched three times."""
+        start = rng.choice(("0", "tid", "p", "tid % 3"))
+        end = rng.choice(("24", "q", "tid + 5", "m", "i + 2"))
+        test = rng.choice(("<", "<="))
+        step = rng.choice((1, 2, 3))
+        c1, c2, c3 = (rng.randint(0, 5) for _ in range(3))
+        kind = rng.choice(("long", "double"))
+        outer = rng.random() < 0.25 or end == "i + 2"
+        loop = (f"for (j = {start}; j {test} {end}; j += {step}) {{"
+                f" a[(j * {c1} + tid * {c2} + {c3}) % 64] ="
+                f" a[(j * {c1} + tid * {c2} + {c3}) % 64] + j + p;"
+                f" acc = acc + b[(j + tid) % 32] * {c1}; }}")
+        if outer:
+            loop = f"for (long i = 0; i < 3; i++) {{ {loop} }}"
+        launches = " ".join(
+            f"__launch(k, {rng.randint(0, 12)}, da, db, dn, "
+            f"{rng.randint(0, 10)}, {rng.randint(-3, 30)});"
+            for _ in range(3))
+        return f"""
+            {kind} A[64];
+            long B[32];
+            long N[16];
+            __global__ void k(long tid, {kind} *a, long *b, long *n,
+                              long p, long q) {{
+                long m = n[tid % 16];
+                long acc = 0;
+                long j = -1;
+                {loop}
+                b[tid % 32] = b[tid % 32] + acc * 7 + j;
+            }}
+            int main(void) {{
+                for (int i = 0; i < 32; i++) B[i] = i * 3;
+                for (int i = 0; i < 16; i++) N[i] = i * 5 - 20;
+                {kind} *da = ({kind} *) map((char *) A);
+                long *db = (long *) map((char *) B);
+                long *dn = (long *) map((char *) N);
+                {launches}
+                unmap((char *) A);
+                unmap((char *) B);
+                release((char *) A);
+                release((char *) B);
+                release((char *) N);
+                long s = 0;
+                for (int i = 0; i < 64; i++) s = s * 31 + A[i];
+                for (int i = 0; i < 32; i++) s = s * 31 + B[i];
+                print_i64(s);
+                return 0;
+            }}
+        """
+
+    def test_random_counted_loops_match(self, monkeypatch):
+        """Seeded random counted loops, run as ``for`` or, where a
+        launch fails its proof, in the checked variant's dispatch
+        form, all match the tree-walker."""
+        rng = random.Random(5)
+        loops = checked = 0
+        for _ in range(16):
+            machine = TestLaunchProofs.run_both(self.counted_kernel(rng),
+                                                monkeypatch)
+            loops += sum(code.for_loops for code in
+                         TestLaunchProofs.kernel_codes(machine).values())
+            checked += machine.checked_launches
+            monkeypatch.undo()
+        assert loops >= 8 and checked > 0
+
+    #: Loops emitted as ``for``, and the variants whose launch tests
+    #: their frame, over the 86 grid variants the 24 workloads compile.
+    FOR_FLOOR = 56
+    FRAMED_FLOOR = 80
+
+    def test_workloads_run_for_loops(self, workload_grids):
+        codes = [code for _, _, codes in workload_grids for code in codes]
+        assert sum(code.for_loops for code in codes) >= self.FOR_FLOOR
+        assert sum(FRAME_TEST in code.source for code in codes) \
+            >= self.FRAMED_FLOOR
+
+    #: ``sum``'s frame: the slots of ``tid``, ``o``, ``acc`` and ``k``.
+    FRAMED = r"""
+        long O[8];
+        __global__ void sum(long tid, long *o) {
+            long acc = 0;
+            for (long k = 0; k <= tid; k++) acc += k;
+            o[tid] = acc;
+        }
+        int main(void) { return 0; }
+    """
+
+    def test_overflowing_frame_runs_the_checked_variant(self):
+        """With the device stack pointer 32 bytes below the limit the
+        frame fits; 24 bytes below, the launch fails its frame test and
+        the checked variant faults at the third slot, as the
+        tree-walker does."""
+        after = {}
+        for engine in ("tree", "source"):
+            machine = Machine(compile_minic(self.FRAMED), engine=engine)
+            runtime = CgcmRuntime(machine)
+            runtime.declare_all_globals()
+            out = runtime.map_ptr(machine.global_address("O"))
+            kernel = machine.module.get_function("sum")
+            limit = machine.device.memory.segment("device-stack").limit
+            machine._gpu_sp = limit - 32
+            machine.launch_evaluated(kernel, 8, [out])
+            assert machine.checked_launches == 0
+            machine._gpu_sp = limit - 24
+            with pytest.raises(MemoryFault, match="device-stack overflow") \
+                    as fault:
+                machine.launch_evaluated(kernel, 8, [out])
+            after[engine] = (str(fault.value), machine.clock.totals(),
+                             machine._frame_counter, machine._gpu_sp,
+                             machine.device.memory.read(out, 64))
+        assert after["source"] == after["tree"]
+        assert f"8 bytes at {limit:#x}" in after["tree"][0]
+        assert machine.checked_launches == 1
+        codes = TestLaunchProofs.kernel_codes(machine)
+        assert set(codes) == {True, CHECKED}
+        assert f"{FRAME_TEST}32 > " in codes[True].source
+        assert f"if _sp > {limit}:" in codes[CHECKED].source
+
+
+class TestStackOverflow:
+    """An alloca past its stack segment's limit faults in both engines
+    instead of taking the next segment's bytes."""
+
+    #: ``pad`` ends at the device stack's limit, where the device heap
+    #: starts.
+    KERNEL = r"""
+        double H[4];
+        __global__ void big(long tid, double *h) {
+            char pad[33554416];
+            double more[64];
+            more[tid] = 1.0;
+            h[tid] = more[tid] + pad[tid];
+        }
+        int main(void) {
+            double *d = (double *) map((char *) H);
+            __launch(big, 1, d);
+            unmap((char *) H);
+            release((char *) H);
+            print_f64(H[0]);
+            return 0;
+        }
+    """
+    CPU = r"""
+        int main(void) {
+            char pad[67108848];
+            double more[64];
+            more[0] = 1.0;
+            print_f64(more[0] + pad[0]);
+            return 0;
+        }
+    """
+    #: The fault, and the (tree-walker, source engine) instruction
+    #: counts: fused code also counts the entry block's branch.
+    FAULTS = {
+        "kernel": (KERNEL, "device-stack overflow: 512 bytes at "
+                   "0xd6000000 pass its limit 0xd6000000", (13, 14)),
+        "cpu": (CPU, "stack overflow: 512 bytes at 0x73fffff0 pass its "
+                "limit 0x74000000", (2, 3)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FAULTS))
+    def test_alloca_past_the_stack_faults(self, name):
+        program, message, counts = self.FAULTS[name]
+        after = {}
+        for engine in ("tree", "source"):
+            machine = Machine(compile_minic(program), engine=engine)
+            CgcmRuntime(machine).declare_all_globals()
+            with pytest.raises(MemoryFault) as fault:
+                machine.run()
+            after[engine] = (str(fault.value), machine.clock.totals(),
+                             machine._frame_counter, machine.stdout,
+                             machine.executed_instructions)
+            assert machine.device.memory.segment("device-heap").data \
+                == bytearray()
+        assert after["source"][:-1] == after["tree"][:-1]
+        assert after["tree"][0] == message
+        assert (after["tree"][-1], after["source"][-1]) == counts
 
 
 class TestCompileTimeChecks:
