@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from ..ir.block import BasicBlock
 from ..ir.function import Function
@@ -64,16 +64,6 @@ class DominatorTree:
                 return False
             current = parent
         return False
-
-    def walk_up(self, block: BasicBlock) -> Iterator[BasicBlock]:
-        """Yield block, idom(block), ... up to the entry."""
-        current: Optional[BasicBlock] = block
-        while current is not None:
-            yield current
-            parent = self._idom.get(current)
-            if parent is current:
-                return
-            current = parent
 
 
 class PostDominatorTree:
@@ -162,15 +152,4 @@ class PostDominatorTree:
             parent = self._ipdom.get(current)
             if parent is None or parent is current:
                 return False
-            current = parent
-
-    def walk_up(self, block: BasicBlock) -> Iterator[BasicBlock]:
-        """Yield block, ipdom(block), ... up to the last real block."""
-        virt = PostDominatorTree._VIRTUAL_EXIT
-        current: object = block
-        while current is not None and current is not virt:
-            yield current  # type: ignore[misc]
-            parent = self._ipdom.get(current)
-            if parent is current:
-                return
             current = parent

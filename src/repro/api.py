@@ -72,7 +72,6 @@ def _config_key(config: CgcmConfig) -> Tuple:
         config.enable_map_promotion,
         dataclasses.astuple(config.cost_model),
         config.record_events,
-        config.verify,
         config.sanitize,
         config.engine,
         config.streams,

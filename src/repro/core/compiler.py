@@ -74,6 +74,26 @@ class ExecutionResult:
     #: runs; the critical path over all cursors for streams runs).
     critical_path_seconds: float = 0.0
 
+    @classmethod
+    def from_machine(cls, machine: Machine, exit_code: int,
+                     globals_image: Optional[Dict[str, bytes]] = None,
+                     sanitizer_report: Optional["object"] = None
+                     ) -> "ExecutionResult":
+        """The outcome ``machine`` holds after a run that exited with
+        ``exit_code``."""
+        clock = machine.clock
+        return cls(exit_code=exit_code,
+                   stdout=tuple(machine.stdout),
+                   cpu_seconds=clock.cpu_seconds,
+                   gpu_seconds=clock.gpu_seconds,
+                   comm_seconds=clock.comm_seconds,
+                   counters=dict(clock.counters),
+                   events=list(clock.events),
+                   globals_image=globals_image or {},
+                   sanitizer_report=sanitizer_report,
+                   instructions=machine.executed_instructions,
+                   critical_path_seconds=clock.critical_path_s)
+
     @property
     def total_seconds(self) -> float:
         return self.cpu_seconds + self.gpu_seconds + self.comm_seconds
@@ -99,8 +119,7 @@ class CgcmCompiler:
         report = CompileReport(module)
         config = self.config
         if not config.parallelize:
-            if config.verify:
-                verify_module(module)
+            verify_module(module)
             return report
 
         report.doall_kernels = DoallParallelizer(module).run()
@@ -151,8 +170,7 @@ class CgcmCompiler:
                 if validator is not None:
                     from ..transforms import comm_overlap as _co_mod
                     validator.check(_co_mod.CONTRACT, module)
-        if config.verify:
-            verify_module(module)
+        verify_module(module)
         if validator is not None:
             report.validation = list(validator.findings)
             errors = validator.errors
@@ -250,22 +268,11 @@ class CgcmCompiler:
             # Program end implies cuCtxSynchronize: the critical path
             # includes every span still in flight.
             machine.clock.device_synchronize()
-        globals_image: Dict[str, bytes] = {}
-        if capture_globals:
-            globals_image = capture_globals_image(machine, report.module)
-        return ExecutionResult(
-            exit_code=exit_code,
-            stdout=tuple(machine.stdout),
-            cpu_seconds=machine.clock.cpu_seconds,
-            gpu_seconds=machine.clock.gpu_seconds,
-            comm_seconds=machine.clock.comm_seconds,
-            counters=dict(machine.clock.counters),
-            events=list(machine.clock.events),
-            globals_image=globals_image,
-            sanitizer_report=sanitizer.finish() if sanitizer else None,
-            instructions=machine.executed_instructions,
-            critical_path_seconds=machine.clock.critical_path_s,
-        )
+        globals_image = capture_globals_image(machine, report.module) \
+            if capture_globals else None
+        return ExecutionResult.from_machine(
+            machine, exit_code, globals_image,
+            sanitizer.finish() if sanitizer else None)
 
 
 #: Externals whose constant-argument calls create heap/stack

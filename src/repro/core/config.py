@@ -44,7 +44,6 @@ class CgcmConfig:
     enable_map_promotion: bool = True
     cost_model: CostModel = field(default_factory=CostModel)
     record_events: bool = False
-    verify: bool = True
     #: Arm the communication sanitizer for executions; the resulting
     #: report lands on :attr:`ExecutionResult.sanitizer_report`.
     sanitize: bool = False

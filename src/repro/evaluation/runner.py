@@ -120,14 +120,7 @@ def _run_inspector_executor(workload: Workload,
     DoallParallelizer(module).run()
     machine = InspectorExecutorMachine(module, cost_model)
     exit_code = machine.run()
-    return ExecutionResult(
-        exit_code=exit_code,
-        stdout=tuple(machine.stdout),
-        cpu_seconds=machine.clock.cpu_seconds,
-        gpu_seconds=machine.clock.gpu_seconds,
-        comm_seconds=machine.clock.comm_seconds,
-        counters=dict(machine.clock.counters),
-    )
+    return ExecutionResult.from_machine(machine, exit_code)
 
 
 def run_all(workloads, cost_model: Optional[CostModel] = None,

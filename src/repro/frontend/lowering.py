@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..analysis.cfg import reachable_blocks
 from ..errors import FrontendError
 from ..interp.externals import external_signatures
 from ..ir import (ArrayType, BasicBlock, FloatType, Function, FunctionType,
@@ -230,6 +231,11 @@ class MiniCLowering:
             self._emit_default_return(fn)
         entry_builder = IRBuilder(self._entry_block)
         entry_builder.br(self._body_block)
+        # Drop what no edge reaches: the join after an if whose arms
+        # both return, or after a for that only leaves by returning,
+        # and whatever was lowered into it.
+        reachable = reachable_blocks(fn)
+        fn.blocks = [block for block in fn.blocks if block in reachable]
         self.current_fn = None
 
     def _emit_default_return(self, fn: Function) -> None:

@@ -91,33 +91,6 @@ class Frame:
         self.frame_id = frame_id
 
 
-#: Memoized :func:`needs_frame` verdicts (weak: fuzz corpora churn
-#: through throwaway functions).
-_NEEDS_FRAME: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def needs_frame(fn: Function) -> bool:
-    """Whether activations of ``fn`` can touch their own frame.
-
-    Only stack allocation reads the current frame: ``alloca``
-    instructions register into it, and the ``declareAlloca`` runtime
-    entry point resolves ``Machine.current_frame``.  Everything else
-    -- including nested calls, which push their own frames -- is
-    frame-oblivious, so the source engine's call thunks skip the
-    frame push/pop (but not the frame-id sequencing or the exit-hook
-    sweep) for functions without either.
-    """
-    cached = _NEEDS_FRAME.get(fn)
-    if cached is None:
-        cached = any(
-            isinstance(inst, Alloca)
-            or (isinstance(inst, Call) and inst.callee.is_declaration
-                and inst.callee.name == "declareAlloca")
-            for inst in fn.instructions())
-        _NEEDS_FRAME[fn] = cached
-    return cached
-
-
 #: Tiered execution (``engine="source"``): a (function, mode) runs in
 #: the tree-walker until the instructions predicted for its entries so
 #: far reach ``HOT_RATIO`` times its static instruction count, and is

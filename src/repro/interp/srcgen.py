@@ -19,7 +19,10 @@ the machine.
   but the latch of a loop run as a ``for`` (below), whose back edge
   ``range`` takes.  Dispatch positions are ordered by loop depth
   (innermost first) so hot back edges scan the shortest prefix of the
-  chain.  Single-block functions skip the loop entirely.
+  chain.  A block only one edge reaches is emitted in place of that
+  jump (fused); a diamond nests its taken arm under the guard, at most
+  ``_NEST_DEPTH`` diamonds deep.  Single-block functions skip the loop
+  entirely.
 
 * **Block-fused cost charging, split at flush points.**  The static
   ``_OP_COSTS`` of each straight-line run, ``div``/``rem`` extras
@@ -73,16 +76,18 @@ the machine.
   ``_FOLD_DEPTH`` folds so that a long chain never nears the parser's
   limit.
 
-* **Memory access compiles to typed-view indexing.**  The aligned
-  in-bounds fast path is a single ``segment.vd[offset >> 3]`` typed
-  index against the memoryview-backed segments of
-  :mod:`repro.memory.flatmem`, guarded by one chained compare against
-  the segment's live limit; everything else (segment miss, growth,
-  unaligned, big-endian hosts) drops to a struct-codec slow helper
-  that re-locates the segment.  The last-hit segment is cached in a
-  *local* (``_cs``), not on the memory object, so the common case
-  never leaves the frame.  This checked path stays for CPU code,
-  hooked code, and the checked grid variant of a kernel.
+* **Memory access compiles to typed-view indexing.**  One emitter
+  serves every load and store: a prefix -- the write-back guard of a
+  guarded variant, then the armed ``mem_hooks`` of a hooked one --
+  and one of three accesses: a promoted slot, a proven view (both
+  below), or a checked site.  A checked site's aligned in-bounds fast
+  path is a single ``segment.vd[offset >> 3]`` typed index against the
+  memoryview-backed segments of :mod:`repro.memory.flatmem`, guarded
+  by one chained compare against the segment's live limit; everything
+  else (segment miss, growth, unaligned, big-endian hosts) drops to a
+  struct-codec slow helper that re-locates the segment.  The last-hit
+  segment is cached in a *local* (``_cs``), not on the memory object,
+  so the common case never leaves the frame.
 
 * **Launch-time bounds proofs.**  A kernel's unhooked grid variant
   knows at launch what a thread cannot: the grid size and every
@@ -145,15 +150,17 @@ the machine.
   write-back guard ahead of every promoted access, because the
   runtime does not retire a declared alloca's pending write-back at
   frame exit and a new slot at that address must still trigger the
-  sync.  Hooked variants keep the memory path, so observers see every
-  access.
+  sync.  Hooked variants promote no slot, so observers see every
+  access at its stack address.
 
 * **Hook specialization at codegen time.**  Armed ``mem_hooks``
-  select a hook-calling load/store emission (and the sanitizer then
-  observes exactly the tree-walker's event stream); the unhooked
-  variant emits no hook plumbing at all, so the hot path carries zero
-  per-instruction hook overhead.  Variants are cached per hook-set
-  identity (see ``Machine.compiled_for``).
+  select the hooked variant, which calls them ahead of each access's
+  checked site, where the tree-walker would (so the sanitizer observes
+  exactly the tree-walker's event stream), and promotes no slot and
+  proves no site.  The unhooked variant emits no hook plumbing at
+  all, so the hot path carries zero per-instruction hook overhead.
+  Variants are cached per hook-set identity (see
+  ``Machine.compiled_for``).
 
 * **Host-only write-back guard.**  Under streams the runtime arms
   ``Machine.writeback_guard``.  CPU-mode code of such a machine is
@@ -179,9 +186,10 @@ the machine.
   is tiered: ``Machine.compiled_for`` declines to compile a (function,
   mode) until the instructions predicted for its entries reach
   ``machine.HOT_RATIO`` times its static size, so code that runs once
-  is never emitted.  A cold callee's thunk tree-walks it through
-  ``Machine.activate`` and asks again on the next call; a cold launch
-  runs the tree-walker's per-thread loop.  Because the engines are
+  is never emitted.  A callee's thunk runs it through
+  ``Machine.activate``: its compiled body once hot, the tree-walker
+  while cold, asking again on the next call; a cold launch runs the
+  tree-walker's per-thread loop.  Because the engines are
   clock-for-clock identical, the tier is unobservable -- except that
   a cold function with a use its definition does not dominate faults
   when the read executes, as under the tree-walker, rather than when
@@ -215,8 +223,7 @@ from ..ir.values import (Argument, Constant, GlobalVariable, UndefValue,
 from ..memory.flatmem import (VIEW_ACCESS, round_f32, scalar_format,
                               scalar_struct)
 from .externals import GPU_SAFE, call_cost
-from .machine import (_DIV_EXTRA, _OP_COSTS, CHECKED, Frame,
-                      MAX_CALL_DEPTH, needs_frame, stack_fill,
+from .machine import (_DIV_EXTRA, _OP_COSTS, CHECKED, stack_fill,
                       stack_segment, tier_of, _trunc_div_float,
                       _trunc_div_int)
 
@@ -237,6 +244,8 @@ _PROVEN_BINOPS = {"add": "+", "sub": "-", "mul": "*", "div": "//",
 #: a value past it keeps its register, so no chain of folds nears the
 #: parser's limit on nested parentheses.
 _FOLD_DEPTH = 16
+#: Deepest nesting of fused diamonds (see ``_plan_fusion``).
+_NEST_DEPTH = 40
 
 
 # Integer results are wrapped into the type's signed range inline:
@@ -463,23 +472,16 @@ def _const(value):
     return build
 
 
-#: Externals whose handlers only compute -- no clock advance, no
-#: machine state, no stdout, no RNG.  Call sites to these bake the
-#: modelled call cost into the enclosing fused segment charge (no
-#: flush can occur between the segment's charge and the call) and
-#: dispatch positionally, skipping the thunk and the argument list.
-#: Every entry must be GPU-safe: the set bypasses the kernel check.
-_PURE_EXTERNALS = frozenset({
-    "sqrt", "fabs", "exp", "log", "pow", "sin", "cos", "tan",
-    "floor", "ceil", "fmax", "fmin", "abs_i64", "exp2", "atan",
-})
-assert _PURE_EXTERNALS <= GPU_SAFE
-
-
 def _pure_call(inst) -> bool:
-    """Call sites that cannot flush pending ops onto the clock."""
+    """Call sites that cannot flush pending ops onto the clock: calls
+    to the externals kernels may call (``GPU_SAFE``), whose handlers
+    only compute -- no clock advance, no machine state, no stdout, no
+    RNG.  They bake the modelled call cost into the enclosing fused
+    segment charge (no flush can occur between the segment's charge
+    and the call) and dispatch positionally, skipping the thunk and
+    the argument list."""
     return (isinstance(inst, Call) and inst.callee.is_declaration
-            and inst.callee.name in _PURE_EXTERNALS)
+            and inst.callee.name in GPU_SAFE)
 
 
 def _make_pure_external(machine, name: str):
@@ -503,127 +505,58 @@ def _make_pure_external(machine, name: str):
 
 
 def _make_external_thunk(machine, name: str, gpu: bool):
-    """A direct-dispatch thunk for one external callee.
+    """A direct-dispatch thunk for one external callee that is not
+    :func:`_pure_call`.
 
     Mirrors ``Machine.call`` -> ``Machine._call_external`` exactly --
     externals run in the caller's frame, consume no call depth, and
     charge their modelled cost before the handler runs -- but resolves
-    the mode branch and the kernel-safety check at codegen time.  The
-    handler itself is looked up per call: the runtime registers its
-    entry points into ``machine.externals`` after machine creation.
+    the mode branch and the kernel-safety check at codegen time: every
+    external a kernel may call is pure, so in a kernel the thunk only
+    raises.  The handler itself is looked up per call: the runtime
+    registers its entry points into ``machine.externals`` after
+    machine creation.
     """
-    externals = machine.externals
-    cost = call_cost(name)
-    if gpu and name not in GPU_SAFE:
+    if gpu:
         def thunk(*args):
             raise InterpError(f"kernel called host-only external @{name}")
         return thunk
-    if gpu:
-        def thunk(*args):
-            handler = externals.get(name)
-            if handler is None:
-                raise InterpError(f"call to undefined external @{name}")
-            machine._gpu_ops += cost
-            return handler(machine, args)
-    else:
-        def thunk(*args):
-            handler = externals.get(name)
-            if handler is None:
-                raise InterpError(f"call to undefined external @{name}")
-            machine._pending_cpu_ops += cost
-            return handler(machine, args)
+    externals = machine.externals
+    cost = call_cost(name)
+
+    def thunk(*args):
+        handler = externals.get(name)
+        if handler is None:
+            raise InterpError(f"call to undefined external @{name}")
+        machine._pending_cpu_ops += cost
+        return handler(machine, args)
     return thunk
 
 
-def _make_call_thunk(machine, callee, gpu: bool):
+def _make_call_thunk(machine, callee):
     """A direct-dispatch thunk for one *defined* callee.
 
-    Replicates the compiled-code path of :meth:`Machine.call` --
-    depth check, stack-pointer save/restore, frame push/pop, the
-    ``frame_exit_hooks`` sweep -- with the mode branch resolved at
-    codegen time (a variant compiled for one mode only ever runs in
-    that mode: :meth:`Machine.compiled_for` selects variants by the
-    live mode, and ``launch_evaluated`` restores it on every exit
-    path).  The callee's compiled body is re-resolved whenever the
-    armed hook set changes, preserving the hook-set-identity cache
-    contract; the arity check moved to codegen (call sites have
-    static operand lists).  While the callee is cold every call asks
-    again, and a call that finds it still cold tree-walks it through
-    :meth:`Machine.activate`, as :meth:`Machine.call` would.
+    :meth:`Machine.call` with the variant lookup cached: the callee's
+    compiled body is re-resolved only when the armed hook set changes,
+    preserving the hook-set-identity cache contract (a variant
+    compiled for one mode only ever runs in that mode:
+    :meth:`Machine.compiled_for` selects variants by the live mode,
+    and ``launch_evaluated`` restores it on every exit path).  While
+    the callee is cold every call asks again, and a call that finds it
+    still cold tree-walks it.  Either way :meth:`Machine.activate`
+    runs it, with the depth check and the frame bookkeeping.
     """
-    depth_limit = MAX_CALL_DEPTH
-    frame_type = Frame
-    stack = machine._frame_stack
-    name = callee.name
+    activate = machine.activate
     state = [None, None]  # [hook-set snapshot, compiled body]
 
-    def resolve(hooks):
-        """The callee's compiled body, or None while it is cold."""
-        code = machine.compiled_for(callee)
-        if code is not None:
+    def thunk(*args):
+        hooks = machine.mem_hooks
+        if state[0] != hooks:
+            code = machine.compiled_for(callee)
+            if code is None:
+                return activate(callee, args)
             state[0], state[1] = list(hooks), code
-        return code
-
-    if not needs_frame(callee):
-        # Frame-oblivious callee (no allocas, no declareAlloca): the
-        # stack pointer never moves and nothing reads the frame, so
-        # skip the frame object and the push/pop -- the frame-id
-        # sequencing and the exit-hook sweep stay.
-        def thunk(*args):
-            hooks = machine.mem_hooks
-            if state[0] != hooks and resolve(hooks) is None:
-                return machine.activate(callee, args)
-            if machine._depth >= depth_limit:
-                raise InterpError(f"call depth exceeded at @{name}")
-            machine._depth += 1
-            machine._frame_counter += 1
-            fid = machine._frame_counter
-            try:
-                return state[1](args)
-            finally:
-                for hook in machine.frame_exit_hooks:
-                    hook(machine, fid)
-                machine._depth -= 1
-    elif gpu:
-        def thunk(*args):
-            hooks = machine.mem_hooks
-            if state[0] != hooks and resolve(hooks) is None:
-                return machine.activate(callee, args)
-            if machine._depth >= depth_limit:
-                raise InterpError(f"call depth exceeded at @{name}")
-            machine._depth += 1
-            sp_base = machine._gpu_sp
-            machine._frame_counter += 1
-            frame = frame_type(callee, machine._frame_counter, sp_base)
-            stack.append(frame)
-            try:
-                return state[1](args)
-            finally:
-                machine._gpu_sp = sp_base
-                stack.pop()
-                for hook in machine.frame_exit_hooks:
-                    hook(machine, frame.frame_id)
-                machine._depth -= 1
-    else:
-        def thunk(*args):
-            hooks = machine.mem_hooks
-            if state[0] != hooks and resolve(hooks) is None:
-                return machine.activate(callee, args)
-            if machine._depth >= depth_limit:
-                raise InterpError(f"call depth exceeded at @{name}")
-            machine._depth += 1
-            sp_base = machine._cpu_sp
-            machine._frame_counter += 1
-            frame = frame_type(callee, machine._frame_counter, sp_base)
-            stack.append(frame)
-            try:
-                return state[1](args)
-            finally:
-                machine._cpu_sp = sp_base
-                stack.pop()
-                for hook in machine.frame_exit_hooks:
-                    hook(machine, frame.frame_id)
-                machine._depth -= 1
+        return activate(callee, args, state[1])
     return thunk
 
 
@@ -777,9 +710,6 @@ class _SourceCompiler:
         if mode == "gpu":
             self.builders["_onds"] = lambda m, mem: \
                 m.device.memory.segment("device-stack").contains
-        if hooked:
-            self.builders["_lds"] = lambda m, mem: mem.load_scalar
-            self.builders["_sts"] = lambda m, mem: mem.store_scalar
         if guarded:
             self.builders["_pw"] = lambda m, mem: m.writeback_guard[0]
             self.builders["_wg"] = lambda m, mem: m.writeback_guard[1]
@@ -946,122 +876,87 @@ class _SourceCompiler:
 
     # -- memory access ------------------------------------------------------
 
-    def _site(self) -> Tuple[str, int]:
-        """A fresh per-access-site segment-cache local.
+    def _emit_access(self, inst: Instruction) -> None:
+        """One load or store that is not :meth:`_pure`: the host
+        write-back guard of a guarded variant (one truthiness test
+        while no write-back is in flight) and the armed ``mem_hooks``
+        of a hooked one, then a promoted slot, a proven view or one
+        checked typed-view site.  A store first wraps its value and, in
+        a kernel, tests that a pointer lands on the device stack.
 
-        Access sites are overwhelmingly monomorphic (a given load in a
-        given function keeps hitting the same segment), but *adjacent*
-        sites often alternate segments -- an inner loop reading a
-        global array and a heap array, or a local array beside
-        either, would thrash any single shared cache.  Per-site locals make each site's hit
-        rate independent of its neighbours, and each site's last
-        segment persists across activations in the baked ``_cc`` list
-        (one slot per site, re-read in the prologue) so even
-        straight-line bodies called once per kernel thread start warm.
-        The in-bounds guard makes a stale hint a slow-path trip, never
-        a wrong access.
-        """
-        k = len(self._sites)
-        name = f"_cs{k}"
-        self._sites.append(name)
-        return name, k
-
-    def _emit_site_kept(self, cs: str, k: int) -> None:
-        """After a slow-path trip, keep the site's new segment for the
-        next activation; a grid variant keeps every site once, when
-        the launch ends."""
-        if not self.grid:
-            self._emit(f"    _cc[{k}] = {cs}")
-
-    def _emit_guard(self, kind: str, pointer: str, size: int) -> None:
-        """The host write-back guard ahead of one access: a single
-        truthiness test while no write-back is in flight."""
+        A checked site caches its segment in a local of its own
+        (``_csK``): sites are overwhelmingly monomorphic, but adjacent
+        ones often alternate segments (a global and a heap array in one
+        loop), which would thrash a shared cache.  The baked ``_cc``
+        list keeps each site's segment across activations (one slot
+        per site, re-read in the prologue, stored after a slow-path
+        trip; a grid variant stores all of them when the launch ends),
+        so even a body run once per kernel thread starts warm.  The
+        in-bounds guard makes a stale segment a slow-path trip, never
+        a wrong access."""
+        load = isinstance(inst, Load)
+        kind = "load" if load else "store"
+        pointer = self._ref(inst.pointer)
+        type_ = inst.type if load else inst.value.type
         if self.guarded:
             self._emit("if _pw:")
-            self._emit(f"    _wg(M, \"{kind}\", {pointer}, {size})")
-
-    def _emit_load(self, inst: Load) -> None:
-        dest = self.names[inst]
-        pointer = self._ref(inst.pointer)
-        type_ = inst.type
-        self._emit_guard("load", pointer, type_.size)
+            self._emit(f"    _wg(M, \"{kind}\", {pointer}, {type_.size})")
+        if self.hooked:
+            self._emit("for _h in M.mem_hooks:")
+            self._emit(f"    _h(M, \"{kind}\", {pointer}, {type_.size})")
         slot = self._slots.get(inst.pointer)
-        if slot is not None:
-            if inst in self._folded:
-                self.names[inst] = slot
-            else:
-                self._emit(f"{dest} = {slot}")
-            return
-        if self.hooked:
-            self._emit("for _h in M.mem_hooks:")
-            self._emit(f"    _h(M, \"load\", {pointer}, {type_.size})")
-            self._emit(f"{dest} = _lds({pointer}, "
-                       f"{self._bake('_T', type_)})")
-            return
-        cs, k = self._site()
-        view, hi, shift, amask = VIEW_ACCESS[scalar_format(type_)[-1]]
-        i1 = isinstance(type_, IntType) and type_.bits == 1
-        index = "_o" if shift == 0 else f"_o >> {shift}"
-        guard = f"0 <= _o <= {cs}.{hi}" if amask == 0 else \
-            f"0 <= _o <= {cs}.{hi} and not _o & {amask}"
-        self._emit(f"_o = {pointer} - {cs}.base")
-        self._emit(f"if {guard}:")
-        self._emit(f"    {dest} = {cs}.{view}[{index}]" + (" & 1" if i1
-                                                           else ""))
-        self._emit("else:")
-        self._emit(f"    {dest}, {cs} = "
-                   f"{self._slow_helper('ld', type_)}({pointer})")
-        self._emit_site_kept(cs, k)
-
-    def _emit_store(self, inst: Store) -> None:
-        pointer = self._ref(inst.pointer)
-        value = self._ref(inst.value)
-        type_ = inst.value.type
-        self._emit_guard("store", pointer, type_.size)
-        if self.hooked:
-            self._emit("for _h in M.mem_hooks:")
-            self._emit(f"    _h(M, \"store\", {pointer}, {type_.size})")
-            if self.mode == "gpu" and type_.is_pointer:
-                self._emit_pointer_guard(pointer)
-            self._emit(f"_sts({pointer}, {self._bake('_T', type_)}, "
-                       f"{value})")
-            return
-        if inst.pointer in self._slots:
-            # The alloca's limit test put the slot on the device stack.
-            self._emit_slot_store(inst.pointer, inst.value, type_)
-            return
-        if self.mode == "gpu" and type_.is_pointer:
-            self._emit_pointer_guard(pointer)
-        if isinstance(type_, FloatType) \
-                or self._stores_as_is(inst.value, type_):
-            stored = value
+        if load:
+            dest = self.names[inst]
+            if slot is not None:
+                if inst in self._folded:
+                    self.names[inst] = slot
+                else:
+                    self._emit(f"{dest} = {slot}")
+                return
         else:
-            mask, high, span = _int_params(type_)
-            self._emit(f"_v = {value} & {self._literal(mask)}")
-            if span:
-                self._emit(f"if _v > {self._literal(high)}:")
-                self._emit(f"    _v -= {self._literal(span)}")
-            stored = "_v"
-        if inst in self._proofs:
-            self._emit(f"{self._proven_view(inst)} = {stored}")
-            return
-        cs, k = self._site()
+            if slot is not None:
+                # The alloca's limit test put the slot on the stack.
+                self._emit_slot_store(inst.pointer, inst.value, type_)
+                return
+            if self.mode == "gpu" and type_.is_pointer:
+                self._emit(f"if not _onds({pointer}):")
+                self._emit(f"    raise _CUE(\"kernel @{self.fn.name} stores "
+                           "a pointer into memory (CGCM restriction)\")")
+            stored = self._ref(inst.value)
+            if not isinstance(type_, FloatType) \
+                    and not self._stores_as_is(inst.value, type_):
+                mask, high, span = _int_params(type_)
+                self._emit(f"_v = {stored} & {self._literal(mask)}")
+                if span:
+                    self._emit(f"if _v > {self._literal(high)}:")
+                    self._emit(f"    _v -= {self._literal(span)}")
+                stored = "_v"
+            if inst in self._proofs:
+                self._emit(f"{self._proven_view(inst)} = {stored}")
+                return
+        k = len(self._sites)
+        cs = f"_cs{k}"
+        self._sites.append(cs)
         view, hi, shift, amask = VIEW_ACCESS[scalar_format(type_)[-1]]
         index = "_o" if shift == 0 else f"_o >> {shift}"
         guard = f"0 <= _o <= {cs}.{hi}" if amask == 0 else \
             f"0 <= _o <= {cs}.{hi} and not _o & {amask}"
         self._emit(f"_o = {pointer} - {cs}.base")
         self._emit(f"if {guard}:")
-        self._emit(f"    {cs}.{view}[{index}] = {stored}")
-        self._emit("else:")
-        self._emit(f"    {cs} = {self._slow_helper('st', type_)}"
-                   f"({pointer}, {stored})")
-        self._emit_site_kept(cs, k)
-
-    def _emit_pointer_guard(self, pointer: str) -> None:
-        self._emit(f"if not _onds({pointer}):")
-        self._emit(f"    raise _CUE(\"kernel @{self.fn.name} stores a "
-                   "pointer into memory (CGCM restriction)\")")
+        if load:
+            i1 = isinstance(type_, IntType) and type_.bits == 1
+            self._emit(f"    {dest} = {cs}.{view}[{index}]"
+                       + (" & 1" if i1 else ""))
+            self._emit("else:")
+            self._emit(f"    {dest}, {cs} = "
+                       f"{self._slow_helper('ld', type_)}({pointer})")
+        else:
+            self._emit(f"    {cs}.{view}[{index}] = {stored}")
+            self._emit("else:")
+            self._emit(f"    {cs} = {self._slow_helper('st', type_)}"
+                       f"({pointer}, {stored})")
+        if not self.grid:
+            self._emit(f"    _cc[{k}] = {cs}")
 
     def _proven_view(self, inst: Instruction) -> str:
         """A proven site's typed-view index in element units, read
@@ -1744,8 +1639,8 @@ class _SourceCompiler:
             # would keep its module, and so the cache key, alive.
             callee = self._helper(
                 "_c", ("c", name),
-                lambda m, mem, n=name, g=gpu:
-                _make_call_thunk(m, m.module.get_function(n), g))
+                lambda m, mem, n=name:
+                _make_call_thunk(m, m.module.get_function(n)))
         call = f"{callee}({arg_list})"
         if inst.produces_value:
             self._emit(f"{self.names[inst]} = {call}")
@@ -1777,10 +1672,10 @@ class _SourceCompiler:
         if isinstance(inst, Branch):
             self._emit_jump(inst.target, index, carry)
         elif isinstance(inst, CondBranch):
-            # Fused arms: a single-predecessor successor's body is
-            # emitted in place of the dispatch jump.  A diamond with
-            # both arms fusable nests the taken arm under the guard;
-            # one fusable arm continues flat after an early-out jump.
+            # Fused arms: an inlined successor's body is emitted in
+            # place of the dispatch jump.  A diamond with both arms
+            # inlined nests the taken arm under the guard; one inlined
+            # arm continues flat after an early-out jump.
             true_b, false_b = inst.if_true, inst.if_false
             condition = self._ref(inst.condition)
             true_in = true_b in self._inlined and true_b is not false_b
@@ -1823,10 +1718,8 @@ class _SourceCompiler:
                 self.names[inst] = f"({text})"
             else:
                 self._emit(f"{self.names[inst]} = {text}")
-        elif isinstance(inst, Load):
-            self._emit_load(inst)
-        elif isinstance(inst, Store):
-            self._emit_store(inst)
+        elif isinstance(inst, (Load, Store)):
+            self._emit_access(inst)
         elif isinstance(inst, BinaryOp):
             self._emit_binop(inst)
         elif isinstance(inst, Compare):
@@ -2013,7 +1906,7 @@ class _SourceCompiler:
                         preds.get(inst.if_false, 0) + 1
         return preds
 
-    def _plan_fusion(self, preds: Dict[object, int], nest: bool) -> set:
+    def _plan_fusion(self, preds: Dict[object, int]) -> set:
         """Pick the blocks to inline into their unique predecessor.
 
         A block is fusable when exactly one edge reaches it (so the
@@ -2021,10 +1914,12 @@ class _SourceCompiler:
         entry (dispatch must be able to start there), and it is not
         its own predecessor.  Loop headers always keep a dispatch
         index -- the back edge is a second predecessor -- so every
-        loop still turns around through the ``while`` dispatch.
-        With ``nest`` a diamond inlines both arms (the taken arm
-        indented under the guard); without it only the flat
-        continuation arm fuses, bounding emitted indentation.
+        loop still turns around through the ``while`` dispatch.  A
+        diamond inlines both arms, the taken arm indented under the
+        guard, unless that arm would nest more than ``_NEST_DEPTH``
+        diamonds deep below its dispatch arm: then it keeps a dispatch
+        index and starts a chain of its own, so a long conditional
+        ladder never nears the parser's indentation limit.
         """
         entry = self.fn.entry_block
         inlined: set = set()
@@ -2040,49 +1935,34 @@ class _SourceCompiler:
                 if fusable(term.target, block):
                     inlined.add(term.target)
             elif isinstance(term, CondBranch):
-                true_b, false_b = term.if_true, term.if_false
-                true_ok = true_b is not false_b \
-                    and fusable(true_b, block)
-                false_ok = false_b is not true_b \
-                    and fusable(false_b, block)
-                if false_ok:
-                    inlined.add(false_b)
-                    if nest and true_ok:
-                        inlined.add(true_b)
-                elif true_ok:
-                    inlined.add(true_b)
-        return inlined
-
-    def _max_nesting(self, inlined: set) -> int:
-        """Worst-case indent growth of the planned inline chains.
-
-        Reachable inline chains are acyclic: re-entering a chain
-        block would give it a second incoming edge, which disqualifies
-        fusion.  Only a diamond with both arms inlined indents."""
-        best = 0
-
-        def walk(block, depth: int) -> None:
-            nonlocal best
-            if depth > best:
-                best = depth
-            instructions = block.instructions
-            term = instructions[-1] if instructions else None
+                # Both arms to one block make two edges: not fusable.
+                inlined.update(target for target in (term.if_true,
+                                                     term.if_false)
+                               if fusable(target, block))
+        # Every inlined block has one incoming edge, so the chains are
+        # trees rooted at dispatched blocks; walk them with the depth
+        # of diamonds nested so far.
+        work = [(block, 0) for block in self.fn.blocks
+                if block not in inlined]
+        while work:
+            block, depth = work.pop()
+            term = block.instructions[-1] if block.instructions else None
             if isinstance(term, Branch):
                 if term.target in inlined:
-                    walk(term.target, depth)
+                    work.append((term.target, depth))
             elif isinstance(term, CondBranch):
                 true_b, false_b = term.if_true, term.if_false
-                true_in = true_b in inlined and true_b is not false_b
-                false_in = false_b in inlined
-                if true_in:
-                    walk(true_b, depth + 1 if false_in else depth)
-                if false_in:
-                    walk(false_b, depth)
-
-        for block in self.fn.blocks:
-            if block not in inlined:
-                walk(block, 0)
-        return best
+                nested = false_b in inlined
+                if nested:
+                    work.append((false_b, depth))
+                if true_b not in inlined:
+                    continue
+                if nested and depth == _NEST_DEPTH:
+                    inlined.discard(true_b)
+                    work.append((true_b, 0))
+                else:
+                    work.append((true_b, depth + nested))
+        return inlined
 
     def _dispatch_order(self) -> List:
         """Blocks ordered innermost-loop-first for the elif chain, by
@@ -2267,12 +2147,7 @@ class _SourceCompiler:
                         self._slot_stores.setdefault(inst.pointer, []) \
                             .append(inst)
             self._prove_ranges()
-        self._inlined = self._plan_fusion(preds, nest=True)
-        if self._max_nesting(self._inlined) > 40:
-            # Degenerate conditional ladders would nest past the
-            # parser's indentation comfort zone; fall back to flat
-            # fusion only (continuation arms, no indent growth).
-            self._inlined = self._plan_fusion(preds, nest=False)
+        self._inlined = self._plan_fusion(preds)
         if self.proofs:
             self._plan_sites()
             self._plan_frame()

@@ -34,12 +34,6 @@ class BasicBlock:
         term = self.terminator
         return term.successors if term is not None else []
 
-    def predecessors(self) -> List["BasicBlock"]:
-        """Blocks in the parent function that branch here (recomputed)."""
-        if self.parent is None:
-            return []
-        return [b for b in self.parent.blocks if self in b.successors]
-
     def append(self, inst: Instruction) -> Instruction:
         """Add an instruction at the end (before nothing; caller ensures
         the block is not already terminated)."""

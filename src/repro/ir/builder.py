@@ -16,7 +16,7 @@ from .instructions import (Alloca, BinaryOp, Branch, Call, Cast, Compare,
                            CondBranch, GetElementPtr, Instruction,
                            LaunchKernel, Load, Return, Select, Store,
                            Unreachable)
-from .types import IntType, PointerType, Type, I1, I32, I64
+from .types import IntType, PointerType, Type, I32, I64
 from .values import Constant, Value
 
 #: Python scalars are auto-wrapped into constants where a Value is expected.
@@ -68,10 +68,6 @@ class IRBuilder:
     @staticmethod
     def i32(value: int) -> Constant:
         return Constant(I32, value)
-
-    @staticmethod
-    def true(value: bool = True) -> Constant:
-        return Constant(I1, int(value))
 
     # -- memory ----------------------------------------------------------
 

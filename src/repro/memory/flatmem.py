@@ -10,17 +10,23 @@ Scalar accesses are the hottest operation in the whole simulator
 (every IR ``load``/``store`` lands here), so two access disciplines
 coexist:
 
-* **Legacy struct codecs** -- per-width :class:`struct.Struct`
-  instances built once at import time; ``unpack_from``/``pack_into``
-  avoid intermediate ``bytes`` copies.  This is the reference path
-  (the tree-walker, and every unaligned or growing access).
+* **Struct codecs** -- per-width :class:`struct.Struct` instances
+  built once at import time; ``unpack_from``/``pack_into`` avoid
+  intermediate ``bytes`` copies.  This is the reference path:
+  :meth:`FlatMemory.load_scalar`/:meth:`FlatMemory.store_scalar` for
+  the tree-walker, and :meth:`FlatMemory.scalar_span` under the
+  source engine's slow path (every unaligned, growing or
+  segment-missing access).
 * **Typed memoryview segments** -- each segment additionally exposes
   zero-copy ``memoryview.cast`` views of its backing bytearray, one
-  per scalar width, so an aligned in-bounds access is a single typed
-  index instead of a pack/unpack round trip, and whole-unit transfers
+  per scalar width, which the code :mod:`repro.interp.srcgen` emits
+  indexes directly: an aligned in-bounds access is a single typed
+  index instead of a pack/unpack round trip.  Whole-unit transfers
   are slice assignments (:func:`copy_across`).  The views are
   byte-equivalent to the codecs (little-endian hosts; elsewhere the
-  fast path disarms itself and everything falls back to the codecs).
+  fast path disarms itself and everything falls back to the codecs);
+  ``tests/memory/test_segment_views.py`` holds srcgen's emitted loads
+  and stores to the codecs.
 
 A one-entry segment cache skips the linear segment scan for the
 overwhelmingly common case of consecutive accesses to the same
@@ -79,9 +85,8 @@ VIEWS_ARMED = sys.byteorder == "little"
 
 #: Per struct-code dispatch for the typed-view fast path: (segment
 #: view attribute, live-limit attribute, index shift, alignment mask).
-#: Shared by :meth:`FlatMemory.load_typed`/:meth:`FlatMemory.store_typed`
-#: and the source engine, which bakes the same attribute names into
-#: its emitted access code.
+#: The source engine bakes these attribute names into its emitted
+#: access code.
 VIEW_ACCESS = {
     "b": ("vb", "hi1", 0, 0),
     "h": ("vh", "hi2", 1, 1),
@@ -289,52 +294,6 @@ class FlatMemory:
         if end > len(segment.data):
             segment.grow_to(end)
         codec.pack_into(segment.data, offset, value)
-
-    def load_typed(self, address: int, type_: Type) -> Union[int, float]:
-        """``load_scalar`` through the typed memoryview fast path.
-
-        Aligned in-bounds accesses decode with one typed index;
-        everything else (unaligned, growing, foreign, or an unarmed
-        segment) falls back to the codec path.  Byte-equivalent to
-        :meth:`load_scalar` by construction -- the property test in
-        ``tests/memory/test_segment_views.py`` holds both to it.
-        """
-        view_attr, hi_attr, shift, amask = VIEW_ACCESS[
-            scalar_format(type_)[-1]]
-        segment = self._cached_segment
-        if segment is None or not \
-                (segment.base <= address < segment.limit):
-            segment = self.segment_for(address)
-        offset = address - segment.base
-        if 0 <= offset <= getattr(segment, hi_attr) \
-                and not offset & amask:
-            value = getattr(segment, view_attr)[offset >> shift]
-            if isinstance(type_, IntType) and type_.bits == 1:
-                value &= 1
-            return value
-        return self.load_scalar(address, type_)
-
-    def store_typed(self, address: int, type_: Type,
-                    value: Union[int, float]) -> None:
-        """``store_scalar`` through the typed memoryview fast path."""
-        view_attr, hi_attr, shift, amask = VIEW_ACCESS[
-            scalar_format(type_)[-1]]
-        segment = self._cached_segment
-        if segment is None or not \
-                (segment.base <= address < segment.limit):
-            segment = self.segment_for(address)
-        offset = address - segment.base
-        if 0 <= offset <= getattr(segment, hi_attr) \
-                and not offset & amask:
-            if isinstance(type_, IntType):
-                value = type_.wrap(int(value))
-            elif isinstance(type_, PointerType):
-                value = int(value) & 0xFFFFFFFFFFFFFFFF
-            else:
-                value = float(value)
-            getattr(segment, view_attr)[offset >> shift] = value
-            return
-        self.store_scalar(address, type_, value)
 
     def scalar_span(self, address: int, size: int) -> tuple:
         """(segment, offset) for a bounds-checked ``size``-byte access.

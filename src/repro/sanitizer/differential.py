@@ -134,15 +134,8 @@ def _execute_reference(module: Module,
     runtime = CgcmRuntime(machine)
     runtime.declare_all_globals()
     exit_code = machine.run()
-    return ExecutionResult(
-        exit_code=exit_code,
-        stdout=tuple(machine.stdout),
-        cpu_seconds=machine.clock.cpu_seconds,
-        gpu_seconds=machine.clock.gpu_seconds,
-        comm_seconds=machine.clock.comm_seconds,
-        counters=dict(machine.clock.counters),
-        events=list(machine.clock.events),
-        globals_image=capture_globals_image(machine, module))
+    return ExecutionResult.from_machine(
+        machine, exit_code, capture_globals_image(machine, module))
 
 
 def _execute_sanitized(module: Module, config: CgcmConfig):
@@ -165,17 +158,9 @@ def _execute_sanitized(module: Module, config: CgcmConfig):
         error = f"{type(exc).__name__}: {exc}"
     report = sanitizer.finish()
     if error is None:
-        result = ExecutionResult(
-            exit_code=exit_code,
-            stdout=tuple(machine.stdout),
-            cpu_seconds=machine.clock.cpu_seconds,
-            gpu_seconds=machine.clock.gpu_seconds,
-            comm_seconds=machine.clock.comm_seconds,
-            counters=dict(machine.clock.counters),
-            events=list(machine.clock.events),
-            globals_image=capture_globals_image(machine, module),
-            sanitizer_report=report,
-        )
+        result = ExecutionResult.from_machine(
+            machine, exit_code, capture_globals_image(machine, module),
+            report)
     return result, report, error
 
 

@@ -14,8 +14,8 @@ the serve clock re-prices the cross-request schedule:
 
 * **Compile**: each distinct (resolved source, tenant config) artifact
   compiles once through the ``repro.api`` cache.  The modelled cost of
-  a miss is ``static instruction count x compile_cycles_per_inst``
-  CPU cycles; a hit costs ``compile_hit_cycles``.  With
+  a miss is ``static instruction count x COMPILE_CYCLES_PER_INST``
+  CPU cycles; a hit costs ``COMPILE_HIT_CYCLES``.  With
   ``cache=False`` every request is charged the full miss cost (the
   artifact still compiles once physically -- the ablation is in the
   model, like every other cost here).
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import api
-from ..core.config import CgcmConfig, OptLevel
+from ..core.config import CgcmConfig
 from ..errors import CgcmRuntimeError, ConfigError, FrontendError
 from ..gpu.timing import (LANE_COMM, LANE_CPU, LANE_GPU, SimClock,
                           TraceEvent, sum_in_order)
@@ -57,6 +57,10 @@ from .sharing import SharedMappingRegistry
 
 #: Modelled duration of the admission bookkeeping span in the trace.
 _ADMIT_EPS = 1e-9
+#: Modelled CPU cycles to compile one static IR instruction.
+COMPILE_CYCLES_PER_INST = 6000.0
+#: Modelled CPU cycles for an artifact-cache hit.
+COMPILE_HIT_CYCLES = 2000.0
 
 
 @dataclass
@@ -76,13 +80,6 @@ class ServeOptions:
     cache: bool = True
     #: Arm the communication sanitizer on every request's run.
     sanitize: bool = False
-    #: Engine override for request runs (None = config default).
-    engine: Optional[str] = None
-    opt_level: OptLevel = OptLevel.OPTIMIZED
-    #: Modelled CPU cycles to compile one static IR instruction.
-    compile_cycles_per_inst: float = 6000.0
-    #: Modelled CPU cycles for an artifact-cache hit.
-    compile_hit_cycles: float = 2000.0
     #: Largest shared dispatch (including the selected request).
     batch_limit: int = 64
     #: Seeded shuffle of the pending view before each policy pick;
@@ -96,8 +93,8 @@ class ServeOptions:
     #: (``CompiledWorkload.run(device_heap_limit=...)``), so every
     #: quota variant of one source shares a single compiled artifact.
     tenants: Dict[str, TenantSpec] = field(default_factory=dict)
-    #: Base config for request compilation.  None = built from
-    #: ``opt_level``/``sanitize``.
+    #: Base config for request compilation.  None = the default
+    #: config with ``sanitize``.
     base_config: Optional[CgcmConfig] = None
     #: Multi-device topology injected into the base config when it
     #: does not pin its own (None = single device).
@@ -110,8 +107,7 @@ class ServeOptions:
         if self.base_config is not None:
             config = dataclasses.replace(self.base_config)
         else:
-            config = CgcmConfig(opt_level=self.opt_level,
-                                sanitize=self.sanitize)
+            config = CgcmConfig(sanitize=self.sanitize)
         if self.topology is not None and config.topology is None:
             config = dataclasses.replace(config, topology=self.topology)
         return config
@@ -394,9 +390,8 @@ class ServeLoop:
     def _compile_cost_s(self, admitted: _Admitted, hit: bool) -> float:
         model = self.clock.model
         if hit:
-            return self.options.compile_hit_cycles / model.cpu_freq_hz
-        return (self._inst_counts[admitted.key]
-                * self.options.compile_cycles_per_inst
+            return COMPILE_HIT_CYCLES / model.cpu_freq_hz
+        return (self._inst_counts[admitted.key] * COMPILE_CYCLES_PER_INST
                 / model.cpu_freq_hz)
 
     def _run_batch(self, now: float, worker: int,
@@ -420,7 +415,6 @@ class ServeLoop:
             launch_log: list = []
             try:
                 result = workload.run(
-                    engine=self.options.engine,
                     shared_mappings=self.registry,
                     launch_log=launch_log,
                     device_heap_limit=admitted.heap_limit)
@@ -583,8 +577,7 @@ class ServeLoop:
             "sanitize": self.options.sanitize,
             "batch_limit": self.options.batch_limit,
             "shuffle_seed": self.options.shuffle_seed,
-            "compile_cycles_per_inst":
-                self.options.compile_cycles_per_inst,
+            "compile_cycles_per_inst": COMPILE_CYCLES_PER_INST,
         }
         return ServeReport(
             metrics=metrics,

@@ -111,14 +111,6 @@ def finding_at(pass_name: str, kind: str, severity: Severity,
                    fn.blocks.index(block), block.index(inst), message, unit)
 
 
-def finding_in_function(pass_name: str, kind: str, severity: Severity,
-                        function_name: str, message: str,
-                        unit: str = "") -> Finding:
-    """A function-level finding with no single instruction anchor."""
-    return Finding(pass_name, kind, severity, function_name, "", -1, -1,
-                   message, unit)
-
-
 class LintReport:
     """All findings of one lint run over one module."""
 

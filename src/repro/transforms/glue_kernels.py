@@ -50,7 +50,9 @@ from .outline import clone_instruction, clone_region, erase_blocks
 #: external calls.
 CONTRACT = PassContract(stage="glue-kernels", launches="grow")
 
-_DEFAULT_MAX_INSTRUCTIONS = 60
+#: Largest straight-line run or inner loop, in instructions, that one
+#: glue kernel outlines.
+_MAX_INSTRUCTIONS = 60
 
 
 class _CfgAnalyses:
@@ -85,10 +87,8 @@ class _CfgAnalyses:
 class GlueKernels:
     """Outlines promotion-blocking CPU snippets into 1-thread kernels."""
 
-    def __init__(self, module: Module,
-                 max_instructions: int = _DEFAULT_MAX_INSTRUCTIONS):
+    def __init__(self, module: Module):
         self.module = module
-        self.max_instructions = max_instructions
         self.kernels: List[Function] = []
         self.launches: List[LaunchKernel] = []
         self._counter = 0
@@ -194,7 +194,7 @@ class GlueKernels:
 
     def _run_qualifies(self, cfg: _CfgAnalyses, block: BasicBlock,
                        run: Sequence[Instruction]) -> bool:
-        if not run or len(run) > self.max_instructions:
+        if not run or len(run) > _MAX_INSTRUCTIONS:
             return False
         if not any(_touches_shared_memory(inst) for inst in run):
             return False
@@ -363,7 +363,7 @@ class GlueKernels:
         if _contains_launch(inner):
             return None
         size = sum(len(b.instructions) for b in inner.blocks)
-        if size > self.max_instructions:
+        if size > _MAX_INSTRUCTIONS:
             return None
         preheader = loop_preheader(inner, cfg.preds)
         if preheader is None or preheader not in outer.blocks:

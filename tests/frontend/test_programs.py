@@ -4,6 +4,7 @@ import pytest
 
 from repro.frontend import compile_minic
 from repro.interp import Machine
+from repro.interp.machine import ENGINES, hot_ratio
 
 
 def run(source):
@@ -250,3 +251,45 @@ class TestControlEdgeCases:
             return 0;
         }""")
         assert out == ["7", "97"]
+
+
+class TestUnreachableJoins:
+    """A join that no edge reaches -- after an ``if`` whose arms both
+    return, a ``for`` body that always returns, or a ``for (;;)`` --
+    is dropped by the lowering instead of failing verification."""
+
+    PROGRAMS = {
+        "if-else-both-return": ("""
+        long f(long n) { if (n > 0) { return 1; } else { return 2; } }
+        int main(void) {
+            print_i64(f(3));
+            print_i64(f(-3));
+            return 0;
+        }""", ["1", "2"]),
+        "for-body-returns": ("""
+        long f(long n) {
+            for (long i = 0; i < n; i++) { return i + 7; }
+            return 0;
+        }
+        int main(void) {
+            print_i64(f(3));
+            print_i64(f(0));
+            return 0;
+        }""", ["7", "0"]),
+        "endless-for": ("""
+        long f(long n) { for (;;) { if (n > 3) return n; n = n + 1; } }
+        int main(void) {
+            print_i64(f(0));
+            print_i64(f(9));
+            return 0;
+        }""", ["4", "9"]),
+    }
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    def test_program_runs(self, name, engine):
+        source, expected = self.PROGRAMS[name]
+        with hot_ratio(0):
+            machine = Machine(compile_minic(source), engine=engine)
+            assert machine.run() == 0
+        assert machine.stdout == expected

@@ -4,8 +4,8 @@ Holds srcgen to the tree-walker (results, clocks, hook events, GPU
 restrictions, compile-time checks) and covers the compiled-cache
 keying regression (a sanitizer-armed run must never reuse an
 unhooked compiled body, and vice versa), the stack-slot promotion
-rules, and the whole-grid kernel variant with its launch-time bounds
-proofs.
+rules, the fusion plan's nesting cap, and the whole-grid kernel
+variant with its launch-time bounds proofs.
 """
 
 import gc
@@ -22,7 +22,8 @@ from repro.errors import CgcmUnsupportedError, InterpError, MemoryFault
 from repro.frontend import compile_minic
 from repro.interp import Machine
 from repro.interp.machine import CHECKED, hot_ratio
-from repro.interp.srcgen import _SourceCompiler, compile_function_source
+from repro.interp.srcgen import (_NEST_DEPTH, _SourceCompiler,
+                                 compile_function_source)
 from repro.ir import (FunctionType, I64, IRBuilder, Module, VOID,
                       pointer_to, verify_module)
 from repro.ir.instructions import Call, LaunchKernel, Load, Store
@@ -457,9 +458,9 @@ class TestSlotPromotion:
         assert self.SLOT_ASSIGN.search(plain.source)
         assert not self.SLOT_ASSIGN.search(hooked.source)
         insts = list(fn.instructions())
-        assert hooked.source.count("_lds(") == \
+        assert hooked.source.count('_h(M, "load"') == \
             sum(isinstance(i, Load) for i in insts)
-        assert hooked.source.count("_sts(") == \
+        assert hooked.source.count('_h(M, "store"') == \
             sum(isinstance(i, Store) for i in insts)
 
     def test_guarded_variants_guard_every_promoted_access(self):
@@ -619,6 +620,44 @@ class TestRangeProofsAndFolds:
         assert not re.search(r"_ld\d+\(", body)
         assert after.count("_go += ") == after.count("_ei += ") == 1
         assert code.for_loops == 1
+
+
+def ladder(depth: int) -> str:
+    """A program whose ``f`` nests ``depth`` diamonds, each in the
+    taken arm of the one before it."""
+    body = "s = s + 1000;"
+    for k in reversed(range(depth)):
+        body = f"if (x > {k}) {{ s = s + {k}; {body} }} " \
+            "else { s = s - 1; }"
+    return f"""
+        long f(long x) {{ long s = 0; {body} return s; }}
+        int main(void) {{
+            print_i64(f(-1));
+            print_i64(f(7));
+            print_i64(f({depth // 2}));
+            print_i64(f({depth}));
+            return 0;
+        }}"""
+
+
+class TestFusionNesting:
+    """A fused diamond nests its taken arm at most ``_NEST_DEPTH``
+    deep; past that the arm keeps a dispatch index, so a long ladder
+    stays within the parser's indentation limit (uncapped, 120
+    diamonds raise ``IndentationError``) and a short one still
+    nests."""
+
+    @pytest.mark.parametrize("depth", (30, 120, 200))
+    def test_ladder_matches_the_tree_walker(self, depth):
+        tree, source = machine_pair(ladder(depth))
+        same_run(tree, source)
+        fn = source.module.get_function("f")
+        text = compile_function_source(source, fn, "cpu", False).source
+        deepest = max((len(line) - len(line.lstrip())) // 4
+                      for line in text.splitlines())
+        nested = min(depth, _NEST_DEPTH)
+        # ``f``'s body sits under ``def``, ``while`` and a dispatch arm.
+        assert nested < deepest <= nested + 4
 
 
 def gemm_k_loop():

@@ -1,11 +1,12 @@
 """Property tests: typed-view segment access == struct codecs.
 
-The source engine's fast path reads and writes scalars through the
-memoryview-backed segment views (``load_typed``/``store_typed`` and
-the per-site inline caches built on the same layout); the
-tree-walker keeps the legacy ``struct.Struct`` codecs.  Hypothesis
-holds the two byte-equivalent for every scalar and pointer type,
-including unaligned addresses and cross-address-space slice copies.
+The source engine's emitted loads and stores index the
+memoryview-backed segment views on their aligned in-bounds fast path
+and fall back to the ``struct.Struct`` codecs everywhere else; the
+tree-walker keeps the codecs.  Hypothesis holds srcgen's emitted
+access byte-equivalent to the codecs for every scalar and pointer
+type, including unaligned addresses, and the cross-address-space slice
+copies to the bytes they were given.
 """
 
 import math
@@ -13,7 +14,10 @@ import math
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.ir import F32, F64, I1, I8, I16, I32, I64, RAW_PTR
+from repro.interp import Machine
+from repro.interp.srcgen import compile_function_source
+from repro.ir import (F32, F64, FunctionType, I1, I8, I16, I32, I64,
+                      IRBuilder, Module, RAW_PTR, VOID, pointer_to)
 from repro.memory import make_cpu_memory
 from repro.memory.flatmem import copy_across, round_f32, scalar_struct
 from repro.memory.layout import HEAP_BASE
@@ -21,6 +25,10 @@ from repro.memory.layout import HEAP_BASE
 SCALAR_TYPES = (I1, I8, I16, I32, I64, F32, F64, RAW_PTR)
 
 _INT_BITS = {I1: 1, I8: 8, I16: 16, I32: 32, I64: 64}
+
+#: Where a warm-up access points an emitted site at the heap segment,
+#: clear of the accesses under test.
+_WARM = HEAP_BASE + 384
 
 
 def _values_for(type_):
@@ -46,23 +54,66 @@ def typed_accesses(draw):
     return type_, HEAP_BASE + offset, value
 
 
-@given(typed_accesses())
+def _access_module(type_) -> Module:
+    """``put(p, v)`` stores a ``type_`` value at ``p``; ``get(p)``
+    loads one."""
+    module = Module("views")
+    pointer = pointer_to(type_)
+    put = module.add_function("put", FunctionType(VOID, [pointer, type_]),
+                              ["p", "v"])
+    builder = IRBuilder(put.new_block("entry"))
+    builder.store(put.args[1], put.args[0])
+    builder.ret()
+    get = module.add_function("get", FunctionType(type_, [pointer]), ["p"])
+    builder = IRBuilder(get.new_block("entry"))
+    builder.ret(builder.load(get.args[0]))
+    return module
+
+
+_MODULES = {type_: _access_module(type_) for type_ in SCALAR_TYPES}
+
+
+def emitted_access(type_, warm: bool):
+    """(memory, put, get): srcgen's unhooked CPU variants of ``put``
+    and ``get`` on a fresh machine.  Their sites start on another
+    segment, so a first access takes the codec path; ``warm`` first
+    points both at the heap segment with an access that allocates its
+    first 512 bytes, so an aligned access under test takes the typed
+    view."""
+    module = _MODULES[type_]
+    machine = Machine(module, engine="source")
+    memory = machine.cpu_memory
+    put, get = (compile_function_source(machine,
+                                        module.get_function(name),
+                                        "cpu", False)
+                for name in ("put", "get"))
+    if warm:
+        put((_WARM, 0))
+        get((_WARM,))
+        heap = memory.segment("heap")
+        assert len(heap.data) == 512
+        assert put.__kwdefaults__["_cc"] == get.__kwdefaults__["_cc"] \
+            == [heap]
+    return memory, put, get
+
+
+def same_value(a, b) -> bool:
+    return math.isnan(a) and math.isnan(b) \
+        if isinstance(a, float) and math.isnan(a) else a == b
+
+
+@given(typed_accesses(), st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_store_typed_matches_codec_store(access):
+def test_emitted_store_matches_codec_store(access, warm):
     type_, address, value = access
     size = scalar_struct(type_).size
     legacy = make_cpu_memory()
-    typed = make_cpu_memory()
+    memory, put, get = emitted_access(type_, warm)
     legacy.store_scalar(address, type_, value)
-    typed.store_typed(address, type_, value)
-    assert typed.read(address, size) == legacy.read(address, size)
+    put((address, value))
+    assert memory.read(address, size) == legacy.read(address, size)
     # ... and both decoders agree on the decoded value as well.
-    decoded_codec = legacy.load_scalar(address, type_)
-    decoded_view = typed.load_typed(address, type_)
-    if isinstance(decoded_codec, float) and math.isnan(decoded_codec):
-        assert math.isnan(decoded_view)
-    else:
-        assert decoded_view == decoded_codec
+    assert same_value(legacy.load_scalar(address, type_), get((address,)))
 
 
 @given(st.floats(allow_nan=False))
@@ -75,27 +126,20 @@ def test_f32_codec_store_rounds_like_the_typed_view(value):
     rounds through ``round_f32`` to the bytes of the typed view's C
     cast, overflowing to +/-inf instead of raising."""
     legacy = make_cpu_memory()
-    typed = make_cpu_memory()
-    for memory in (legacy, typed):
-        memory.write(HEAP_BASE, bytes(8))  # arms the typed views
+    memory, put, _ = emitted_access(F32, warm=True)
     legacy.store_scalar(HEAP_BASE, F32, value)
-    typed.store_typed(HEAP_BASE, F32, value)
-    assert legacy.read(HEAP_BASE, 4) == typed.read(HEAP_BASE, 4)
+    put((HEAP_BASE, value))
+    assert legacy.read(HEAP_BASE, 4) == memory.read(HEAP_BASE, 4)
     assert legacy.load_scalar(HEAP_BASE, F32) == round_f32(value)
 
 
-@given(typed_accesses())
+@given(typed_accesses(), st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_load_typed_matches_codec_load(access):
+def test_emitted_load_matches_codec_load(access, warm):
     type_, address, value = access
-    memory = make_cpu_memory()
+    memory, _, get = emitted_access(type_, warm)
     memory.store_scalar(address, type_, value)
-    via_codec = memory.load_scalar(address, type_)
-    via_view = memory.load_typed(address, type_)
-    if isinstance(via_codec, float) and math.isnan(via_codec):
-        assert math.isnan(via_view)
-    else:
-        assert via_view == via_codec
+    assert same_value(memory.load_scalar(address, type_), get((address,)))
 
 
 @given(payload=st.binary(min_size=0, max_size=300),
