@@ -11,7 +11,8 @@ involvement of an unknown root is conservatively treated as aliasing.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Tuple, Union
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Tuple,
+                    Union)
 
 from ..ir.instructions import (Alloca, BinaryOp, Call, Cast, GetElementPtr,
                                Instruction, Load, Select, Store)
@@ -32,28 +33,54 @@ _MAP_CALLS = frozenset(MAP_FUNCTIONS)
 Root = Union[Value, str]
 
 
-def underlying_objects(value: Value, _depth: int = 0) -> FrozenSet[Root]:
-    """The set of objects ``value`` may be based on."""
-    if _depth > 64:
+def underlying_objects(value: Value,
+                       memo: Optional[Dict[Value, FrozenSet[Root]]] = None
+                       ) -> FrozenSet[Root]:
+    """The set of objects ``value`` may be based on.
+
+    ``memo`` keeps each queried value's roots for a caller that asks
+    about the same values many times while its IR edits add and remove
+    no store and no address use, so no value's roots can change (comm
+    overlap only moves, renames and inserts runtime calls)."""
+    if memo is None:
+        return _roots_of(value, 0, {})
+    roots = memo.get(value)
+    if roots is None:
+        roots = memo[value] = _roots_of(value, 0, {})
+    return roots
+
+
+def _roots_of(value: Value, depth: int,
+              slots: Dict[Value, Optional[FrozenSet[Root]]]
+              ) -> FrozenSet[Root]:
+    """:func:`underlying_objects` of ``value`` within one query.
+
+    ``slots`` maps each spill slot the query has expanded to its roots,
+    and to None while it is being expanded: a pointer stored back into
+    its own slot (``p = p + 1``) reaches the slot again, and that path
+    gets UNKNOWN, as the depth cap would give it.  Each slot is
+    expanded once per query; re-expanding it doubled the work for
+    every such store."""
+    if depth > 64:
         return frozenset({UNKNOWN})
     if isinstance(value, (GlobalVariable, Alloca, Argument)):
         return frozenset({value})
     if isinstance(value, Constant):
         return frozenset({value})  # null / literal address: distinct
     if isinstance(value, GetElementPtr):
-        return underlying_objects(value.pointer, _depth + 1)
+        return _roots_of(value.pointer, depth + 1, slots)
     if isinstance(value, Cast):
         if value.kind in ("bitcast", "inttoptr", "ptrtoint"):
-            return underlying_objects(value.value, _depth + 1)
+            return _roots_of(value.value, depth + 1, slots)
         return frozenset({UNKNOWN})
     if isinstance(value, Select):
-        return (underlying_objects(value.if_true, _depth + 1)
-                | underlying_objects(value.if_false, _depth + 1))
+        return (_roots_of(value.if_true, depth + 1, slots)
+                | _roots_of(value.if_false, depth + 1, slots))
     if isinstance(value, BinaryOp) and value.op in ("add", "sub"):
         # Pointer arithmetic through integers: the pointer side carries
         # the object; integers contribute nothing.
-        return (underlying_objects(value.lhs, _depth + 1)
-                | underlying_objects(value.rhs, _depth + 1))
+        return (_roots_of(value.lhs, depth + 1, slots)
+                | _roots_of(value.rhs, depth + 1, slots))
     if isinstance(value, Call):
         if value.callee.name in _ALLOCATING_CALLS:
             return frozenset({value})  # the call IS the object
@@ -62,42 +89,39 @@ def underlying_objects(value: Value, _depth: int = 0) -> FrozenSet[Root]:
             return frozenset({value})
         return frozenset({UNKNOWN})
     if isinstance(value, Load):
+        pointer = value.pointer
+        if pointer in slots:
+            expanded = slots[pointer]
+            return expanded if expanded is not None \
+                else frozenset({UNKNOWN})
         # See through clang -O0 spill slots: a load from an alloca that
         # is only ever directly loaded/stored yields the union of the
-        # values stored into it.
-        pointer = value.pointer
+        # values stored into it.  Likewise for *global* pointer
+        # variables (``double *image;``): the module is a closed world,
+        # so if the global is only ever directly loaded/stored, every
+        # value it can hold is visible.
+        functions = None
         if isinstance(pointer, Alloca) and _is_direct_slot(pointer):
-            roots: FrozenSet[Root] = frozenset()
-            stored_any = False
-            fn = pointer.function
-            if fn is not None:
-                for inst in fn.instructions():
-                    if isinstance(inst, Store) and inst.pointer is pointer:
-                        stored_any = True
-                        roots |= underlying_objects(inst.value, _depth + 1)
-            if stored_any:
-                return roots
-        # Likewise for *global* pointer variables (``double *image;``):
-        # the module is a closed world, so if the global is only ever
-        # directly loaded/stored, every value it can hold is visible.
-        if isinstance(pointer, GlobalVariable):
+            functions = [pointer.function]
+        elif isinstance(pointer, GlobalVariable):
             module = _module_of(value)
             if module is not None and _is_direct_global_slot(pointer,
                                                              module):
-                roots = frozenset()
-                stored_any = False
-                for fn in module.defined_functions():
-                    for inst in fn.instructions():
-                        if isinstance(inst, Store) \
-                                and inst.pointer is pointer:
-                            stored_any = True
-                            roots |= underlying_objects(inst.value,
-                                                        _depth + 1)
-                if stored_any:
-                    return roots
-        return frozenset({UNKNOWN})
-    if isinstance(value, Instruction):
-        return frozenset({UNKNOWN})
+                functions = list(module.defined_functions())
+        roots: FrozenSet[Root] = frozenset({UNKNOWN})
+        if functions is not None:
+            slots[pointer] = None
+            stored: FrozenSet[Root] = frozenset()
+            stored_any = False
+            for fn in functions:
+                for inst in fn.instructions():
+                    if isinstance(inst, Store) and inst.pointer is pointer:
+                        stored_any = True
+                        stored |= _roots_of(inst.value, depth + 1, slots)
+            if stored_any:
+                roots = stored
+        slots[pointer] = roots
+        return roots
     return frozenset({UNKNOWN})
 
 
@@ -222,6 +246,10 @@ def may_alias(p: Value, q: Value) -> bool:
     return may_alias_roots(underlying_objects(p), underlying_objects(q))
 
 
-def points_into(value: Value, root: Root) -> bool:
-    """May ``value`` point into the allocation unit rooted at ``root``?"""
-    return may_alias_roots(underlying_objects(value), frozenset({root}))
+def points_into(value: Value, root: Root,
+                memo: Optional[Dict[Value, FrozenSet[Root]]] = None
+                ) -> bool:
+    """May ``value`` point into the allocation unit rooted at ``root``?
+    ``memo`` as for :func:`underlying_objects`."""
+    return may_alias_roots(underlying_objects(value, memo),
+                           frozenset({root}))

@@ -9,14 +9,15 @@ coherently and are likewise excluded -- paper Algorithm 4).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from ..ir.block import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import Call, Instruction, LaunchKernel, Load, Store
 from ..ir.values import Argument, Value
 from ..runtime.api import RUNTIME_FUNCTION_NAMES
-from .alias import Root, UNKNOWN, points_into, underlying_objects
+from .alias import (Root, UNKNOWN, may_alias_roots, points_into,
+                    underlying_objects)
 
 #: Externals that never touch user memory.
 _PURE_EXTERNALS = frozenset({
@@ -30,9 +31,15 @@ _MEMORY_EXTERNALS = frozenset({"memcpy", "memset", "print_str", "free",
 
 
 class ModRefAnalysis:
-    """Answers "does this region mod or ref this object?" queries."""
+    """Answers "does this region mod or ref this object?" queries.
 
-    def __init__(self):
+    ``roots`` is the :func:`underlying_objects` memo of a caller whose
+    IR edits cannot change any value's roots; without one, every query
+    walks the pointer afresh."""
+
+    def __init__(self,
+                 roots: Optional[Dict[Value, FrozenSet[Root]]] = None):
+        self._roots = roots
         self._function_cache: Dict[Tuple[Function, Root], Tuple[bool, bool]] = {}
         self._in_progress: Set[Tuple[Function, Root]] = set()
         self._arg_cache: Dict[Function, Tuple[bool, bool]] = {}
@@ -71,9 +78,9 @@ class ModRefAnalysis:
     def _instruction_mod_ref(self, inst: Instruction,
                              root: Root) -> Tuple[bool, bool]:
         if isinstance(inst, Load):
-            return False, points_into(inst.pointer, root)
+            return False, points_into(inst.pointer, root, self._roots)
         if isinstance(inst, Store):
-            return points_into(inst.pointer, root), False
+            return points_into(inst.pointer, root, self._roots), False
         if isinstance(inst, LaunchKernel):
             return False, False  # GPU-side access: not CPU mod/ref
         if isinstance(inst, Call):
@@ -88,8 +95,8 @@ class ModRefAnalysis:
             if name in _PURE_EXTERNALS:
                 return False, False
             if name in _MEMORY_EXTERNALS:
-                touches = any(points_into(arg, root) for arg in inst.args
-                              if arg.type.is_pointer)
+                touches = any(points_into(arg, root, self._roots)
+                              for arg in inst.args if arg.type.is_pointer)
                 return touches, touches
             return True, True  # unknown external: be conservative
         # Defined callee: does its body touch the object (transitively)?
@@ -97,8 +104,8 @@ class ModRefAnalysis:
         # Accesses through the callee's own arguments count only if one
         # of the actuals can point into the object.
         arg_mod, arg_ref = self._function_arg_mod_ref(inst.callee)
-        passes_object = any(points_into(arg, root) for arg in inst.args
-                            if arg.type.is_pointer)
+        passes_object = any(points_into(arg, root, self._roots)
+                            for arg in inst.args if arg.type.is_pointer)
         if passes_object:
             body_mod = body_mod or arg_mod
             body_ref = body_ref or arg_ref
@@ -136,12 +143,11 @@ class ModRefAnalysis:
         return mod, ref
 
     def _non_argument_access(self, pointer: Value, root: Root) -> bool:
-        roots = underlying_objects(pointer)
+        roots = underlying_objects(pointer, self._roots)
         non_arg_roots = frozenset(r for r in roots
                                   if not isinstance(r, Argument))
         if not non_arg_roots:
             return False
-        from .alias import may_alias_roots
         return may_alias_roots(non_arg_roots, frozenset({root}))
 
     def _function_arg_mod_ref(self, fn: Function) -> Tuple[bool, bool]:
@@ -173,5 +179,5 @@ class ModRefAnalysis:
         return mod, ref
 
     def _based_on_argument(self, pointer: Value) -> bool:
-        roots = underlying_objects(pointer)
+        roots = underlying_objects(pointer, self._roots)
         return any(isinstance(r, Argument) or r is UNKNOWN for r in roots)

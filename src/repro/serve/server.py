@@ -15,7 +15,8 @@ the serve clock re-prices the cross-request schedule:
 * **Compile**: each distinct (resolved source, tenant config) artifact
   compiles once through the ``repro.api`` cache.  The modelled cost of
   a miss is ``static instruction count x COMPILE_CYCLES_PER_INST``
-  CPU cycles; a hit costs ``COMPILE_HIT_CYCLES``.  With
+  CPU cycles, a model of a native compiler rather than a measurement
+  of this one; a hit costs ``COMPILE_HIT_CYCLES``.  With
   ``cache=False`` every request is charged the full miss cost (the
   artifact still compiles once physically -- the ablation is in the
   model, like every other cost here).
@@ -57,7 +58,13 @@ from .sharing import SharedMappingRegistry
 
 #: Modelled duration of the admission bookkeeping span in the trace.
 _ADMIT_EPS = 1e-9
-#: Modelled CPU cycles to compile one static IR instruction.
+#: Modelled CPU cycles to compile one static IR instruction.  It stands
+#: for a native compiler and is not calibrated to the host: at the
+#: modelled 2.4 GHz it charges 2.5 us per instruction, while this
+#: package's own frontend and passes take about 21 us per emitted
+#: instruction (traced ``bench/run.py --workload fresh-compile --seed
+#: 1``, their time over ``transforms.ir_insts_out``; 2-vCPU x86_64 VM,
+#: Python 3.11.7).  Changing it moves every ``BENCH_serve.json`` row.
 COMPILE_CYCLES_PER_INST = 6000.0
 #: Modelled CPU cycles for an artifact-cache hit.
 COMPILE_HIT_CYCLES = 2000.0

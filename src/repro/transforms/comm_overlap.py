@@ -85,7 +85,12 @@ class CommOverlap:
 
     def __init__(self, module: Module):
         self.module = module
-        self.modref = ModRefAnalysis()
+        #: Each queried value's alias roots, for this run.  The pass
+        #: moves call groups, renames calls to their async twins and
+        #: inserts ``cgcmSync``: it adds and removes no store and no
+        #: address use, so no value's roots change while it runs.
+        self.roots: Dict[Value, FrozenSet[Root]] = {}
+        self.modref = ModRefAnalysis(self.roots)
         self.stats = {"maps_hoisted": 0, "block_hops": 0,
                       "unmaps_sunk": 0, "async_rewrites": 0,
                       "syncs_inserted": 0}
@@ -153,7 +158,7 @@ class CommOverlap:
     # -- legality -----------------------------------------------------------
 
     def _unit_roots(self, call: Call) -> Optional[FrozenSet[Root]]:
-        roots = frozenset(underlying_objects(call.args[0]))
+        roots = underlying_objects(call.args[0], self.roots)
         if not roots or any(r is UNKNOWN or not is_identified(r)
                             for r in roots):
             return None
@@ -179,10 +184,11 @@ class CommOverlap:
             for inst in fn.instructions():
                 if not isinstance(inst, Store):
                     continue
-                pointer_roots = underlying_objects(inst.pointer)
+                pointer_roots = underlying_objects(inst.pointer, self.roots)
                 if not any(r in pointer_roots for r in array_roots):
                     continue
-                for value_root in underlying_objects(inst.value):
+                for value_root in underlying_objects(inst.value,
+                                                     self.roots):
                     if isinstance(value_root, Constant):
                         continue  # null / literal: no unit
                     if value_root is UNKNOWN \
@@ -222,7 +228,7 @@ class CommOverlap:
             if inst.callee.name == "declareGlobal":
                 # args[0] is the registration *name* string; the unit
                 # being registered is args[1].
-                other = frozenset(underlying_objects(inst.args[1]))
+                other = underlying_objects(inst.args[1], self.roots)
                 if any(r is UNKNOWN for r in other):
                     return False
                 return not may_alias_roots(roots, other)

@@ -18,6 +18,17 @@ Unlike CGCM itself, the parallelizer *does* need static analysis:
 
 Parallelization is outermost-first: when an outer loop qualifies, its
 inner loops simply run inside each GPU thread.
+
+Each loop is analysed once.  The pass keeps one set of analyses per
+function (:class:`_CfgAnalyses`) and updates it in place after each
+outline; after an outline it restarts the outermost-first walk but
+skips every loop that already failed, because outlining one loop cannot
+make another pass: an enclosing loop now holds a launch, a scalar's
+uses outside the outlined loop move into the launch block, an escaping
+address becomes a launch operand, and induction ranges can only be
+lost.  The one exception is the loop headed by the outlined loop's exit
+block, whose preheader used to be the outlined header (two successors,
+so never a preheader) and is now the launch block.
 """
 
 from __future__ import annotations
@@ -56,19 +67,45 @@ class _LoopPlan:
 
 
 class _CfgAnalyses:
-    """The analyses of one CFG version of a function.
+    """The analyses of one function, for the whole pass.
 
-    A CFG version lasts from one outline to the next: legality analysis
-    only reads the IR, so every candidate of a version shares these,
-    and :meth:`DoallParallelizer._process_function` builds a fresh
-    holder after each outline."""
+    Legality analysis only reads the IR, so every candidate shares
+    these.  An outline replaces one loop by a launch block, and
+    :meth:`outlined` updates the holder in place to what a fresh build
+    over the new CFG would give."""
 
     def __init__(self, fn: Function):
         self.fn = fn
-        self.loops = find_loops(fn)  # outermost first
         self.preds = predecessor_map(fn)
+        self.loops = find_loops(fn, self.preds)  # outermost first
         self.alloca_uses = _collect_alloca_uses(fn)
         self._counted: Dict[Loop, Optional[CountedLoop]] = {}
+
+    def outlined(self, loop: Loop, launch: BasicBlock) -> None:
+        """Account for ``loop``'s blocks having become ``launch``, the
+        function's last block."""
+        gone = loop.blocks
+        # The loop and those nested in it are gone; the launch block
+        # takes the loop's place in every loop enclosing it.
+        self.loops = [other for other in self.loops
+                      if not other.blocks <= gone]
+        for other in self.loops:
+            if loop.header in other.blocks:
+                other.blocks -= gone
+                other.blocks.add(launch)
+        self.preds = predecessor_map(self.fn)
+        # The launch block comes last in ``fn.blocks``, so appending its
+        # uses keeps each list in the order a fresh scan gives (value
+        # parameters, and so kernel signatures, follow that order).
+        self.alloca_uses = {
+            alloca: [use for use in uses if use.parent not in gone]
+            for alloca, uses in self.alloca_uses.items()
+            if alloca.parent not in gone}
+        for inst in launch.instructions:
+            for operand in inst.operands:
+                if isinstance(operand, Alloca):
+                    self.alloca_uses.setdefault(operand, []).append(inst)
+        self._counted.clear()
 
     def counted(self, loop: Loop) -> Optional[CountedLoop]:
         """:func:`recognize_counted_loop` of ``loop``, computed once."""
@@ -93,16 +130,24 @@ class DoallParallelizer:
         return self.kernels
 
     def _process_function(self, fn: Function) -> None:
+        cfg = _CfgAnalyses(fn)
+        failed: Set[BasicBlock] = set()  # headers of rejected loops
         changed = True
         while changed:
             changed = False
-            cfg = _CfgAnalyses(fn)
             for loop in cfg.loops:
+                if loop.header in failed:
+                    continue
                 plan = self._analyze(cfg, loop)
-                if plan is not None:
-                    self._outline(fn, plan)
-                    changed = True
-                    break  # CFG changed; recompute the analyses
+                if plan is None:
+                    failed.add(loop.header)
+                    continue
+                cfg.outlined(loop, self._outline(fn, plan))
+                # The loop the outlined one exited into may now have
+                # the launch block as its preheader.
+                failed.discard(plan.counted.exit_block)
+                changed = True
+                break  # restart the outermost-first walk
 
     # -- legality analysis -------------------------------------------------
 
@@ -260,7 +305,9 @@ class DoallParallelizer:
 
     # -- outlining -------------------------------------------------------------
 
-    def _outline(self, fn: Function, plan: _LoopPlan) -> Function:
+    def _outline(self, fn: Function, plan: _LoopPlan) -> BasicBlock:
+        """Outline the loop into a new kernel; returns the launch block
+        that replaces it."""
         counted = plan.counted
         self._counter += 1
         name = f"{fn.name}__doall{self._counter}"
@@ -316,11 +363,10 @@ class DoallParallelizer:
         kernel.blocks.remove(exit_block)
         kernel.blocks.append(exit_block)
 
-        self._rewrite_caller(fn, plan, kernel)
-        return kernel
+        return self._rewrite_caller(fn, plan, kernel)
 
     def _rewrite_caller(self, fn: Function, plan: _LoopPlan,
-                        kernel: Function) -> None:
+                        kernel: Function) -> BasicBlock:
         counted = plan.counted
         launch_block = fn.new_block("doall.launch")
         preheader_term = counted.preheader.terminator
@@ -365,6 +411,7 @@ class DoallParallelizer:
         builder.store(final, counted.ivar)
         builder.br(counted.exit_block)
         erase_blocks(fn, counted.loop.blocks)
+        return launch_block
 
 
 # -- helpers ---------------------------------------------------------------

@@ -139,21 +139,26 @@ class MapPromotion:
     # -- loop regions ------------------------------------------------------
 
     def _promote_in_function(self, fn: Function) -> bool:
+        # The pass adds no block and changes no terminator, so one loop
+        # forest and one predecessor map serve every promotion here.
+        preds = predecessor_map(fn)
+        loops = sorted(find_loops(fn, preds), key=lambda l: -l.depth)
         changed = False
         progress = True
         while progress:
             progress = False
-            loops = sorted(find_loops(fn), key=lambda l: -l.depth)
             for loop in loops:  # innermost first
-                if self._promote_loop(fn, loop):
+                if self._promote_loop(fn, loop, preds):
                     self.promoted_loops += 1
                     progress = True
                     changed = True
-                    break  # call lists changed; recompute
+                    # Restart: the call lists changed, and promoting an
+                    # inner loop can make its parent promotable.
+                    break
         return changed
 
-    def _promote_loop(self, fn: Function, loop: Loop) -> bool:
-        preds = predecessor_map(fn)
+    def _promote_loop(self, fn: Function, loop: Loop,
+                      preds: Dict[BasicBlock, List[BasicBlock]]) -> bool:
         preheader = loop_preheader(loop, preds)
         if preheader is None:
             return False

@@ -7,7 +7,9 @@ from repro.analysis import (AffineContext, IvRange, ModRefAnalysis, UNKNOWN,
                             conflicts_across_iterations, find_loops,
                             may_alias, recognize_counted_loop,
                             underlying_objects)
+from repro.analysis import alias
 from repro.analysis.affine import _conflict_exists, _lattice_hits
+from repro.core import CgcmCompiler, CgcmConfig, OptLevel
 from repro.frontend import compile_minic
 from repro.ir import GetElementPtr, Load, Store
 
@@ -69,6 +71,91 @@ class TestUnderlyingObjects:
         stores = [i for i in fn.instructions() if isinstance(i, Store)
                   and i.value.type.is_float]
         assert not may_alias(stores[0].pointer, stores[1].pointer)
+
+
+def _incremented_pointer_source(increments: int, is_global: bool) -> str:
+    """A pointer into A advanced by ``increments`` loops of
+    ``p = p + 1``, then read inside a launch loop's outer loop: every
+    increment stores a value loaded from the pointer's own slot."""
+    name = "gp" if is_global else "p"
+    declare = "double *gp;" if is_global else ""
+    start = "gp = A;" if is_global else "double *p = A;"
+    loops = "\n".join(
+        f"    for (int i{k} = 0; i{k} < 4; i{k}++) {{ {name} = {name} + 1; }}"
+        for k in range(increments))
+    return f"""
+double A[64]; double B[64];
+{declare}
+int main(void) {{
+    {start}
+{loops}
+    double s = 0.0;
+    for (int t = 0; t < 3; t++) {{
+        for (int k = 0; k < 64; k++) B[k] = B[k] + 1.0;
+        s = s + *{name};
+    }}
+    print_f64(s + B[3]);
+    return 0;
+}}
+"""
+
+
+class TestSelfIncrementedPointers:
+    """``p = p + 1`` stores into ``p``'s slot a value loaded from it.
+    The walk used to expand the slot again for every such store at
+    every level down to its depth cap, so each one doubled a query's
+    work: with two of them the optimized pipeline never finished."""
+
+    @staticmethod
+    def _count_walks(monkeypatch, budget=10_000):
+        walks = []
+        real_roots_of = alias._roots_of
+
+        def counting(value, depth, slots):
+            walks.append(value)
+            assert len(walks) <= budget, "runaway alias walk"
+            return real_roots_of(value, depth, slots)
+
+        monkeypatch.setattr(alias, "_roots_of", counting)
+        return walks
+
+    @pytest.mark.parametrize("is_global", [False, True],
+                             ids=["local", "global"])
+    @pytest.mark.parametrize("increments", [1, 2, 6])
+    def test_query_expands_each_slot_once(self, monkeypatch, increments,
+                                          is_global):
+        module = compile_minic(
+            _incremented_pointer_source(increments, is_global))
+        loads = [inst for inst in module.get_function("main").instructions()
+                 if isinstance(inst, Load) and inst.type.is_pointer]
+        walks = self._count_walks(monkeypatch)
+        stores = increments + 1
+        assert len(loads) == stores
+        for load in loads:
+            walks.clear()
+            roots = underlying_objects(load)
+            # The path back into the slot gets UNKNOWN, as the depth
+            # cap gave it; the slot's own stores are walked once.
+            assert {getattr(r, "name", r) for r in roots} == {"A", UNKNOWN}
+            assert len(walks) <= 3 * stores + 1
+
+    @pytest.mark.parametrize("is_global", [False, True],
+                             ids=["local", "global"])
+    @pytest.mark.parametrize("config", ["sequential", "optimized",
+                                        "streams"])
+    def test_compiles_and_runs_under_every_config(self, monkeypatch,
+                                                   config, is_global):
+        configs = {
+            "sequential": CgcmConfig(opt_level=OptLevel.SEQUENTIAL),
+            "optimized": CgcmConfig(),
+            "streams": CgcmConfig(streams=True),
+        }
+        walks = self._count_walks(monkeypatch)
+        compiler = CgcmCompiler(configs[config])
+        report = compiler.compile_source(
+            _incremented_pointer_source(2, is_global))
+        assert len(walks) <= 100
+        assert compiler.execute(report).stdout == ("3",)
 
 
 class TestModRef:
