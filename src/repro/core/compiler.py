@@ -48,6 +48,10 @@ class CompileReport:
     #: error here also raises
     #: :class:`~repro.errors.TransformValidationError` at pipeline end.
     validation: List["object"] = field(default_factory=list)
+    #: Device placement plans by topology, built on the first
+    #: multi-device run: the module no longer changes, and the
+    #: coordinator only reads its plan.
+    placements: Dict["object", "object"] = field(default_factory=dict)
 
     @property
     def kernel_count(self) -> int:
@@ -255,7 +259,10 @@ class CgcmCompiler:
             # Imported lazily: single-device runs never touch the
             # multi-GPU layer.
             from ..multigpu import MultiGpuCoordinator, plan_placement
-            plan = plan_placement(report.module, topology)
+            plan = report.placements.get(topology)
+            if plan is None:
+                plan = report.placements[topology] = \
+                    plan_placement(report.module, topology)
             MultiGpuCoordinator(machine, runtime, topology, plan)
         sanitizer = None
         if self.config.sanitize:

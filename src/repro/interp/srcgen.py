@@ -20,7 +20,8 @@ the machine.
   ``range`` takes.  Dispatch positions are ordered by loop depth
   (innermost first) so hot back edges scan the shortest prefix of the
   chain.  A block only one edge reaches is emitted in place of that
-  jump (fused); a diamond nests its taken arm under the guard, at most
+  jump (fused) -- so is a ``for`` loop's header, once its back edge is
+  left out; a diamond nests its taken arm under the guard, at most
   ``_NEST_DEPTH`` diamonds deep.  Single-block functions skip the loop
   entirely.
 
@@ -43,17 +44,29 @@ the machine.
   point sees the same sum, since calls and launches both fault.
 
 * **Fault-free counted loops run as ``for``.**  In a kernel's proven
-  grid variant, an innermost counted loop whose induction slot has a
-  range-proven latch, whose body and latch fuse into the header's
-  arm, and where nothing can fault, is emitted as ``for sK in
-  range(start, end, step):`` over the body without the latch's store,
-  then the slot's exit value; all its trips charge once, ``_t`` times
-  the per-trip ops, carried with the final header test to the exit.
-  The header's end computation, the body's views (``_ls1vd =
-  _ls1.vd``) and the sums of its indices' loop-invariant terms (``_i0
-  = s0 * 32 + _lj1``) are bound once ahead of the loop, as a body with
-  no checked site, call or alloca cannot grow a segment or rebuild a
-  view.
+  grid variant, a counted loop whose induction slot has a
+  range-proven latch, whose body is a chain of fused blocks to the
+  latch, passing through inner loops run as ``for``, and where
+  nothing can fault, is emitted as ``for sK in range(start, end,
+  step):`` over the body without the latch's store, then the slot's
+  exit value; all its trips charge once, ``_t`` times the per-trip
+  ops, carried with the final header test to the exit -- an inner
+  loop's, with its own ``_r1``/``_t1`` locals, in the outer body.
+  The header's end computation, the views (``_ls1vd = _ls1.vd``,
+  ahead of the outermost loop) and the sums of the indices' terms
+  that hold still in a loop (``_i0 = s0 * 32 + _lj1``, ahead of the
+  loop whose slots they read) are bound once, as a body with no
+  checked site, call or alloca cannot grow a segment or rebuild a
+  view.  A proven load whose index moves only by the loop's slot
+  ``sK``, or a proven ``sK ± c``, with a positive element scale
+  ``k``, reads a *stream*: ``for sK, _x0 in zip(_r, view[sK * k +
+  i:stop * k + i:k * step])``, whose iterator reads each element as
+  the trip starts -- so only a load no memory store precedes in the
+  trip streams, a store in an inner loop counting for every loop
+  around it.  ``_r`` comes first in the ``zip``, so a loop that runs
+  no trip reads no slice, whose bounds the proof need not cover.  A
+  proven load with no moving term, in a loop whose body stores no
+  memory, is *hoisted*: read once, ``_h0 = view[i] if _r else 0``.
 
 * **Range-proven integer arithmetic.**  A promoted induction slot of
   a counted loop (``Tier.counted``) whose start and end have bounds,
@@ -71,10 +84,12 @@ the machine.
   block, before any store to the slot, reads the slot in place; a
   compare used only by the ``cbr`` after it becomes the ``if``
   condition; a pure value (GEP, proven load, float add/sub/mul,
-  ``sitofp``, proven int op) used once, by the next instruction, is
-  emitted inside that instruction's expression, nesting at most
+  ``sitofp``, proven int op) used once, later in its block, with only
+  pure values, slot reads and constant calls between, is emitted
+  inside its user's expression, in the IR's order, nesting at most
   ``_FOLD_DEPTH`` folds so that a long chain never nears the parser's
-  limit.
+  limit.  A pure-math call on constant arguments that returns at
+  codegen is emitted as the literal of its value.
 
 * **Memory access compiles to typed-view indexing.**  One emitter
   serves every load and store: a prefix -- the write-back guard of a
@@ -203,6 +218,7 @@ across the workload sweep and the fuzz corpus.
 
 from __future__ import annotations
 
+import re
 import weakref
 from functools import partial
 from itertools import chain
@@ -246,6 +262,7 @@ _PROVEN_BINOPS = {"add": "+", "sub": "-", "mul": "*", "div": "//",
 _FOLD_DEPTH = 16
 #: Deepest nesting of fused diamonds (see ``_plan_fusion``).
 _NEST_DEPTH = 40
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 
 
 # Integer results are wrapped into the type's signed range inline:
@@ -472,6 +489,31 @@ def _const(value):
     return build
 
 
+#: The recipes of the names every variant may read (see
+#: ``_SourceCompiler.builders``), made once.
+_BUILDERS = {
+    "M": lambda m, mem: m,
+    "_call": lambda m, mem: m.call,
+    "_launch": lambda m, mem: m.launch_evaluated,
+    "_IE": _const(InterpError),
+    "_CUE": _const(CgcmUnsupportedError),
+    "_tdi": _const(_trunc_div_int),
+    "_tdf": _const(_trunc_div_float),
+    "_rf32": _const(round_f32),
+    "_INF": _const(_INF),
+    "_NINF": _const(_NINF),
+    "_NAN": _const(float("nan")),
+}
+_GUARD_BUILDERS = {
+    "_pw": lambda m, mem: m.writeback_guard[0],
+    "_wg": lambda m, mem: m.writeback_guard[1],
+}
+
+
+def _on_device_stack(machine, memory):
+    return machine.device.memory.segment("device-stack").contains
+
+
 def _pure_call(inst) -> bool:
     """Call sites that cannot flush pending ops onto the clock: calls
     to the externals kernels may call (``GPU_SAFE``), whose handlers
@@ -596,6 +638,38 @@ def _make_slow_store(memory, codec):
     return slow_store
 
 
+class _Open:
+    """A ``for`` loop whose body is being emitted (see
+    :meth:`_SourceCompiler._emit_loop`)."""
+
+    __slots__ = ("alloca", "step", "range", "stop", "blocks", "stored",
+                 "stores_memory", "store_seen", "views", "sums",
+                 "streams", "hoists")
+
+    def __init__(self, alloca: Alloca, step: int, range_: str,
+                 stop: Optional[int], blocks, stored: set,
+                 stores_memory: bool):
+        self.alloca = alloca
+        self.step = step
+        #: The ``range`` local, and its stop when it is a constant.
+        self.range = range_
+        self.stop = stop
+        #: The body's blocks, inner loops' included, the pointers they
+        #: store to, and whether any of those is memory, not a slot.
+        self.blocks = blocks
+        self.stored = stored
+        self.stores_memory = stores_memory
+        #: Whether a memory store was emitted earlier in the trip.
+        self.store_seen = False
+        #: Text -> local: the views bound ahead of the outermost loop
+        #: (kept on its record only), the index sums and hoisted loads
+        #: bound ahead of this loop, and the slices ``zip`` streams.
+        self.views: Dict[str, str] = {}
+        self.sums: Dict[str, str] = {}
+        self.streams: Dict[str, str] = {}
+        self.hoists: Dict[str, str] = {}
+
+
 class _SourceCompiler:
     """Emits and compiles Python source for one (function, mode, hooks,
     guarded, grid)."""
@@ -645,19 +719,8 @@ class _SourceCompiler:
         #: (so access inside the function is a LOAD_FAST), each
         #: expressed as a ``(machine, memory) -> value`` builder so a
         #: cached code object can be re-instantiated on any machine.
-        self.builders: Dict[str, object] = {
-            "M": lambda m, mem: m,
-            "_call": lambda m, mem: m.call,
-            "_launch": lambda m, mem: m.launch_evaluated,
-            "_IE": _const(InterpError),
-            "_CUE": _const(CgcmUnsupportedError),
-            "_tdi": _const(_trunc_div_int),
-            "_tdf": _const(_trunc_div_float),
-            "_rf32": _const(round_f32),
-            "_INF": _const(_INF),
-            "_NINF": _const(_NINF),
-            "_NAN": _const(float("nan")),
-        }
+        #: ``compile`` keeps only those the emitted code reads.
+        self.builders: Dict[str, object] = dict(_BUILDERS)
         self._objects: Dict[object, str] = {}
         self._helpers: Dict[tuple, str] = {}
         self._sites: List[str] = []
@@ -698,21 +761,25 @@ class _SourceCompiler:
         #: (slot alloca, step, pred, header, latch, blocks).
         self._counted: List[tuple] = []
         #: With ``proofs``: the loops emitted as ``for`` (header ->
-        #: (slot alloca, step, pred, body blocks)), and the frame size
-        #: the launch tests when every alloca is a promoted slot run
-        #: once per thread (see ``_plan_frame``).
+        #: (slot alloca, step, pred, body chain, member blocks but the
+        #: header)), and the frame size the launch tests when every
+        #: alloca is a promoted slot run once per thread (see
+        #: ``_plan_frame``).
         self._loops: Dict[object, tuple] = {}
         self._frame: Optional[int] = None
-        #: While a ``for`` body is emitted: its blocks, the slots it
-        #: stores, and the views and loop-invariant index sums bound
-        #: ahead of the loop.
-        self._hoist: Optional[tuple] = None
+        #: The ``for`` loops whose bodies are being emitted, outermost
+        #: first, and the counts behind the function's ``_iN``, ``_xN``
+        #: and ``_hN`` names (see ``_proven_view``).
+        self._open: List[_Open] = []
+        self._serials: Dict[str, int] = {"_i": 0, "_x": 0, "_h": 0}
+        self._streamed = 0
+        #: Pure-math calls on constant arguments, by the literal of
+        #: the value they return at codegen (see ``_plan_constants``).
+        self._constants: Dict[Call, str] = {}
         if mode == "gpu":
-            self.builders["_onds"] = lambda m, mem: \
-                m.device.memory.segment("device-stack").contains
+            self.builders["_onds"] = _on_device_stack
         if guarded:
-            self.builders["_pw"] = lambda m, mem: m.writeback_guard[0]
-            self.builders["_wg"] = lambda m, mem: m.writeback_guard[1]
+            self.builders.update(_GUARD_BUILDERS)
 
     # -- emission plumbing --------------------------------------------------
 
@@ -918,6 +985,8 @@ class _SourceCompiler:
                 # The alloca's limit test put the slot on the stack.
                 self._emit_slot_store(inst.pointer, inst.value, type_)
                 return
+            for loop in self._open:
+                loop.store_seen = True
             if self.mode == "gpu" and type_.is_pointer:
                 self._emit(f"if not _onds({pointer}):")
                 self._emit(f"    raise _CUE(\"kernel @{self.fn.name} stores "
@@ -962,42 +1031,126 @@ class _SourceCompiler:
         """A proven site's typed-view index in element units, read
         through the segment on every access: a checked site of the
         same launch may grow the segment, which rebuilds its views.
-        In a ``for`` body, which has no checked site, the view and the
-        sum of the index's loop-invariant terms are bound ahead of the
-        loop instead (``_hoist``)."""
+
+        In a ``for`` body, which has no checked site, call or alloca,
+        the view is bound ahead of the outermost loop, and the sum of
+        the index's terms that hold still in the innermost one ahead
+        of the loop whose slots it reads.  A load there is read
+        instead, when no term moves and the body stores no memory,
+        once ahead of the loop (``_hN``, see ``_emit_loop``), or, when
+        the one moving term steps with the loop's slot (``_slice``)
+        and no memory store comes earlier in the trip, from a slice
+        that ``zip`` walks with the slot (``_xN``): its iterator reads
+        each element as the trip starts, after every store of the
+        trips before."""
         segment, view, terms, offset, lj = self._proofs[inst]
-        moving, fixed = [], []
+        if not self._open:
+            parts = [self._term(value, k) for value, k in terms]
+            if offset:
+                parts.append(self._literal(offset))
+            parts.append(lj)
+            return f"{segment}.{view}[{' + '.join(parts)}]"
+        loop = self._open[-1]
+        name = self._open[0].views.setdefault(f"{segment}.{view}",
+                                              f"{segment}{view}")
+        moving, fixed, level = [], [], 0
         for value, k in terms:
-            part = self._ref(value) if k == 1 \
-                else f"{self._ref(value)} * {self._literal(k)}"
-            hoisted = self._hoist is not None and self._fixed(value)
-            (fixed if hoisted else moving).append(part)
+            at = self._level(value)
+            if at is None:
+                moving.append((value, k))
+            else:
+                fixed.append(self._term(value, k))
+                level = max(level, at)
         if offset:
             fixed.append(self._literal(offset))
         fixed.append(lj)
-        if self._hoist is None:
-            return f"{segment}.{view}[{' + '.join(moving + fixed)}]"
-        views, sums = self._hoist[2:]
-        name = views.setdefault(f"{segment}.{view}", f"{segment}{view}")
-        if len(fixed) > 1:
-            fixed = [sums.setdefault(" + ".join(fixed), f"_i{len(sums)}")]
-        return f"{name}[{' + '.join(moving + fixed)}]"
+        load = isinstance(inst, Load)
+        if load and not moving and not loop.stores_memory:
+            return self._local(loop.hoists, f"{name}[{' + '.join(fixed)}]",
+                               "_h")
+        base = fixed[0] if len(fixed) == 1 else \
+            self._local(self._open[level].sums, " + ".join(fixed), "_i")
+        if load and len(moving) == 1 and not loop.store_seen:
+            stream = self._slice(loop, name, base, *moving[0])
+            if stream is not None:
+                self._streamed += 1
+                return self._local(loop.streams, stream, "_x")
+        parts = [self._term(value, k) for value, k in moving]
+        return f"{name}[{' + '.join(parts + [base])}]"
 
-    def _fixed(self, value: Value) -> bool:
-        """Whether ``value``, read in the ``for`` body being emitted,
-        holds one value on every trip and can be read ahead of the
-        loop: a value from outside the body (its register is set), or
-        a folded slot read of a slot the body never stores, or a folded
-        pure value of such values."""
-        blocks, stored = self._hoist[:2]
-        if not isinstance(value, Instruction) or value.parent not in blocks:
+    def _term(self, value: Value, k: int) -> str:
+        return self._ref(value) if k == 1 \
+            else f"{self._ref(value)} * {self._literal(k)}"
+
+    def _local(self, table: Dict[str, str], text: str, prefix: str) -> str:
+        """The local that ``table`` binds to ``text``, named on first
+        use: ``prefix`` and a count kept per function, so an inner
+        loop never rebinds an outer loop's local."""
+        name = table.get(text)
+        if name is None:
+            name = table[text] = f"{prefix}{self._serials[prefix]}"
+            self._serials[prefix] += 1
+        return name
+
+    def _slice(self, loop: _Open, view: str, base: str, value: Value,
+               k: int) -> Optional[str]:
+        """The slice of ``view`` holding, trip by trip, the elements
+        at ``value * k + base``, or None unless ``value`` is the
+        loop's slot or a proven ``slot ± c`` and ``k`` is positive.
+        The slice starts at the first trip's element, which the proof
+        covers when the loop runs, and stops where the slot would stop
+        (a stop past the view's end is clamped), so it holds one
+        element per trip.  ``_r`` comes first in the ``zip``: a loop
+        that runs no trip reads no slice, whose bounds the proof need
+        not cover (slicing clamps them and never raises)."""
+        shift = 0
+        if isinstance(value, BinaryOp) and value.op in ("add", "sub") \
+                and isinstance(value.rhs, Constant) \
+                and self._needs_no_wrap(value):
+            shift = int(value.rhs.value) * (1 if value.op == "add" else -1)
+            value = value.lhs
+        if not (isinstance(value, Load) and value.pointer is loop.alloca) \
+                or k <= 0:
+            return None
+        shift *= k
+
+        def at(first: str) -> str:
+            text = first if k == 1 else f"{first} * {k}"
+            if shift:
+                text += f" + {shift}" if shift > 0 else f" - {-shift}"
+            return f"{text} + {base}"
+
+        stop = at(f"{loop.range}.stop") if loop.stop is None \
+            else f"{self._literal(loop.stop * k + shift)} + {base}"
+        stride = k * loop.step
+        return f"{view}[{at(self._slots[loop.alloca])}:{stop}" \
+            + (f":{stride}]" if stride != 1 else "]")
+
+    def _level(self, value: Value) -> Optional[int]:
+        """The outermost open loop ahead of which ``value`` may be read
+        for all of that loop's trips (see ``_fixed``), or None when it
+        moves in the innermost one."""
+        for level, loop in enumerate(self._open):
+            if self._fixed(value, loop):
+                return level
+        return None
+
+    def _fixed(self, value: Value, loop: _Open) -> bool:
+        """Whether ``value``, read in the body of ``loop``, holds one
+        value on every trip and can be read ahead of the loop: a value
+        from outside the body (its register is set), or a folded slot
+        read of a slot the body never stores, or a folded pure value of
+        such values."""
+        if not isinstance(value, Instruction) \
+                or value.parent not in loop.blocks:
             return True
         if value not in self._folded:
             return False
         if isinstance(value, Load):
-            return value.pointer in self._slots and value.pointer not in stored
+            return value.pointer in self._slots \
+                and value.pointer not in loop.stored
         return self._pure(value) and all(
-            self._fixed(operand) for operand in self._operands(value))
+            self._fixed(operand, loop) for operand in self._operands(value))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -1611,6 +1764,10 @@ class _SourceCompiler:
     # -- calls, launches, terminators ---------------------------------------
 
     def _emit_call(self, inst: Call) -> None:
+        literal = self._constants.get(inst)
+        if literal is not None:
+            self.names[inst] = literal
+            return
         arg_list = ", ".join(self._ref(a) for a in inst.args)
         name = inst.callee.name
         gpu = self.mode == "gpu"
@@ -1714,7 +1871,11 @@ class _SourceCompiler:
                    index: Dict[object, int]) -> None:
         if self._pure(inst):
             text = self._expression(inst)
-            if inst in self._folded:
+            if isinstance(inst, Load) and text.isidentifier():
+                # A streamed or hoisted load: a local no store of the
+                # trip can change.
+                self.names[inst] = text
+            elif inst in self._folded:
                 self.names[inst] = f"({text})"
             else:
                 self._emit(f"{self.names[inst]} = {text}")
@@ -1755,7 +1916,8 @@ class _SourceCompiler:
         proven site's (every access, in a hooked or guarded variant;
         a kernel's pointer store is never proven), an int div or rem by
         anything but a nonzero constant, a float rem, an alloca but in
-        a launch-tested frame, and call, launch and unreachable."""
+        a launch-tested frame, and call (but a pure-math call on
+        constants that returned at codegen), launch and unreachable."""
         if isinstance(inst, (Load, Store)):
             return self.hooked or self.guarded \
                 or inst.pointer not in self._slots \
@@ -1767,7 +1929,8 @@ class _SourceCompiler:
                 isinstance(inst.rhs, Constant) and inst.rhs.value != 0)
         if isinstance(inst, Alloca):
             return self._frame is None
-        return isinstance(inst, (Call, LaunchKernel, Unreachable))
+        return isinstance(inst, (Call, LaunchKernel, Unreachable)) \
+            and inst not in self._constants
 
     @staticmethod
     def _cost(inst: Instruction) -> int:
@@ -1781,11 +1944,13 @@ class _SourceCompiler:
         return cost
 
     def _emit_charge(self, ops: int, count: int, trips=None) -> None:
-        """Charge ``ops`` and ``count`` instructions, plus ``_t`` times
-        a ``for`` loop's per-trip (ops, instructions) ``trips``."""
+        """Charge ``ops`` and ``count`` instructions, plus a ``for``
+        loop's per-trip (ops, instructions) ``trips`` times its trip
+        count, the local ``trips[2]``."""
         if trips:
-            self._emit(f"{self.charge} += {trips[0]} * _t + {ops}")
-            self._emit(f"{self.counter} += {trips[1]} * _t + {count}")
+            self._emit(f"{self.charge} += {trips[0]} * {trips[2]} + {ops}")
+            self._emit(f"{self.counter} += {trips[1]} * {trips[2]} "
+                       f"+ {count}")
         elif count:
             self._emit(f"{self.charge} += {ops}")
             self._emit(f"{self.counter} += {count}")
@@ -1808,6 +1973,7 @@ class _SourceCompiler:
         in ``_loops`` emits the whole loop (:meth:`_emit_loop`).
         """
         if block in self._loops:
+            self._emit_charge(*carry)
             self._emit_loop(block, index)
             return
         segments: List[List[Instruction]] = [[]]
@@ -1836,60 +2002,93 @@ class _SourceCompiler:
                        "terminator\")")
 
     def _emit_loop(self, header, index: Dict[object, int]) -> None:
-        """The dispatch arm of a loop of ``_loops``: ``for sK in
-        range(start, end, step):`` over its body without the latch's
-        store.
+        """A loop of ``_loops``: ``for sK in range(start, end, step):``
+        over its body chain without the latch's store, an inner loop
+        of the chain emitted in place by this method.
 
         The header's end computation runs once, ahead of the loop, as
-        it cannot vary or fault; so do the bindings of the body's
-        views and loop-invariant index sums (``_hoist``).  After the
-        loop the views are dropped, the slot takes its exit value, and
-        the final header test is carried on, with the ``_t`` trips'
-        ops, to the exit.
+        it cannot vary or fault; so do the bindings that
+        ``_proven_view`` asks for: the views, ahead of the outermost
+        loop (a body with no checked site, call or alloca cannot grow
+        a segment or rebuild a view), the index sums ahead of the loop
+        whose slots they read, and the hoisted loads, guarded by the
+        trip test, as a loop that runs no trip need not keep within
+        the proof.  The streams join the header's ``zip``.  After the
+        loop the slot takes its exit value; after the outermost, the
+        views are dropped.  Each loop depth has its own ``range`` and
+        trip count locals (``_r``, ``_t``, then ``_r1``, ``_t1``, ...):
+        an inner loop charges its ``_tN`` trips and its final header
+        test in the outer body, once per outer trip, and the outermost
+        carries its own on, with the final header test, to the exit.
         """
-        alloca, step, pred, body = self._loops[header]
+        alloca, step, pred, body, members = self._loops[header]
         slot = self._slots[alloca]
         term = header.instructions[-1]
         test = term.condition
         for inst in header.instructions:
             if inst not in (test.lhs, test, term) and inst not in self._dead:
                 self._emit_inst(inst, index)
+        depth = len(self._open)
+        suffix = str(depth) if depth else ""
+        r, t = f"_r{suffix}", f"_t{suffix}"
         end = self._ref(test.rhs) + (" + 1" if pred == "le" else "")
-        start = len(self.lines)
-        self._emit(f"_r = range({slot}, {end}"
-                   + (f", {step})" if step != 1 else ")"))
-        self._emit(f"for {slot} in _r:")
-        self.indent += 1
-        stored = {inst.pointer for block in body
+        stored = {inst.pointer for block in members
                   for inst in block.instructions if isinstance(inst, Store)}
-        self._hoist = (set(body), stored, {}, {})
-        size = len(self.lines)
+        loop = _Open(alloca, step, r,
+                     int(test.rhs.value) + (pred == "le")
+                     if isinstance(test.rhs, Constant) else None,
+                     members, stored, any(pointer not in self._slots
+                                          for pointer in stored))
+        self._open.append(loop)
+        start = len(self.lines)
+        self.indent += 1
         for block in body:
+            if block in self._loops:
+                self._emit_loop(block, index)
+                continue
             for inst in block.instructions[:-1]:
                 if inst not in self._dead:
                     self._emit_inst(inst, index)
-        if len(self.lines) == size:
+        if len(self.lines) == start:
             self._emit("pass")
         self.indent -= 1
-        views, sums = self._hoist[2:]
-        self._hoist = None
+        self._open.pop()
         pad = "    " * self.indent
-        self.lines[start:start] = \
-            [f"{pad}{name} = {view}" for view, name in views.items()] \
-            + [f"{pad}{name} = {text}" for text, name in sums.items()]
-        if views:
+        head = [f"{pad}{name} = {text}"
+                for text, name in loop.sums.items()]
+        head.append(f"{pad}{r} = range({slot}, {end}"
+                    + (f", {step})" if step != 1 else ")"))
+        head += [f"{pad}{name} = {text} if {r} else 0"
+                 for text, name in loop.hoists.items()]
+        if loop.streams:
+            head.append(f"{pad}for {slot}, "
+                        f"{', '.join(loop.streams.values())} in "
+                        f"zip({r}, {', '.join(loop.streams)}):")
+        else:
+            head.append(f"{pad}for {slot} in {r}:")
+        if not depth:
+            head[:0] = [f"{pad}{name} = {view}"
+                        for view, name in loop.views.items()]
+        self.lines[start:start] = head
+        if not depth and loop.views:
             # A live view would stop a later checked site from growing
             # the segment (``BufferError``).
-            self._emit(f"del {', '.join(views.values())}")
-        self._emit("_t = len(_r)")
-        self._emit(f"{slot} = _r.start + _t"
+            self._emit(f"del {', '.join(loop.views.values())}")
+        self._emit(f"{t} = len({r})")
+        self._emit(f"{slot} = {r}.start + {t}"
                    + (f" * {step}" if step != 1 else ""))
+        # Inner loops charge their own trips.
         per_trip = [inst for block in [header] + body
+                    if block not in self._loops or block is header
                     for inst in block.instructions]
-        self._emit_jump(term.if_false, index, (
-            sum(self._cost(inst) for inst in header.instructions),
-            len(header.instructions),
-            (sum(self._cost(inst) for inst in per_trip), len(per_trip))))
+        carry = (sum(self._cost(inst) for inst in header.instructions),
+                 len(header.instructions),
+                 (sum(self._cost(inst) for inst in per_trip),
+                  len(per_trip), t))
+        if depth:
+            self._emit_charge(*carry)
+        else:
+            self._emit_jump(term.if_false, index, carry)
 
     def _edge_counts(self) -> Dict[object, int]:
         """Incoming edge count per block (both arms of a two-way
@@ -1906,15 +2105,18 @@ class _SourceCompiler:
                         preds.get(inst.if_false, 0) + 1
         return preds
 
-    def _plan_fusion(self, preds: Dict[object, int]) -> set:
+    def _plan_fusion(self, preds: Dict[object, int],
+                     back: frozenset = frozenset()) -> set:
         """Pick the blocks to inline into their unique predecessor.
 
         A block is fusable when exactly one edge reaches it (so the
         block emitting that edge can own its body), it is not the
         entry (dispatch must be able to start there), and it is not
-        its own predecessor.  Loop headers always keep a dispatch
-        index -- the back edge is a second predecessor -- so every
-        loop still turns around through the ``while`` dispatch.  A
+        its own predecessor.  A loop header keeps a dispatch index --
+        the back edge is a second predecessor -- so the loop turns
+        around through the ``while`` dispatch, unless ``range`` runs
+        the back edge: the latches in ``back`` end ``for`` loops, whose
+        edges ``preds`` leaves out and the walk below never follows.  A
         diamond inlines both arms, the taken arm indented under the
         guard, unless that arm would nest more than ``_NEST_DEPTH``
         diamonds deep below its dispatch arm: then it keeps a dispatch
@@ -1932,7 +2134,7 @@ class _SourceCompiler:
             instructions = block.instructions
             term = instructions[-1] if instructions else None
             if isinstance(term, Branch):
-                if fusable(term.target, block):
+                if block not in back and fusable(term.target, block):
                     inlined.add(term.target)
             elif isinstance(term, CondBranch):
                 # Both arms to one block make two edges: not fusable.
@@ -1948,7 +2150,7 @@ class _SourceCompiler:
             block, depth = work.pop()
             term = block.instructions[-1] if block.instructions else None
             if isinstance(term, Branch):
-                if term.target in inlined:
+                if term.target in inlined and block not in back:
                     work.append((term.target, depth))
             elif isinstance(term, CondBranch):
                 true_b, false_b = term.if_true, term.if_false
@@ -1984,38 +2186,86 @@ class _SourceCompiler:
             values.append(inst.value)
         return values
 
-    def _plan_loops(self) -> None:
+    def _plan_loops(self, preds: Dict[object, int]) -> None:
         """Pick the loops a proven grid variant emits as ``for``
-        (``_loops``, see :meth:`_emit_loop`): the counted loops whose
-        slot ``_prove_ranges`` bounds, so ``i + step`` never wraps,
-        where no instruction can fault, the body is a chain of blocks
-        fused into the header's dispatch arm and ending in the latch,
-        the latch stores the slot last, and the header's slot load and
-        compare feed only its branch.  Such a loop is innermost and
-        leaves only through the header's test, which ``range`` runs."""
+        (``_loops``, see :meth:`_emit_loop`), and fuse each one's
+        header into the block ahead of it.
+
+        A loop qualifies (:meth:`_for_body`) when ``_prove_ranges``
+        bounds its slot, so ``i + step`` never wraps, and its body is a
+        chain of fused blocks, from the header's taken arm to the
+        latch, that may pass through inner ``for`` loops.  Loops are
+        visited innermost first, and fusion is planned again after
+        each round that picks one, as ``range`` runs its back edge and
+        leaves its header one entry: that lets an outer loop's chain
+        reach the inner header.  A picked loop that the new fusion
+        breaks is dropped for good, so the rounds end."""
         uses: Dict[Value, int] = {}
         for inst in self.fn.instructions():
             for operand in inst.operands:
                 uses[operand] = uses.get(operand, 0) + 1
-        for alloca, step, pred, header, latch, blocks in self._counted:
-            term = header.instructions[-1]
-            test = term.condition
-            body = [term.if_true]
-            while body[-1] is not latch and len(body) < len(blocks):
-                jump = body[-1].instructions[-1:]
+        dropped: set = set()
+        changed = True
+        while changed:
+            changed = False
+            for alloca, step, pred, header, latch, blocks \
+                    in reversed(self._counted):
+                if header in dropped:
+                    continue
+                body = self._for_body(alloca, header, latch, blocks, uses)
+                if header in self._loops:
+                    if body is None:
+                        del self._loops[header]
+                        dropped.add(header)
+                        changed = True
+                elif body is not None:
+                    self._loops[header] = (alloca, step, pred, body,
+                                           blocks - {header})
+                    changed = True
+            if changed:
+                entries = dict(preds)
+                for header in self._loops:
+                    entries[header] -= 1
+                self._inlined = self._plan_fusion(entries, frozenset(
+                    loop[3][-1] for loop in self._loops.values()))
+
+    def _for_body(self, alloca: Alloca, header, latch, blocks,
+                  uses: Dict[Value, int]) -> Optional[list]:
+        """The body chain of the counted loop at ``header``, if it can
+        run as ``for``: every block of the chain is fused, an inner
+        ``for`` loop's header takes the chain on at its exit, the
+        chain and those inner loops make up the loop, no instruction
+        in it can fault, the latch stores the slot last, and the
+        header's slot load and compare feed only its branch.  Such a
+        loop leaves only through the header's test, which ``range``
+        runs."""
+        term = header.instructions[-1]
+        test = term.condition
+        body = [term.if_true]
+        members = {header, term.if_true}
+        while body[-1] is not latch and len(body) < len(blocks):
+            block = body[-1]
+            inner = self._loops.get(block)
+            if inner is not None:
+                members |= inner[4]
+                following = block.instructions[-1].if_false
+            else:
+                jump = block.instructions[-1:]
                 if not (jump and isinstance(jump[0], Branch)):
-                    break
-                body.append(jump[0].target)
-            insts = [inst for block in [header] + body
-                     for inst in block.instructions]
-            store = latch.instructions[-2] \
-                if len(latch.instructions) > 1 else None
-            if body[-1] is latch and {header, *body} == blocks \
-                    and all(block in self._inlined for block in body) \
-                    and isinstance(store, Store) and store.pointer is alloca \
-                    and uses[test.lhs] == uses[test] == 1 \
-                    and not any(self._can_fault(inst) for inst in insts):
-                self._loops[header] = (alloca, step, pred, body)
+                    return None
+                following = jump[0].target
+            body.append(following)
+            members.add(following)
+        store = latch.instructions[-2] \
+            if len(latch.instructions) > 1 else None
+        if body[-1] is not latch or members != blocks \
+                or not all(block in self._inlined for block in body) \
+                or not isinstance(store, Store) or store.pointer is not alloca \
+                or not uses[test.lhs] == uses[test] == 1 \
+                or any(self._can_fault(inst) for block in blocks
+                       for inst in block.instructions):
+            return None
+        return body
 
     def _plan_frame(self) -> None:
         """With ``proofs``, in a grid variant that keeps its stack
@@ -2045,8 +2295,8 @@ class _SourceCompiler:
         unstored latch increment or a proven site's GEP chain, and the
         latch stores of ``for`` loops, whose ``range`` steps the slot.
         Their ops stay in their segment's static charge."""
-        latches = {body[-1].instructions[-2]
-                   for _, _, _, body in self._loops.values()}
+        latches = {loop[3][-1].instructions[-2]
+                   for loop in self._loops.values()}
         live = [inst for inst in self.fn.instructions()
                 if inst not in latches and (
                     not inst.produces_value
@@ -2061,6 +2311,34 @@ class _SourceCompiler:
         self._dead = {inst for inst in self.fn.instructions()
                       if inst not in seen}
 
+    def _transparent(self, inst: Instruction) -> bool:
+        """Whether a value may be read past ``inst`` instead of ahead
+        of it: ``inst`` is a pure value, a promoted-slot read or a call
+        folded to a constant, and cannot fault."""
+        return not self._can_fault(inst) and (
+            self._pure(inst) or inst in self._constants
+            or isinstance(inst, Load) and inst.pointer in self._slots)
+
+    def _plan_constants(self) -> None:
+        """Evaluate each :func:`_pure_call` on constant arguments
+        through the machine's handler (``_constants``): a call that
+        returns is emitted as the literal of its value and cannot
+        fault, its cost riding in its segment's charge as before; one
+        that raises, such as ``sqrt(-1.0)``, stays a call and faults
+        when it runs, as under the tree-walker."""
+        for inst in self.fn.instructions():
+            if not _pure_call(inst) \
+                    or not all(isinstance(arg, Constant) for arg in inst.args):
+                continue
+            handler = self.machine.externals.get(inst.callee.name)
+            if handler is None:
+                continue
+            try:
+                value = handler(self.machine, [arg.value for arg in inst.args])
+            except Exception:  # noqa: BLE001 -- it raises when it runs
+                continue
+            self._constants[inst] = self._literal(value)
+
     def _plan_folds(self) -> None:
         """Pick the values emitted into their use (``_folded``).
 
@@ -2069,13 +2347,17 @@ class _SourceCompiler:
           slot in place.
         * A compare used only by the ``cbr`` right after it becomes
           the branch's condition.
-        * A :meth:`_pure` value used once, by the next instruction,
-          becomes part of that instruction's expression -- unless the
-          nesting would pass ``_FOLD_DEPTH``, or the user is an
-          unproven int rem, which reads its operands twice.
+        * A :meth:`_pure` value used once, later in its block, becomes
+          part of its user's expression when only pure values,
+          promoted-slot reads and calls folded to constants lie
+          between (``_transparent``: no store, no call, nothing that
+          can fault, so reading it at the user reads what it would
+          have) -- unless the nesting would pass ``_FOLD_DEPTH``, or
+          the user is an unproven int rem, which reads its operands
+          twice.  Float operations keep the IR's order.
 
         Dead values (``_dead``) neither count as uses nor stand between
-        a value and the next instruction.
+        a value and its user.
         """
         blocks = self.fn.blocks
         dead = self._dead
@@ -2092,6 +2374,11 @@ class _SourceCompiler:
             insts = [inst for inst in block.instructions
                      if inst not in dead]
             last = len(insts) - 1
+            #: value -> position of its (last) user in the block.
+            users: Dict[Value, int] = {}
+            for k, inst in enumerate(insts):
+                for operand in self._operands(inst):
+                    users[operand] = k
             #: slot load -> [uses so far, slot stored since, foldable]
             reads: Dict[Load, list] = {}
             depth: Dict[Instruction, int] = {}
@@ -2112,18 +2399,19 @@ class _SourceCompiler:
                     continue
                 if k == last or uses.get(inst) != 1:
                     continue
-                user = insts[k + 1]
-                if not any(operand is inst
-                           for operand in self._operands(user)):
+                at = users.get(inst, k)
+                if at <= k:
                     continue
+                user = insts[at]
                 if isinstance(inst, Compare):
-                    if isinstance(user, CondBranch):
+                    if at == k + 1 and isinstance(user, CondBranch):
                         self._folded.add(inst)
                     continue
                 if not self._pure(inst) or isinstance(user, BinaryOp) \
                         and user.op == "rem" \
                         and isinstance(user.type, IntType) \
-                        and not self._needs_no_wrap(user):
+                        and not self._needs_no_wrap(user) \
+                        or not all(map(self._transparent, insts[k + 1:at])):
                     continue
                 level = 1 + max((depth.get(operand, 0)
                                  for operand in self._operands(inst)),
@@ -2139,6 +2427,7 @@ class _SourceCompiler:
         fn = self.fn
         check_definitions(fn)
         self._preds = preds = self._edge_counts()
+        self._plan_constants()
         if not self.hooked:
             self._slots = self._promoted_slots()
             if self.proofs:
@@ -2151,7 +2440,7 @@ class _SourceCompiler:
         if self.proofs:
             self._plan_sites()
             self._plan_frame()
-            self._plan_loops()
+            self._plan_loops(preds)
         self._plan_dead()
         self._plan_folds()
         for i, arg in enumerate(fn.args):
@@ -2203,7 +2492,11 @@ class _SourceCompiler:
             prologue.append(f"    {sites} = _cc")
         if self.grid:
             body = self._proof_lines() + self._grid_lines(body, sites)
-        params = ", ".join(f"{name}={name}" for name in self.builders)
+        # A default nothing reads would only cost each instantiation.
+        read = set(_IDENTIFIER.findall("\n".join(prologue + body)))
+        builders = {name: build for name, build in self.builders.items()
+                    if name in read}
+        params = ", ".join(f"{name}={name}" for name in builders)
         header = f"def __srcgen({'grid, ' if self.grid else ''}args, " \
             f"*, {params}):"
         source = "\n".join([header] + prologue + body) + "\n"
@@ -2216,8 +2509,8 @@ class _SourceCompiler:
         accesses = sum(isinstance(inst, (Load, Store))
                        and inst.pointer not in self._slots
                        for inst in fn.instructions())
-        return source, code_obj, self.builders, \
-            (len(self._proofs), accesses, len(self._loops))
+        return source, code_obj, builders, \
+            (len(self._proofs), accesses, len(self._loops), self._streamed)
 
     def _grid_lines(self, body: List[str], sites: str) -> List[str]:
         """Wrap one thread's emitted body in the launch's thread loop.
@@ -2277,7 +2570,7 @@ class _SourceCompiler:
 
 
 def _instantiate(machine, fn: Function, key: tuple, entry) -> "object":
-    source, code_obj, builders, (proven, accesses, loops) = entry
+    source, code_obj, builders, (proven, accesses, loops, streamed) = entry
     mode, hooked, guarded, grid = key
     memory = machine.device.memory if mode == "gpu" \
         else machine.cpu_memory
@@ -2297,8 +2590,10 @@ def _instantiate(machine, fn: Function, key: tuple, entry) -> "object":
     #: promoted slot), and those a launch proves in bounds.
     code.access_sites = accesses
     code.proven_sites = proven
-    #: Counted loops emitted as ``for`` over ``range``.
+    #: Counted loops emitted as ``for`` over ``range``, and the loads
+    #: of their bodies read from a ``zip``-walked slice.
     code.for_loops = loops
+    code.streamed_loads = streamed
     return code
 
 

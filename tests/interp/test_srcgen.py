@@ -5,7 +5,8 @@ restrictions, compile-time checks) and covers the compiled-cache
 keying regression (a sanitizer-armed run must never reuse an
 unhooked compiled body, and vice versa), the stack-slot promotion
 rules, the fusion plan's nesting cap, and the whole-grid kernel
-variant with its launch-time bounds proofs.
+variant with its launch-time bounds proofs, its counted loops run as
+nested ``for`` loops and the loads they stream or hoist.
 """
 
 import gc
@@ -27,6 +28,7 @@ from repro.interp.srcgen import (_NEST_DEPTH, _SourceCompiler,
 from repro.ir import (FunctionType, I64, IRBuilder, Module, VOID,
                       pointer_to, verify_module)
 from repro.ir.instructions import Call, LaunchKernel, Load, Store
+from repro.ir.values import Constant
 from repro.runtime import CgcmRuntime
 from repro.staticcheck.corpus import CORPUS
 
@@ -608,18 +610,20 @@ class TestRangeProofsAndFolds:
         share: its bounds are constants, so ``k + 1`` needs no wrap,
         and every slot load reads the slot in place.  The launch
         proves the body's loads in bounds, so none can fault: the loop
-        is one ``for`` over ``range``, with no dispatch, and all its
-        trips pay one charge, after it."""
+        is one ``for`` over ``range``, nested in the ``j`` loop's, and
+        all its trips pay one charge, after it, in the ``j`` body.  No
+        block of the kernel keeps a dispatch arm."""
         code, (ahead, body, after) = gemm_k_loop()
         for text in (ahead, body, after):
             assert not self.WRAP.search(text)
             assert not self.SLOT_COPY.search(text)
-        assert re.search(r"^ *_r = range\(s\d+, 32\)$", ahead, re.M)
+        assert re.search(r"^ *_r1 = range\(s\d+, 32\)$", ahead, re.M)
         for token in ("_go", "_ei", "_b =", "continue", "_o =", "+("):
             assert token not in body
         assert not re.search(r"_ld\d+\(", body)
         assert after.count("_go += ") == after.count("_ei += ") == 1
-        assert code.for_loops == 1
+        assert "* _t1 + " in after
+        assert code.for_loops == 2 and "_b = " not in code.source
 
 
 def ladder(depth: int) -> str:
@@ -673,23 +677,39 @@ def gemm_k_loop():
     return code, for_loop_parts(code.source)
 
 
-def for_loop_parts(source: str):
-    """The dispatch arm of the one ``for`` in ``source``, split at it:
-    the arm's lines ahead of the loop, its body, and the path after
-    it, to the jump or break that leaves the arm."""
+#: The header of a counted loop run as ``for``, with its streams.
+FOR_HEAD = re.compile(r"^ *for s\d+(?:, _x\d+)* in "
+                      r"(?:_r\d*|zip\(_r\d*, .*\)):$", re.M)
+
+
+def indentation(line: str) -> int:
+    return len(line) - len(line.lstrip())
+
+
+def for_loop_parts(source: str, which: int = -1):
+    """One ``for`` loop of ``source`` (by default the last, which is
+    the innermost of a nest), split at it: the lines of its enclosing
+    block ahead of the loop, its body, and the lines after it, to the
+    jump or break that leaves the block or to the block's end."""
     lines = source.splitlines()
-    (start,) = [k for k, line in enumerate(lines)
-                if re.match(r" *for s\d+ in _r:$", line)]
-    arm = max(k for k in range(start) if "if _b == " in lines[k])
-    depth = len(lines[start]) - len(lines[start].lstrip())
+    start = [k for k, line in enumerate(lines)
+             if FOR_HEAD.match(line)][which]
+    depth = indentation(lines[start])
+    first = start
+    while indentation(lines[first - 1]) >= depth:
+        first -= 1
     end = start + 1
-    while len(lines[end]) - len(lines[end].lstrip()) > depth:
+    while indentation(lines[end]) > depth:
         end += 1
-    leave = next(k for k in range(end, len(lines))
-                 if lines[k].strip() in ("continue", "break"))
-    return ("\n".join(lines[arm + 1:start]),
+    leave = end
+    while indentation(lines[leave]) >= depth:
+        leave += 1
+        if indentation(lines[leave - 1]) == depth \
+                and lines[leave - 1].strip() in ("continue", "break"):
+            break
+    return ("\n".join(lines[first:start]),
             "\n".join(lines[start + 1:end]),
-            "\n".join(lines[end:leave + 1]))
+            "\n".join(lines[end:leave]))
 
 
 class TestGpuRestrictions:
@@ -1054,21 +1074,36 @@ class TestLaunchProofs:
                 if code.grid}
 
     def test_gemm_multiply_indexes_its_segments(self):
-        """The inner loop reads A, B and alpha through segment views
-        bound ahead of it, with their loop-invariant index terms
-        summed there too: no offset test, no slow path, no charge.
-        The unstored latch increment of the outlined loop is not
-        emitted."""
+        """The ``k`` loop streams A's row and B's column from slices of
+        segment views that ``zip`` walks with its slot, and reads
+        ``alpha`` once, ahead of it, under its trip test: its body is
+        one statement.  The views are bound ahead of the ``j`` loop
+        and dropped after it; each index sum is bound ahead of the
+        loop whose slots it reads.  No offset test, no slow path, no
+        charge in the loop.  The unstored latch increment of the
+        outlined loop is not emitted."""
         code, (ahead, body, after) = gemm_k_loop()
-        views = dict(re.findall(r"^ *(_ls\d+v[bhiqQfd]) = (_ls\d+\.v\w)$",
-                                ahead, re.M))
-        reads = re.findall(r"(_ls\d+v[bhiqQfd])\[", body)
-        assert len(reads) == 3 and set(reads) == set(views)
-        assert re.search(r"^ *_i\d+ = s\d+ \* 32 \+ _lj\d+$", ahead, re.M)
-        assert not self.PROVEN.search(body)
-        assert "_o =" not in body and not self.SLOW_PATH.search(body)
+        assert body.strip() == "s2 = (s2 + ((_h0 * _x0) * _x1))"
+        (head,) = [line.strip() for line in code.source.splitlines()
+                   if line.strip().startswith("for s3")]
+        assert re.fullmatch(
+            r"for s3, _x0, _x1 in zip\(_r1, "
+            r"(_ls\d+vd)\[s3 \+ (_i\d+):32 \+ \2\], "
+            r"(_ls\d+vd)\[s3 \* 32 \+ (_i\d+):1024 \+ \4:32\]\):", head)
+        assert re.search(r"^ *_h0 = _ls\d+vd\[_lj\d+\] if _r1 else 0$",
+                         ahead, re.M)
+        assert re.search(r"^ *_i\d+ = s1 \+ _lj\d+$", ahead, re.M)
+        views = re.findall(r"^ *(_ls\d+v[bhiqQfd]) = _ls\d+\.v\w$",
+                           code.source, re.M)
+        assert len(views) == 5
+        assert f"del {', '.join(views)}" in code.source
+        assert re.search(r"^ *_i\d+ = s0 \* 32 \+ _lj\d+$", code.source,
+                         re.M)
+        assert "_o =" not in code.source
+        assert not self.SLOW_PATH.search(code.source)
         assert "_go" not in body and after.count("_go += ") == 1
         assert code.proven_sites == code.access_sites == 6
+        assert code.streamed_loads == 3
         assert "s0 + 1" not in code.source
 
     @pytest.mark.parametrize("name", sorted(PROVEN_SHAPES))
@@ -1463,19 +1498,20 @@ class TestCountedLoops:
         """,
     }
 
-    FOR = re.compile(r"^ *for s\d+ in _r:$", re.M)
-
     @pytest.mark.parametrize("name", sorted(LOOPS))
     def test_loop_runs_as_a_for(self, name, monkeypatch):
         machine = TestLaunchProofs.run_both(self.LOOPS[name], monkeypatch)
         assert machine.checked_launches == 0
         (code,) = TestLaunchProofs.kernel_codes(machine).values()
-        assert code.for_loops == len(self.FOR.findall(code.source)) == 1
-        ahead, body, after = for_loop_parts(code.source)
+        loops = 2 if name == "nested" else 1
+        assert code.for_loops == len(FOR_HEAD.findall(code.source)) == loops
+        ahead, body, after = for_loop_parts(code.source, 0)
         assert "_r = range(" in ahead
-        for token in ("_go", "_ei", "_b =", "continue"):
-            assert token not in body
+        assert "_b =" not in body and "continue" not in body
         assert after.count("_go += ") == 1 and "* _t + " in after
+        _, inner, _ = for_loop_parts(code.source)
+        for token in ("_go", "_ei"):
+            assert token not in inner
         assert FRAME_TEST in code.source and "_sp = " not in code.source
 
     def test_checked_site_grows_a_segment_after_the_loop(self, monkeypatch):
@@ -1564,23 +1600,32 @@ class TestCountedLoops:
 
     @staticmethod
     def counted_kernel(rng) -> str:
-        """A kernel whose counted loop (inside another, one time in
-        four) has a random start, end, test and step and indexes its
-        arrays by a non-negative affine mix modulo their length,
-        launched three times."""
+        """A kernel whose counted loop, alone or inside one or two more
+        (one time in two), has a random start, end, test and step,
+        indexes two arrays by a non-negative affine mix modulo their
+        length and a 2-D global by its slot, which it reads before and
+        after storing it, and is launched three times."""
         start = rng.choice(("0", "tid", "p", "tid % 3"))
         end = rng.choice(("24", "q", "tid + 5", "m", "i + 2"))
         test = rng.choice(("<", "<="))
         step = rng.choice((1, 2, 3))
         c1, c2, c3 = (rng.randint(0, 5) for _ in range(3))
         kind = rng.choice(("long", "double"))
-        outer = rng.random() < 0.25 or end == "i + 2"
+        depth = rng.choice((1, 1, 2, 3))
+        if end == "i + 2":
+            depth = max(depth, 2)
+        row = "tid % 4" if depth == 1 else "i"
         loop = (f"for (j = {start}; j {test} {end}; j += {step}) {{"
+                f" acc = acc + C[{row}][j] * {c2};"
                 f" a[(j * {c1} + tid * {c2} + {c3}) % 64] ="
                 f" a[(j * {c1} + tid * {c2} + {c3}) % 64] + j + p;"
-                f" acc = acc + b[(j + tid) % 32] * {c1}; }}")
-        if outer:
+                f" acc = acc + b[(j + tid) % 32] * {c1};"
+                f" C[{row}][j] = C[{row}][j] + j;"
+                f" acc = acc + C[{row}][j]; }}")
+        if depth > 1:
             loop = f"for (long i = 0; i < 3; i++) {{ {loop} }}"
+        if depth > 2:
+            loop = f"for (long h = p; h <= 2; h++) {{ acc = acc + h; {loop} }}"
         launches = " ".join(
             f"__launch(k, {rng.randint(0, 12)}, da, db, dn, "
             f"{rng.randint(0, 10)}, {rng.randint(-3, 30)});"
@@ -1589,6 +1634,7 @@ class TestCountedLoops:
             {kind} A[64];
             long B[32];
             long N[16];
+            long C[4][64];
             __global__ void k(long tid, {kind} *a, long *b, long *n,
                               long p, long q) {{
                 long m = n[tid % 16];
@@ -1600,46 +1646,64 @@ class TestCountedLoops:
             int main(void) {{
                 for (int i = 0; i < 32; i++) B[i] = i * 3;
                 for (int i = 0; i < 16; i++) N[i] = i * 5 - 20;
+                for (int i = 0; i < 4; i++)
+                    for (int j = 0; j < 64; j++) C[i][j] = i * 64 + j;
                 {kind} *da = ({kind} *) map((char *) A);
                 long *db = (long *) map((char *) B);
                 long *dn = (long *) map((char *) N);
+                map((char *) C);
                 {launches}
                 unmap((char *) A);
                 unmap((char *) B);
+                unmap((char *) C);
                 release((char *) A);
                 release((char *) B);
                 release((char *) N);
+                release((char *) C);
                 long s = 0;
                 for (int i = 0; i < 64; i++) s = s * 31 + A[i];
                 for (int i = 0; i < 32; i++) s = s * 31 + B[i];
+                for (int i = 0; i < 4; i++)
+                    for (int j = 0; j < 64; j++) s = s * 31 + C[i][j];
                 print_i64(s);
                 return 0;
             }}
         """
 
     def test_random_counted_loops_match(self, monkeypatch):
-        """Seeded random counted loops, run as ``for`` or, where a
-        launch fails its proof, in the checked variant's dispatch
-        form, all match the tree-walker."""
+        """Seeded random counted loops and nests of them, run as
+        ``for`` with streams or, where a launch fails its proof, in
+        the checked variant's dispatch form, all match the
+        tree-walker."""
         rng = random.Random(5)
-        loops = checked = 0
+        loops = nested = streamed = checked = 0
         for _ in range(16):
             machine = TestLaunchProofs.run_both(self.counted_kernel(rng),
                                                 monkeypatch)
-            loops += sum(code.for_loops for code in
-                         TestLaunchProofs.kernel_codes(machine).values())
+            for code in TestLaunchProofs.kernel_codes(machine).values():
+                loops += code.for_loops
+                nested += len(re.findall(r"^ *_r\d+ = range\(",
+                                         code.source, re.M))
+                streamed += code.streamed_loads
             checked += machine.checked_launches
             monkeypatch.undo()
-        assert loops >= 8 and checked > 0
+        assert loops >= 8 and nested >= 4 and streamed >= 8 and checked > 0
 
-    #: Loops emitted as ``for``, and the variants whose launch tests
-    #: their frame, over the 86 grid variants the 24 workloads compile.
-    FOR_FLOOR = 56
+    #: Loops emitted as ``for``, those nested in another ``for``, the
+    #: loads they stream, and the variants whose launch tests their
+    #: frame, over the 86 grid variants the 24 workloads compile.
+    FOR_FLOOR = 66
+    NESTED_FLOOR = 10
+    STREAMED_FLOOR = 68
     FRAMED_FLOOR = 80
 
     def test_workloads_run_for_loops(self, workload_grids):
         codes = [code for _, _, codes in workload_grids for code in codes]
         assert sum(code.for_loops for code in codes) >= self.FOR_FLOOR
+        assert sum(len(re.findall(r"^ *_r\d+ = range\(", code.source, re.M))
+                   for code in codes) >= self.NESTED_FLOOR
+        assert sum(code.streamed_loads for code in codes) \
+            >= self.STREAMED_FLOOR
         assert sum(FRAME_TEST in code.source for code in codes) \
             >= self.FRAMED_FLOOR
 
@@ -1684,6 +1748,369 @@ class TestCountedLoops:
         assert set(codes) == {True, CHECKED}
         assert f"{FRAME_TEST}32 > " in codes[True].source
         assert f"if _sp > {limit}:" in codes[CHECKED].source
+
+
+class TestStreams:
+    """In a ``for`` body, a proven load that steps with the loop's slot
+    reads a slice that ``zip`` walks with the slot, unless a memory
+    store comes earlier in the trip; a load that holds still is read
+    once, ahead of a loop that stores no memory; and counted loops
+    nest as ``for``.  Globals indexed by slots directly make the slot
+    a GEP term.  Every run matches the tree-walker, launch by launch."""
+
+    #: An indexed (not sliced) read or write of a bound view.
+    INDEXED = re.compile(r"_ls\d+vd\[[^]:]+\]")
+
+    @staticmethod
+    def codes(program: str, monkeypatch):
+        """Run ``program`` on both engines; its kernels' grid variants
+        by name, and the source-engine machine."""
+        machine = TestLaunchProofs.run_both(program, monkeypatch)
+        assert machine.checked_launches == 0
+        return {code.function.name: code
+                for code in machine._compiled.values() if code.grid}, machine
+
+    @staticmethod
+    def heads(source: str):
+        return [line.strip() for line in source.splitlines()
+                if FOR_HEAD.match(line)]
+
+    def test_load_after_a_store_in_the_trip_stays_indexed(self, monkeypatch):
+        """``A[tid][j]`` is read, stored, then read again: the first
+        read streams, the second reads the stored value through the
+        view, as a slice's iterator read the element before the
+        store."""
+        codes, machine = self.codes(r"""
+            double A[8][8];
+            double S[8];
+            __global__ void bump(long tid, double *s) {
+                double acc = 0.0;
+                for (long j = 0; j < 8; j++) {
+                    A[tid][j] = A[tid][j] + 1.5;
+                    acc += A[tid][j];
+                }
+                s[tid] = acc;
+            }
+            int main(void) {
+                for (int i = 0; i < 8; i++)
+                    for (int j = 0; j < 8; j++) A[i][j] = i * 8 + j;
+                map((char *) A);
+                double *ds = (double *) map((char *) S);
+                __launch(bump, 8, ds);
+                unmap((char *) A);
+                unmap((char *) S);
+                release((char *) A);
+                release((char *) S);
+                print_f64(S[7]);
+                print_f64(A[7][7]);
+                return 0;
+            }
+        """, monkeypatch)
+        assert machine.stdout == ["488", "64.5"]
+        code = codes["bump"]
+        assert code.for_loops == 1 and code.streamed_loads == 1
+        (head,) = self.heads(code.source)
+        assert head.startswith("for s") and ", _x0 in zip(_r, " in head
+        _, body, _ = for_loop_parts(code.source)
+        store, read = body.strip().splitlines()
+        assert "_x0" in store and self.INDEXED.search(read)
+
+    def test_load_after_an_inner_store_stays_indexed(self, monkeypatch):
+        """The inner loop stores ``A[tid][j]``; the outer body then
+        reads ``A[tid][i]``, which that store may have written in this
+        outer trip, so it reads through the view.  The inner loop's
+        read, ahead of its store, streams."""
+        codes, machine = self.codes(r"""
+            double A[8][8];
+            double S[8];
+            __global__ void sweep(long tid, double *s) {
+                double acc = 0.0;
+                for (long i = 0; i < 8; i++) {
+                    for (long j = 0; j < 8; j++) A[tid][j] = A[tid][j] + i;
+                    acc += A[tid][i];
+                }
+                s[tid] = acc;
+            }
+            int main(void) {
+                for (int i = 0; i < 8; i++)
+                    for (int j = 0; j < 8; j++) A[i][j] = i - j;
+                map((char *) A);
+                double *ds = (double *) map((char *) S);
+                __launch(sweep, 8, ds);
+                unmap((char *) S);
+                release((char *) S);
+                release((char *) A);
+                print_f64(S[3]);
+                return 0;
+            }
+        """, monkeypatch)
+        assert machine.stdout == ["80"]
+        code = codes["sweep"]
+        assert code.for_loops == 2 and code.streamed_loads == 1
+        outer, inner = self.heads(code.source)
+        assert re.fullmatch(r"for s\d+ in _r:", outer)
+        assert "zip(_r1, " in inner
+        _, body, _ = for_loop_parts(code.source, 0)
+        assert self.INDEXED.search(body.strip().splitlines()[-1])
+
+    def test_zero_trip_slices_are_never_read(self, monkeypatch):
+        """The second launch runs no trip, and its slice stops at a
+        negative index (``hi`` is -40): ``_r`` comes first in the
+        ``zip``, so nothing reads the slice."""
+        codes, machine = self.codes(r"""
+            double A[8][8];
+            double S[8];
+            __global__ void span(long tid, double *s, long lo, long hi) {
+                double acc = 0.0;
+                for (long j = lo; j < hi; j++) acc += A[tid][j] * j;
+                s[tid] = s[tid] + acc;
+            }
+            int main(void) {
+                for (int i = 0; i < 8; i++)
+                    for (int j = 0; j < 8; j++) A[i][j] = i + j * 0.5;
+                map((char *) A);
+                double *ds = (double *) map((char *) S);
+                __launch(span, 8, ds, 1, 7);
+                __launch(span, 8, ds, 3, -40);
+                unmap((char *) S);
+                release((char *) S);
+                release((char *) A);
+                for (int t = 0; t < 8; t++) print_f64(S[t]);
+                return 0;
+            }
+        """, monkeypatch)
+        assert machine.kernel_launch_count == 2
+        code = codes["span"]
+        assert code.streamed_loads == 1
+        (head,) = self.heads(code.source)
+        assert re.search(r"zip\(_r, _ls\d+vd\[s\d+ \+ _i\d+:_r\.stop \+ "
+                         r"_i\d+\]\)", head)
+
+    def test_strides_shifts_and_a_backward_index(self, monkeypatch):
+        """``j <= 10`` in steps of 3: a row read streams with stride 3
+        and a column read with stride 36; ``j + 1`` and ``j - 1``,
+        proven not to wrap, stream shifted slices; ``11 - j`` steps
+        backwards and keeps its index."""
+        codes, machine = self.codes(r"""
+            double A[12][12];
+            double S[12];
+            __global__ void walk(long tid, double *s) {
+                double acc = 0.0;
+                for (long j = 1; j <= 10; j += 3)
+                    acc += A[tid][j] + A[j][tid] * 2.0
+                        + A[tid][11 - j] * 0.5 + A[tid][j + 1] * 0.25
+                        + A[tid][j - 1];
+                s[tid] = acc;
+            }
+            int main(void) {
+                for (int i = 0; i < 12; i++)
+                    for (int j = 0; j < 12; j++) A[i][j] = i * 12 - j * j;
+                map((char *) A);
+                double *ds = (double *) map((char *) S);
+                __launch(walk, 12, ds);
+                unmap((char *) S);
+                release((char *) S);
+                release((char *) A);
+                for (int t = 0; t < 12; t += 5) print_f64(S[t]);
+                return 0;
+            }
+        """, monkeypatch)
+        code = codes["walk"]
+        assert code.streamed_loads == 4
+        (head,) = self.heads(code.source)
+        assert head.count(":11 + _i") == 1 and head.count(":3]") == 3
+        assert re.search(r"\[s\d+ \* 12 \+ _i\d+:132 \+ _i\d+:36\]", head)
+        assert re.search(r"\[s\d+ \+ 1 \+ _i\d+:12 \+ _i\d+:3\]", head)
+        assert re.search(r"\[s\d+ - 1 \+ _i\d+:10 \+ _i\d+:3\]", head)
+        _, body, _ = for_loop_parts(code.source)
+        assert len(self.INDEXED.findall(body)) == 1
+
+    HOISTED = r"""
+        double A[8][8];
+        double W[4];
+        double S[8];
+        __global__ void scale(long tid, double *s, long n) {
+            double acc = 0.0;
+            for (long j = 0; j < n; j++) acc += A[tid][j] * W[2];
+            s[tid] = s[tid] + acc;
+        }
+        __global__ void store(long tid, double *s, long n) {
+            for (long j = 0; j < n; j++) A[tid][j] = A[tid][j] * W[2];
+        }
+        int main(void) {
+            for (int i = 0; i < 8; i++)
+                for (int j = 0; j < 8; j++) A[i][j] = i * 8 + j;
+            W[2] = 0.5;
+            map((char *) A);
+            map((char *) W);
+            double *ds = (double *) map((char *) S);
+            __launch(scale, 8, ds, 8);
+            __launch(scale, 8, ds, 0);
+            __launch(store, 8, ds, 8);
+            __launch(scale, 8, ds, 5);
+            unmap((char *) S);
+            release((char *) S);
+            release((char *) W);
+            release((char *) A);
+            for (int t = 0; t < 8; t += 7) print_f64(S[t]);
+            return 0;
+        }
+    """
+
+    def test_invariant_load_is_read_once_ahead_of_the_loop(self,
+                                                          monkeypatch):
+        """``W[2]`` is read once per entry to ``scale``'s loop, under
+        the trip test, so an entry that runs no trip reads nothing;
+        ``store``'s body stores memory, so it reads ``W[2]`` on every
+        trip."""
+        codes, machine = self.codes(self.HOISTED, monkeypatch)
+        assert machine.stdout == ["16.5", "310.5"]
+        ahead, body, _ = for_loop_parts(codes["scale"].source)
+        assert re.search(r"^ *_h0 = _ls\d+vd\[2 \+ _lj\d+\] if _r else 0$",
+                         ahead, re.M)
+        assert body.strip() == "s3 = (s3 + (_x0 * _h0))"
+        ahead, body, _ = for_loop_parts(codes["store"].source)
+        assert "_h" not in ahead and "_h" not in body
+        assert re.search(r"= \(_x0 \* \(_ls\d+vd\[_i\d+\]\)\)$", body)
+        assert codes["scale"].streamed_loads \
+            == codes["store"].streamed_loads == 1
+
+    def test_three_deep_nest_runs_as_for(self, monkeypatch):
+        """A triangular ``j`` loop inside ``i``, and a strided ``m``
+        loop starting at ``j`` inside it: three nested ``for`` loops,
+        each depth with its own range and trip count, and no dispatch
+        left in the kernel."""
+        codes, machine = self.codes(r"""
+            double A[4][6][8];
+            double S[4];
+            __global__ void cube(long tid, double *s) {
+                double acc = 0.0;
+                for (long i = 0; i < 6; i++)
+                    for (long j = 0; j <= i; j++)
+                        for (long m = j; m < 8; m += 2)
+                            acc += A[tid][i][m] * (j + 1);
+                s[tid] = acc;
+            }
+            int main(void) {
+                for (int t = 0; t < 4; t++)
+                    for (int i = 0; i < 6; i++)
+                        for (int m = 0; m < 8; m++)
+                            A[t][i][m] = t + i * 0.5 - m * 0.25;
+                map((char *) A);
+                double *ds = (double *) map((char *) S);
+                __launch(cube, 4, ds);
+                unmap((char *) S);
+                release((char *) S);
+                release((char *) A);
+                for (int t = 0; t < 4; t++) print_f64(S[t]);
+                return 0;
+            }
+        """, monkeypatch)
+        code = codes["cube"]
+        assert code.for_loops == 3 and code.streamed_loads == 1
+        assert [head.split(" in ")[1][:8] for head in self.heads(code.source)] \
+            == ["_r:", "_r1:", "zip(_r2,"]
+        for trips in ("* _t + ", "* _t1 + ", "* _t2 + "):
+            assert code.source.count(trips) == 2
+        assert "_b = " not in code.source
+
+    def test_checked_site_grows_a_segment_after_a_nest(self, monkeypatch):
+        """A nest streams the device heap through a slice of a view
+        bound ahead of it; past the nest a checked load lands beyond
+        the heap's allocated bytes, which grows the segment, as it may
+        once the slices and views are gone."""
+        codes, machine = self.codes(r"""
+            __global__ void grow(long tid, double *x, double *s, long far) {
+                double acc = 0.0;
+                for (long i = 0; i < 2; i++)
+                    for (long j = 0; j < 8; j++) acc += x[j] * i;
+                double *p = x;
+                for (long k = 0; k < 2; k++) p = p + far;
+                s[tid] = acc + *p;
+            }
+            int main(void) {
+                double *h = (double *) malloc(8 * 8);
+                double *o = (double *) malloc(4 * 8);
+                for (int i = 0; i < 8; i++) h[i] = i;
+                double *dh = (double *) map((char *) h);
+                double *dout = (double *) map((char *) o);
+                __launch(grow, 4, dh, dout, 65536);
+                unmap((char *) o);
+                print_f64(o[3]);
+                return 0;
+            }
+        """, monkeypatch)
+        assert machine.stdout == ["28"]
+        code = codes["grow"]
+        assert code.for_loops == 3 and code.streamed_loads == 1
+        assert len(machine.device.memory.segment("device-heap").data) \
+            > 1 << 20
+
+    def test_constant_math_call_folds_and_its_loop_runs_as_for(self):
+        """correlation's normalizing kernel calls ``sqrt(24.0)`` on
+        every trip: the call folds to its value, cannot fault, and the
+        loop runs as a ``for`` streaming its three loads."""
+        from repro.workloads import get_workload
+        report = CgcmCompiler(CgcmConfig()).compile_source(
+            get_workload("correlation").source, "correlation")
+        machine = Machine(report.module, engine="source")
+        kernel = next(k for k in report.doall_kernels
+                      if any(isinstance(inst, Call)
+                             and inst.callee.name == "sqrt"
+                             and all(isinstance(arg, Constant)
+                                     for arg in inst.args)
+                             for inst in k.instructions()))
+        code = compile_function_source(machine, kernel, "gpu", False,
+                                       grid=True)
+        assert code.for_loops == 1 and code.streamed_loads == 3
+        (head,) = self.heads(code.source)
+        assert re.match(r"for s\d+, _x0, _x1, _x2 in zip\(_r, ", head)
+        assert repr(24.0 ** 0.5) in code.source
+        assert not re.search(r"_p\d+\(", code.source)
+
+    #: ``log(0.0)`` raises a domain error: the call stays, and the
+    #: first thread faults in the loop's first trip.
+    DOMAIN = r"""
+        double O[8];
+        __global__ void bad(long tid, double *o) {
+            double acc = 0.0;
+            for (long j = 0; j < 4; j++) acc += log(0.0) * j;
+            o[tid] = acc;
+        }
+        int main(void) { return 0; }
+    """
+
+    def test_constant_math_call_that_raises_faults_when_it_runs(self):
+        after = {}
+        for engine in ("tree", "source"):
+            machine = Machine(compile_minic(self.DOMAIN), engine=engine)
+            runtime = CgcmRuntime(machine)
+            runtime.declare_all_globals()
+            out = runtime.map_ptr(machine.global_address("O"))
+            with pytest.raises(InterpError, match="math domain error") \
+                    as fault:
+                machine.launch_evaluated(
+                    machine.module.get_function("bad"), 4, [out])
+            after[engine] = (str(fault.value), machine.clock.totals(),
+                             machine._frame_counter, machine._gpu_sp)
+        assert after["source"] == after["tree"]
+        (code,) = TestLaunchProofs.kernel_codes(machine).values()
+        assert code.for_loops == 0 and re.search(r"_p\d+\(0\.0\)",
+                                                 code.source)
+
+    def test_constant_math_call_in_host_code(self):
+        tree, source = machine_pair(r"""
+            int main(void) {
+                double s = 0.0;
+                for (int i = 0; i < 5; i++) s += sqrt(2.25) * i + pow(2.0, 3.0);
+                print_f64(s);
+                return 0;
+            }""")
+        same_run(tree, source)
+        assert source.stdout == ["55"]
+        text = main_source(source)
+        assert "1.5" in text and "8.0" in text
+        assert not re.search(r"_p\d+\(", text)
 
 
 class TestStackOverflow:

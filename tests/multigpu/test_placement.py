@@ -80,3 +80,29 @@ class TestPlacementLint:
                      if f.pass_name == "placement"]
         assert placement
         assert report.clean  # NOTE/WARNING only: lint stays clean
+
+
+class TestPlanReuse:
+    def test_one_plan_per_artifact(self, monkeypatch):
+        """Two runs of one ring-of-4 artifact build the unit graph once,
+        on the first run, and agree on observables, clocks and
+        counters."""
+        import repro.multigpu.placement as placement
+        built = []
+        build = placement.build_unit_graph
+        monkeypatch.setattr(placement, "build_unit_graph",
+                            lambda *args: built.append(args) or build(*args))
+        compiler = CgcmCompiler(CgcmConfig(opt_level=OptLevel.OPTIMIZED,
+                                           streams=True,
+                                           topology=Topology.ring(4)))
+        report = compiler.compile_source(get_workload("2mm").source, "2mm")
+        assert not built
+        first, second = (compiler.execute(report) for _ in range(2))
+        assert len(built) == 1
+        assert first.observable() == second.observable()
+        assert first.counters == second.counters
+        assert (first.cpu_seconds, first.gpu_seconds, first.comm_seconds,
+                first.critical_path_seconds) \
+            == (second.cpu_seconds, second.gpu_seconds,
+                second.comm_seconds, second.critical_path_seconds)
+        assert first.instructions == second.instructions
