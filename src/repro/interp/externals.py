@@ -38,6 +38,10 @@ GPU_SAFE = frozenset({
     "ceil", "fmax", "fmin", "abs_i64", "exp2", "atan",
 })
 
+#: The ``GPU_SAFE`` externals whose built-in handlers return on every
+#: argument of their IR type: no domain error, no overflow.
+TOTAL = frozenset({"fabs", "fmax", "fmin", "atan", "abs_i64"})
+
 
 def external_signatures() -> Dict[str, FunctionType]:
     """IR signatures of every built-in external."""
@@ -73,13 +77,23 @@ class ExitProgram(Exception):
         self.code = code
 
 
-def _math1(fn: Callable[[float], float]) -> Handler:
+def _pure(call: Callable[..., object]) -> Handler:
+    """The handler of a pure-math external that ``call`` computes from
+    its arguments alone; compiled code calls ``handler.positional``
+    directly."""
     def handler(machine, args):
+        return call(*args)
+    handler.positional = call
+    return handler
+
+
+def _math1(fn: Callable[[float], float]) -> Handler:
+    def call(x):
         try:
-            return float(fn(float(args[0])))
+            return float(fn(float(x)))
         except ValueError as exc:
             raise InterpError(f"math domain error: {exc}") from exc
-    return handler
+    return _pure(call)
 
 
 def _malloc(machine, args):
@@ -167,39 +181,44 @@ def _exit(machine, args):
     raise ExitProgram(int(args[0]))
 
 
+#: The built-in handlers.  None keeps state of its own (a handler
+#: reads and writes only the machine it is given), so every machine's
+#: table starts as a copy of this one.
+_BUILTIN_HANDLERS: Dict[str, Handler] = {
+    "sqrt": _math1(math.sqrt),
+    "fabs": _math1(abs),
+    "exp": _math1(math.exp),
+    "log": _math1(math.log),
+    "sin": _math1(math.sin),
+    "cos": _math1(math.cos),
+    "tan": _math1(math.tan),
+    "floor": _math1(math.floor),
+    "ceil": _math1(math.ceil),
+    "exp2": _math1(lambda x: 2.0 ** x),
+    "atan": _math1(math.atan),
+    "pow": _pure(lambda x, y: float(math.pow(x, y))),
+    "fmax": _pure(lambda x, y: float(max(x, y))),
+    "fmin": _pure(lambda x, y: float(min(x, y))),
+    "abs_i64": _pure(lambda x: abs(int(x))),
+    "malloc": _malloc,
+    "calloc": _calloc,
+    "realloc": _realloc,
+    "free": _free,
+    "memset": _memset,
+    "memcpy": _memcpy,
+    "print_i64": _print_i64,
+    "print_f64": _print_f64,
+    "print_str": _print_str,
+    "srand": _srand,
+    "rand_f64": _rand_f64,
+    "rand_i64": _rand_i64,
+    "exit": _exit,
+}
+
+
 def default_externals() -> Dict[str, Handler]:
     """Handler table for the built-in externals."""
-    handlers: Dict[str, Handler] = {
-        "sqrt": _math1(math.sqrt),
-        "fabs": _math1(abs),
-        "exp": _math1(math.exp),
-        "log": _math1(math.log),
-        "sin": _math1(math.sin),
-        "cos": _math1(math.cos),
-        "tan": _math1(math.tan),
-        "floor": _math1(math.floor),
-        "ceil": _math1(math.ceil),
-        "exp2": _math1(lambda x: 2.0 ** x),
-        "atan": _math1(math.atan),
-        "pow": lambda m, a: float(math.pow(a[0], a[1])),
-        "fmax": lambda m, a: float(max(a[0], a[1])),
-        "fmin": lambda m, a: float(min(a[0], a[1])),
-        "abs_i64": lambda m, a: abs(int(a[0])),
-        "malloc": _malloc,
-        "calloc": _calloc,
-        "realloc": _realloc,
-        "free": _free,
-        "memset": _memset,
-        "memcpy": _memcpy,
-        "print_i64": _print_i64,
-        "print_f64": _print_f64,
-        "print_str": _print_str,
-        "srand": _srand,
-        "rand_f64": _rand_f64,
-        "rand_i64": _rand_i64,
-        "exit": _exit,
-    }
-    return handlers
+    return dict(_BUILTIN_HANDLERS)
 
 
 def call_cost(name: str) -> int:

@@ -35,8 +35,10 @@ the machine.
 
 * **One charge per fault-free run.**  A segment charges where it
   starts, except a block's last segment when nothing in it can fault
-  (no memory access but a promoted slot's or a proven one's, no call,
-  launch, division by a variable, no alloca but in a launch-tested
+  (no memory access but a promoted slot's or a proven one's, no call
+  but to an external that returns on any argument -- ``fabs``,
+  ``fmax``, ``fmin``, ``atan``, ``abs_i64`` (``externals.TOTAL``) --
+  no launch, division by a variable, no alloca but in a launch-tested
   frame, ...): its charge is carried into the first segment of each
   fused successor, or emitted just before the jump, ``return``,
   ``break`` or ``raise`` that leaves the fused path.  A fault
@@ -83,13 +85,16 @@ the machine.
 * **Folds.**  A promoted-slot load whose uses all follow it in its
   block, before any store to the slot, reads the slot in place; a
   compare used only by the ``cbr`` after it becomes the ``if``
-  condition; a pure value (GEP, proven load, float add/sub/mul,
-  ``sitofp``, proven int op) used once, later in its block, with only
+  condition; a pure value (GEP, proven load, float add/sub/mul, float
+  div by a nonzero constant, ``sitofp``, proven int op) used once,
+  later in its block, with only
   pure values, slot reads and constant calls between, is emitted
   inside its user's expression, in the IR's order, nesting at most
   ``_FOLD_DEPTH`` folds so that a long chain never nears the parser's
   limit.  A pure-math call on constant arguments that returns at
-  codegen is emitted as the literal of its value.
+  codegen is emitted as the literal of its value; any other is one
+  positional call of the built-in handler's function
+  (``handler.positional``).
 
 * **Memory access compiles to typed-view indexing.**  One emitter
   serves every load and store: a prefix -- the write-back guard of a
@@ -124,6 +129,19 @@ the machine.
   then one index in element units, ``_ls1.vd[s0 * 32 + s3 + _lj1]``,
   which keeps every per-thread int small, and as it cannot fault the
   charge carries across it and a proven load folds into its user.
+  An index read from memory (a load, or a slot such a load fills) at
+  32 bits or wider is bounded by its type alone, which no segment
+  holds, so its access stays checked.  A *pointer table* -- a global
+  slot the kernel loads a pointer from, where cfd, srad and
+  blackscholes keep their heap arrays -- is read once, first in the
+  launch prologue, into ``_tbK``, an atom like a launch
+  argument, so accesses off it prove the same way and its loads are
+  dead once they feed only proven sites.  That is sound only while no
+  store of the launch reaches the slot, so a variant gets table atoms
+  only when every memory store it can run is proven (no unproven or
+  pointer-valued store, no launch, no callee it does not inline), and
+  the launch tests each proven store's byte range against each slot's
+  8 bytes (at codegen, when both ends are constants).
   Views are read through the segment on every access outside a
   ``for`` body: a checked site of the same launch may grow the
   segment, which rebuilds its views, but segments never move, so the
@@ -194,15 +212,28 @@ the machine.
   tallies back once.  Each thread still takes its frame id, but gets
   no ``Frame`` and fires no exit hooks: only the host-only
   ``declareAlloca`` reads frames or registers anything the hooks
-  retire.  A kernel that reaches a defined callee or a nested launch
-  uses the machine's op count and stack pointer instead, as those do.
+  retire.  In a proven grid variant whose own allocas are promoted
+  slots of its entry block, a call to a *leaf* callee -- one whose
+  allocas are promoted slots of its entry block, which touches no
+  other memory, launches nothing and calls only ``GPU_SAFE``
+  externals -- runs the callee's planned body in place of the thunk
+  call, with names of its own (``fK...``), inside a loop a ``return``
+  breaks out of after assigning the call's register: the callee's
+  segments charge ``_go``/``_ei`` where its own variant would charge
+  the machine's counters, each call takes a frame id (``_fr``), the
+  launch tests the call depth limit and the frame with the deepest
+  callee's slots, and no ``Frame`` or exit hook is made, as for the
+  thread.  A kernel reaches out only through a callee it cannot
+  inline or a nested launch: it then uses the machine's op count and
+  stack pointer instead, as those do.
 
 * **Cold functions stay in the tree-walker.**  ``engine="source"``
   is tiered: ``Machine.compiled_for`` declines to compile a (function,
   mode) until the instructions predicted for its entries reach
   ``machine.HOT_RATIO`` times its static size, so code that runs once
-  is never emitted.  A callee's thunk runs it through
-  ``Machine.activate``: its compiled body once hot, the tree-walker
+  is never emitted.  A callee's thunk (one a grid variant does not
+  inline) runs it through ``Machine.activate``: its compiled body once
+  hot, the tree-walker
   while cold, asking again on the next call; a cold launch runs the
   tree-walker's per-thread loop.  Because the engines are
   clock-for-clock identical, the tier is unobservable -- except that
@@ -226,7 +257,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..analysis.cfg import reverse_postorder
 from ..analysis.dominators import DominatorTree
-from ..errors import CgcmUnsupportedError, InterpError
+from ..errors import InterpError
 from ..ir.function import Function
 from ..ir.instructions import (Alloca, BinaryOp, Branch, Call, Cast, Compare,
                                CondBranch, GetElementPtr, Instruction,
@@ -238,10 +269,17 @@ from ..ir.values import (Argument, Constant, GlobalVariable, UndefValue,
                          Value)
 from ..memory.flatmem import (VIEW_ACCESS, round_f32, scalar_format,
                               scalar_struct)
-from .externals import GPU_SAFE, call_cost
-from .machine import (_DIV_EXTRA, _OP_COSTS, CHECKED, stack_fill,
-                      stack_segment, tier_of, _trunc_div_float,
-                      _trunc_div_int)
+from .externals import GPU_SAFE, TOTAL, call_cost
+from .launch_expr import (_LAST_TID, _ORDINARY, _atom, _extreme, _nonnegative,
+                          _ordinary, _plus, _quotient, _render, _solved,
+                          _times)
+from .machine import (_DIV_EXTRA, _OP_COSTS, CHECKED, MAX_CALL_DEPTH, Tier,
+                      stack_fill, stack_segment, tier_of)
+from .srcgen_runtime import (_BUILDERS, _GUARD_BUILDERS, _const,
+                             _make_call_thunk, _make_cover,
+                             _make_external_thunk, _make_pure_external,
+                             _make_slow_load, _make_slow_store,
+                             _on_device_stack)
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _INF = float("inf")
@@ -256,6 +294,9 @@ _INT_BINOPS = {"add": "+", "sub": "-", "mul": "*", "and": "&",
 #: with Python's floor).
 _PROVEN_BINOPS = {"add": "+", "sub": "-", "mul": "*", "div": "//",
                   "rem": "%"}
+#: Operators of a float op that cannot raise (div by a nonzero
+#: constant: Python's float division only raises on a zero divisor).
+_FLOAT_BINOPS = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 #: Deepest nesting of single-use values folded into one expression;
 #: a value past it keeps its register, so no chain of folds nears the
 #: parser's limit on nested parentheses.
@@ -276,139 +317,6 @@ def _int_params(type_) -> Tuple[int, int, int]:
         return 1, 1, 0
     mask = (1 << type_.bits) - 1
     return mask, type_.max_value, 1 << type_.bits
-
-
-# -- launch expressions -------------------------------------------------------
-#
-# A grid variant's bounds may end in a *launch expression*: an int, or
-# ``(constant, ((atom, coefficient), ...))``, a sum over atoms that are
-# Python expressions in ``grid`` and the launch arguments ``a1..aN``:
-# the names themselves, products of them, and the min, max and floor
-# quotients the algebra below cannot reduce.  Ints fold at codegen.
-# An atom is ``(text, low, high)``: its range over *ordinary launches*,
-# up to ``_ORDINARY`` threads with every argument within
-# ``[-_ORDINARY, _ORDINARY]``, for which an int's launch condition
-# must hold (see ``_SourceCompiler._fits``).
-
-_ORDINARY = 1 << 31
-#: ``grid - 1``, the last thread id.
-_LAST_TID = (-1, ((("grid", 1, _ORDINARY), 1),))
-
-
-def _linear(end) -> Tuple[int, Dict[tuple, int]]:
-    """``end`` as ``(constant, {atom: coefficient})``."""
-    if isinstance(end, int):
-        return end, {}
-    return end[0], dict(end[1])
-
-
-def _launch_expr(constant: int, terms: Dict[tuple, int]):
-    terms = tuple(sorted((atom, k) for atom, k in terms.items() if k))
-    return (constant, terms) if terms else constant
-
-
-def _atom(text: str, low: int, high: int):
-    return (0, (((text, low, high), 1),))
-
-
-def _ordinary(end) -> Tuple[int, int]:
-    """``end``'s range over ordinary launches."""
-    if isinstance(end, int):
-        return end, end
-    low = high = end[0]
-    for (_, a, b), k in end[1]:
-        low, high = low + min(k * a, k * b), high + max(k * a, k * b)
-    return low, high
-
-
-def _plus(x, y):
-    if isinstance(x, int) and isinstance(y, int):
-        return x + y
-    constant, terms = _linear(x)
-    more, others = _linear(y)
-    for atom, k in others.items():
-        terms[atom] = terms.get(atom, 0) + k
-    return _launch_expr(constant + more, terms)
-
-
-def _times(x, y):
-    if isinstance(x, int) and isinstance(y, int):
-        return x * y
-    c, terms = _linear(x)
-    d, others = _linear(y)
-    out = {atom: k * d for atom, k in terms.items()}
-    for atom, k in others.items():
-        out[atom] = out.get(atom, 0) + k * c
-    for a, k in terms.items():
-        for b, m in others.items():
-            corners = [p * q for p in a[1:] for q in b[1:]]
-            atom = (" * ".join(sorted((a[0], b[0]))), min(corners),
-                    max(corners))
-            out[atom] = out.get(atom, 0) + k * m
-    return _launch_expr(c * d, out)
-
-
-def _extreme(pick, ends):
-    """``pick`` (``min`` or ``max``) of launch expressions: the
-    constants of ends over the same atoms fold, the rest stay a call."""
-    best: Dict[tuple, int] = {}
-    for end in ends:
-        constant, terms = _linear(end)
-        key = tuple(sorted(terms.items()))
-        best[key] = constant if key not in best \
-            else pick(best[key], constant)
-    folded = sorted((_launch_expr(constant, dict(key))
-                     for key, constant in best.items()), key=_render)
-    if len(folded) == 1:
-        return folded[0]
-    ranges = [_ordinary(end) for end in folded]
-    return _atom(f"{pick.__name__}({', '.join(map(_render, folded))})",
-                 pick(low for low, _ in ranges),
-                 pick(high for _, high in ranges))
-
-
-def _quotient(x, k: int):
-    """``x // k`` for a positive constant ``k``."""
-    if isinstance(x, int):
-        return x // k
-    low, high = _ordinary(x)
-    return _atom(f"(({_render(x)}) // {k})", low // k, high // k)
-
-
-def _render(end) -> str:
-    """A launch expression as Python source."""
-    if isinstance(end, int):
-        return str(end)
-    constant, terms = end
-    text = ""
-    for (atom, _, _), k in terms:
-        part = atom if abs(k) == 1 else f"{atom} * {abs(k)}"
-        if text:
-            text += (" - " if k < 0 else " + ") + part
-        else:
-            text = ("-" if k < 0 else "") + part
-    if constant:
-        text += f" - {-constant}" if constant < 0 else f" + {constant}"
-    return text
-
-
-def _nonnegative(end) -> bool:
-    return isinstance(end, int) and end >= 0
-
-
-def _solved(end, op: str, limit: int) -> Tuple[str, str, int]:
-    """Condition ``end op limit`` (``op`` is ``<=`` or ``>=``) as
-    ``(lhs, op, bound)``: the constant moved to the bound and, when one
-    atom is left, its coefficient divided out, so that conditions on
-    one atom keep only the tightest bound."""
-    constant, terms = end
-    bound = limit - constant
-    if len(terms) != 1:
-        return _render((0, terms)), op, bound
-    (atom, _, _), k = terms[0]
-    if k < 0:
-        k, bound, op = -k, -bound, "<=" if op == ">=" else ">="
-    return atom, op, bound // k if op == "<=" else -(-bound // k)
 
 
 def check_definitions(fn: Function) -> None:
@@ -450,19 +358,12 @@ def check_definitions(fn: Function) -> None:
                         "dominate the use (undefined on some path)")
 
 
-def _make_slow_load(memory, codec, i1: bool):
-    """Codec fallback for one load shape; returns (value, segment)."""
-    size = codec.size
-    unpack_from = codec.unpack_from
-    if i1:
-        def slow_load(address):
-            segment, offset = memory.scalar_span(address, size)
-            return unpack_from(segment.data, offset)[0] & 1, segment
-    else:
-        def slow_load(address):
-            segment, offset = memory.scalar_span(address, size)
-            return unpack_from(segment.data, offset)[0], segment
-    return slow_load
+def _frame_end(frame: int, allocas) -> int:
+    """Where a run of promoted slots, each 8-aligned, ends when the
+    first starts at ``frame`` bytes or past it."""
+    for alloca in allocas:
+        frame = ((frame + 7) & -8) + alloca.allocated_type.size
+    return frame
 
 
 #: Emission + ``compile()`` are the dominant fixed costs for short
@@ -482,38 +383,6 @@ def _make_slow_load(memory, codec, i1: bool):
 _CODE_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def _const(value):
-    """Builder for a machine-independent baked object."""
-    def build(machine, memory):
-        return value
-    return build
-
-
-#: The recipes of the names every variant may read (see
-#: ``_SourceCompiler.builders``), made once.
-_BUILDERS = {
-    "M": lambda m, mem: m,
-    "_call": lambda m, mem: m.call,
-    "_launch": lambda m, mem: m.launch_evaluated,
-    "_IE": _const(InterpError),
-    "_CUE": _const(CgcmUnsupportedError),
-    "_tdi": _const(_trunc_div_int),
-    "_tdf": _const(_trunc_div_float),
-    "_rf32": _const(round_f32),
-    "_INF": _const(_INF),
-    "_NINF": _const(_NINF),
-    "_NAN": _const(float("nan")),
-}
-_GUARD_BUILDERS = {
-    "_pw": lambda m, mem: m.writeback_guard[0],
-    "_wg": lambda m, mem: m.writeback_guard[1],
-}
-
-
-def _on_device_stack(machine, memory):
-    return machine.device.memory.segment("device-stack").contains
-
-
 def _pure_call(inst) -> bool:
     """Call sites that cannot flush pending ops onto the clock: calls
     to the externals kernels may call (``GPU_SAFE``), whose handlers
@@ -524,118 +393,6 @@ def _pure_call(inst) -> bool:
     the argument list."""
     return (isinstance(inst, Call) and inst.callee.is_declaration
             and inst.callee.name in GPU_SAFE)
-
-
-def _make_pure_external(machine, name: str):
-    """Direct positional dispatch for one pure-math external.
-
-    The handler is resolved once at instantiation (the built-in
-    table is populated at machine creation, and nothing re-registers
-    pure externals afterwards -- the runtime only wraps the
-    memory-touching ones); the modelled cost is charged by the
-    caller's fused segment, so the wrapper is just the handler call.
-    """
-    handler = machine.externals.get(name)
-    if handler is None:
-        def missing(*args):
-            raise InterpError(f"call to undefined external @{name}")
-        return missing
-
-    def call(*args):
-        return handler(machine, args)
-    return call
-
-
-def _make_external_thunk(machine, name: str, gpu: bool):
-    """A direct-dispatch thunk for one external callee that is not
-    :func:`_pure_call`.
-
-    Mirrors ``Machine.call`` -> ``Machine._call_external`` exactly --
-    externals run in the caller's frame, consume no call depth, and
-    charge their modelled cost before the handler runs -- but resolves
-    the mode branch and the kernel-safety check at codegen time: every
-    external a kernel may call is pure, so in a kernel the thunk only
-    raises.  The handler itself is looked up per call: the runtime
-    registers its entry points into ``machine.externals`` after
-    machine creation.
-    """
-    if gpu:
-        def thunk(*args):
-            raise InterpError(f"kernel called host-only external @{name}")
-        return thunk
-    externals = machine.externals
-    cost = call_cost(name)
-
-    def thunk(*args):
-        handler = externals.get(name)
-        if handler is None:
-            raise InterpError(f"call to undefined external @{name}")
-        machine._pending_cpu_ops += cost
-        return handler(machine, args)
-    return thunk
-
-
-def _make_call_thunk(machine, callee):
-    """A direct-dispatch thunk for one *defined* callee.
-
-    :meth:`Machine.call` with the variant lookup cached: the callee's
-    compiled body is re-resolved only when the armed hook set changes,
-    preserving the hook-set-identity cache contract (a variant
-    compiled for one mode only ever runs in that mode:
-    :meth:`Machine.compiled_for` selects variants by the live mode,
-    and ``launch_evaluated`` restores it on every exit path).  While
-    the callee is cold every call asks again, and a call that finds it
-    still cold tree-walks it.  Either way :meth:`Machine.activate`
-    runs it, with the depth check and the frame bookkeeping.
-    """
-    activate = machine.activate
-    state = [None, None]  # [hook-set snapshot, compiled body]
-
-    def thunk(*args):
-        hooks = machine.mem_hooks
-        if state[0] != hooks:
-            code = machine.compiled_for(callee)
-            if code is None:
-                return activate(callee, args)
-            state[0], state[1] = list(hooks), code
-        return activate(callee, args, state[1])
-    return thunk
-
-
-def _make_cover(memory):
-    """Launch-time segment lookup for a grid variant's bounds proofs:
-    ``cover(lo, hi, base, mask)`` is the segment whose allocated bytes
-    hold ``[lo, hi)``, provided ``base - segment.base`` has no bit of
-    ``mask`` set, else None.  Only segments whose capacity is a
-    multiple of 8 qualify: their growth keeps the typed views armed,
-    so the segment a launch proved stays indexable for all of it."""
-    segments = [segment for segment in memory.segments
-                if not segment.capacity & 7]
-
-    def cover(lo, hi, base, mask):
-        for segment in segments:
-            if segment.base <= lo and hi <= segment.base + segment.hi1 + 1:
-                return None if (base - segment.base) & mask else segment
-        return None
-    return cover
-
-
-def _make_slow_store(memory, codec):
-    """Codec fallback for one store shape (value pre-wrapped);
-    returns the located segment."""
-    size = codec.size
-    pack_into = codec.pack_into
-    if codec.format == "<f":
-        def slow_store(address, value):
-            segment, offset = memory.scalar_span(address, size)
-            pack_into(segment.data, offset, round_f32(value))
-            return segment
-    else:
-        def slow_store(address, value):
-            segment, offset = memory.scalar_span(address, size)
-            pack_into(segment.data, offset, value)
-            return segment
-    return slow_store
 
 
 class _Open:
@@ -692,13 +449,14 @@ class _SourceCompiler:
         self.memory = machine.device.memory if mode == "gpu" \
             else machine.cpu_memory
         #: A grid variant whose threads can reach code that uses the
-        #: machine's counters -- a defined callee or a nested launch,
-        #: which also resets the op count -- charges ``M._gpu_ops``
-        #: directly, takes each thread's ops as the difference and
-        #: allocates from ``M._gpu_sp``.  Any other grid variant keeps
-        #: the charges (``_go`` per thread, ``_ei`` per launch) and the
-        #: stack pointer (``_sp``) in locals, since nothing else reads
-        #: them until the grid ends.
+        #: machine's counters -- a defined callee it does not inline
+        #: (``_plan_calls``) or a nested launch, which also resets the
+        #: op count -- charges ``M._gpu_ops`` directly, takes each
+        #: thread's ops as the difference and allocates from
+        #: ``M._gpu_sp``.  Any other grid variant keeps the charges
+        #: (``_go`` per thread, ``_ei`` per launch) and the stack
+        #: pointer (``_sp``) in locals, since nothing else reads them
+        #: until the grid ends.
         self.reaches_out = grid and any(
             isinstance(inst, LaunchKernel)
             or (isinstance(inst, Call) and not inst.callee.is_declaration)
@@ -711,6 +469,18 @@ class _SourceCompiler:
         else:
             self.charge, self.sp = "M._gpu_ops", "M._gpu_sp"
         self.counter = "_ei" if grid else "M.executed_instructions"
+        #: The prefix of the argument, register and slot names, and the
+        #: dispatch local: ``fK`` and ``fKb`` in the K-th callee that a
+        #: grid variant inlines, whose body then assigns ``result`` (the
+        #: call's register) and breaks where it would return (see
+        #: ``_plan_calls``).
+        self.prefix = ""
+        self.dispatch = "_b"
+        self.inline = False
+        self.result: Optional[str] = None
+        #: The arguments whose call operand reads back unchanged from
+        #: a store of their type (see ``_stores_as_is``).
+        self._exact_args: set = set()
         self.names: Dict[Value, str] = {}
         self.lines: List[str] = []
         self.indent = 1
@@ -748,6 +518,14 @@ class _SourceCompiler:
         self._proofs: Dict[Instruction, tuple] = {}
         self._bases: Dict[object, list] = {}
         self._offsets: Dict[tuple, str] = {}
+        #: With ``proofs``: the global pointer slots read once per
+        #: launch (slot -> ``_tbK``, see ``_plan_sites``), the byte
+        #: ranges of the proven stores, which the launch tests against
+        #: those slots, and the calls whose callee is emitted in place
+        #: (call -> the callee's compiler, see ``_plan_calls``).
+        self._tables: Dict[GlobalVariable, str] = {}
+        self._store_ranges: List[tuple] = []
+        self._callees: Dict[Call, "_SourceCompiler"] = {}
         #: Values nothing reads, left out of the emitted code.
         self._dead: set = set()
         #: Values emitted into their use instead of a register.
@@ -883,15 +661,17 @@ class _SourceCompiler:
                 if not fits:
                     escaped.add(operand)
         kept = [alloca for alloca in slots if alloca not in escaped]
-        return {alloca: f"s{k}" for k, alloca in enumerate(kept)}
+        return {alloca: f"{self.prefix}s{k}" for k, alloca in enumerate(kept)}
 
     def _stores_as_is(self, value: Value, type_, depth: int = 3) -> bool:
         """Whether ``value`` as emitted already reads back unchanged
         from a ``type_`` store, so a store needs no wrap or rounding.
         Int results and constants are wrapped to their type where they
         are defined; float results are Python floats only by
-        construction (an undef or bitcast operand can be an int)."""
-        if isinstance(value, (Load, Alloca, GlobalVariable)):
+        construction (an undef or bitcast operand can be an int).  An
+        inlined callee's argument is as its call's operand is."""
+        if isinstance(value, (Load, Alloca, GlobalVariable)) \
+                or value in self._exact_args:
             return True
         if isinstance(type_, FloatType):
             if isinstance(value, Cast):
@@ -1166,33 +946,39 @@ class _SourceCompiler:
 
     def _pure(self, inst: Instruction) -> bool:
         """Whether ``inst`` is one expression that cannot raise: a GEP,
-        a proven load, a float add, sub or mul, ``sitofp``, or an int
-        op or cast whose result is proven inside its type (no wrap to
-        emit)."""
+        a proven load, a float add, sub or mul, or div by a nonzero
+        constant, ``sitofp``, or an int op or cast whose result is
+        proven inside its type (no wrap to emit)."""
         if isinstance(inst, GetElementPtr):
             return True
         if isinstance(inst, Load):
             return inst in self._proofs
         if isinstance(inst, BinaryOp) and isinstance(inst.type, FloatType):
-            return inst.op in ("add", "sub", "mul")
+            return inst.op in ("add", "sub", "mul") or inst.op == "div" \
+                and isinstance(inst.rhs, Constant) and inst.rhs.value != 0
         if isinstance(inst, Cast) and inst.kind == "sitofp":
             return True
         return isinstance(inst, (BinaryOp, Cast)) \
             and self._needs_no_wrap(inst)
 
     def _expression(self, inst: Instruction) -> str:
-        """The Python expression of a :meth:`_pure` instruction."""
+        """The Python expression of a :meth:`_pure` instruction; a
+        pointer table's load reads its launch atom ``_tbK``."""
         if isinstance(inst, GetElementPtr):
             return self._gep(inst)
         if isinstance(inst, Load):
+            table = self._tables.get(inst.pointer)
+            if table is not None:
+                return table
             view = self._proven_view(inst)
             i1 = isinstance(inst.type, IntType) and inst.type.bits == 1
             return f"{view} & 1" if i1 else view
         if isinstance(inst, Cast):
             source = self._ref(inst.value)
             return f"float({source})" if inst.kind == "sitofp" else source
-        return f"{self._ref(inst.lhs)} {_PROVEN_BINOPS[inst.op]} " \
-            f"{self._ref(inst.rhs)}"
+        ops = _FLOAT_BINOPS if isinstance(inst.type, FloatType) \
+            else _PROVEN_BINOPS
+        return f"{self._ref(inst.lhs)} {ops[inst.op]} {self._ref(inst.rhs)}"
 
     def _emit_binop(self, inst: BinaryOp) -> None:
         """A float div or rem, or an int op not proven in range."""
@@ -1333,7 +1119,7 @@ class _SourceCompiler:
         blocks = self.fn.blocks
         insts: List[Instruction] = []
         for ivar, start, end, step, pred, header, latch, members \
-                in tier_of(self.fn).counted:
+                in self.tier.counted:
             insts = insts or list(self.fn.instructions())
             alloca = insts[ivar]
             if alloca not in self._slots:
@@ -1418,7 +1204,8 @@ class _SourceCompiler:
         With ``proofs`` (a kernel's grid variant) ends may be launch
         expressions: the thread id ``a0`` lies in ``[0, grid - 1]``,
         an int or pointer argument ``aJ`` in ``[aJ, aJ]``, a global at
-        its address, and a promoted slot's load in the slot's hull
+        its address, a load of a pointer table (``_plan_sites``) in
+        ``[_tbK, _tbK]``, and a promoted slot's load in the slot's hull
         (``_slot_interval``); a result whose fit rests on a launch
         expression records its launch conditions.  Nothing else is
         bounded: not ``i1``, other pointers or call results.
@@ -1437,7 +1224,10 @@ class _SourceCompiler:
         bounds = None
         if isinstance(value, Load):
             bounds = self._ranges.get(value)
-            if bounds is None and self.proofs and depth < 32 \
+            table = self._tables.get(value.pointer)
+            if table is not None:
+                bounds = (_atom(table, -_ORDINARY, _ORDINARY),) * 2
+            elif bounds is None and self.proofs and depth < 32 \
                     and value.pointer in self._slots:
                 bounds = self._slot_interval(value.pointer, depth + 1)
             bounds = bounds or whole
@@ -1560,7 +1350,8 @@ class _SourceCompiler:
     # -- launch-time bounds proofs ------------------------------------------
 
     def _plan_sites(self) -> None:
-        """Pick the accesses a launch proves in bounds (``_proofs``).
+        """Pick the accesses a launch proves in bounds (``_proofs``),
+        reading each pointer table once where that is sound.
 
         A load, or a store of anything but a pointer (which keeps its
         device-stack guard), qualifies when its pointer is a base -- a
@@ -1570,8 +1361,60 @@ class _SourceCompiler:
         joins its base's, which the launch checks once (see
         ``_proof_lines``); the access becomes one typed-view index in
         element units off the base's element offset ``_ljN``.
+
+        A *table load* reads a pointer from a global slot.  When the
+        variant does not reach out (``_plan_calls``) and stores no
+        pointer but to a promoted slot, every slot it loads a pointer
+        from is a *pointer table*: its value, read once in the launch
+        prologue into ``_tbK``, is a launch atom, so accesses off it
+        prove like accesses off an argument.  That holds only while no
+        store of the launch reaches the slot: every memory store must
+        then be proven, and the launch tests each one's range against
+        each slot's 8 bytes (a constant range at codegen).  A variant
+        where that fails proves its sites again without tables.
         """
-        for inst in self.fn.instructions():
+        insts = list(self.fn.instructions())
+        if not self.reaches_out and not any(
+                isinstance(inst, Store) and inst.value.type.is_pointer
+                and inst.pointer not in self._slots for inst in insts):
+            for inst in insts:
+                if isinstance(inst, Load) and inst.type.is_pointer \
+                        and isinstance(inst.pointer, GlobalVariable):
+                    self._tables.setdefault(inst.pointer,
+                                            f"_tb{len(self._tables)}")
+        fixed = list(self._fixed_conditions)
+        self._prove_sites(insts)
+        if self._tables and not self._tables_hold(insts):
+            self._tables = {}
+            self._fixed_conditions = fixed
+            for memo in (self._intervals, self._proven, self._hulls,
+                         self._conditions, self._proofs, self._bases,
+                         self._offsets):
+                memo.clear()
+            self._store_ranges = []
+            self._prove_sites(insts)
+        if self._bases:
+            self.builders["_cover"] = lambda m, mem: _make_cover(mem)
+
+    def _tables_hold(self, insts: List[Instruction]) -> bool:
+        """Whether every memory store and table load is proven, and
+        each constant store range misses every pointer table's slot."""
+        if any(isinstance(inst, Store) and inst.pointer not in self._slots
+               or isinstance(inst, Load) and inst.pointer in self._tables
+               for inst in insts if inst not in self._proofs):
+            return False
+        slots = self._table_slots()
+        return not any(isinstance(low, int) and isinstance(high, int)
+                       and low < slot + 8 and slot < high
+                       for low, high in self._store_ranges for slot in slots)
+
+    def _table_slots(self) -> List[int]:
+        return [self.machine.device.module_get_global(slot.name)
+                for slot in self._tables]
+
+    def _prove_sites(self, insts: List[Instruction]) -> None:
+        """``_plan_sites``'s proofs, with the tables it picked."""
+        for inst in insts:
             if isinstance(inst, Load):
                 type_ = inst.type
             elif isinstance(inst, Store) and not inst.value.type.is_pointer:
@@ -1601,8 +1444,9 @@ class _SourceCompiler:
                                    for index, scale in terms],
                                   offset // size, lj)
             self._fixed_conditions += conditions
-        if self._bases:
-            self.builders["_cover"] = lambda m, mem: _make_cover(mem)
+            if isinstance(inst, Store):
+                self._store_ranges.append((_plus(base, low),
+                                           _plus(base, _plus(high, size))))
 
     def _address(self, pointer: Value) -> Optional[tuple]:
         """``pointer`` as ``(base, terms, offset, low, high,
@@ -1612,7 +1456,9 @@ class _SourceCompiler:
         launch conditions of the bitcasts looked through (each masks
         its pointer to 64 bits, a no-op only where it fits).  None
         unless the base is bounded to one value and every index is
-        bounded."""
+        bounded, and none is read from memory (``_loaded``) at 32 bits
+        or wider: only its type bounds such a value, and no segment
+        holds the bytes of that range."""
         chain: List[Instruction] = []
         while isinstance(pointer, GetElementPtr) or isinstance(
                 pointer, Cast) and pointer.kind == "bitcast":
@@ -1639,7 +1485,8 @@ class _SourceCompiler:
             low, high = _plus(low, constant), _plus(high, constant)
             for index, scale in steps:
                 bounds = self._interval(index)
-                if bounds is None:
+                if bounds is None or index.type.bits >= 32 \
+                        and self._loaded(index):
                     return None
                 first, last = bounds if scale > 0 else bounds[::-1]
                 low = _plus(low, _times(first, scale))
@@ -1647,15 +1494,30 @@ class _SourceCompiler:
                 terms.append((index, scale))
         return base, terms, offset, low, high, conditions
 
+    def _loaded(self, value: Value, depth: int = 0) -> bool:
+        """Whether ``value`` is read from memory: a load of no promoted
+        slot, or of a slot that a store fills with such a value."""
+        if not isinstance(value, Load) or depth > 8:
+            return False
+        if value.pointer not in self._slots:
+            return True
+        return any(self._loaded(store.value, depth + 1)
+                   for store in self._slot_stores.get(value.pointer, ()))
+
     def _proof_lines(self) -> List[str]:
         """The launch prologue of a grid variant with proven sites,
-        launch conditions or a launch-tested frame: when ``grid > 0``,
-        test the conditions and that the frame ends within the device
-        stack, then bind each base's segment ``_lsK``, which must hold the
-        union of the base's site ranges and sit aligned to its
-        largest access, and the base's element offsets ``_ljN``.  Any
-        failure returns None before anything is charged or written,
-        and the launch runs the checked variant instead."""
+        launch conditions, a launch-tested frame or inlined callees:
+        when ``grid > 0``, test the conditions, that the frame ends
+        within the device stack and that a callee's activation would
+        not pass the call depth limit, then bind each base's segment
+        ``_lsK``, which must hold the union of the base's site ranges
+        and sit aligned to its largest access, and the base's element
+        offsets ``_ljN``.  Each pointer table's slot (a constant
+        address) is bound first and read into ``_tbK``, so the tests
+        -- among them that no proven store reaches a slot -- and the
+        other bases may use it.  Any failure returns None before
+        anything is charged or written, and the launch runs the
+        checked variant instead."""
         tightest: Dict[Tuple[str, str], int] = {}
         for end, op, limit in chain(self._fixed_conditions,
                                     *self._conditions.values()):
@@ -1669,27 +1531,44 @@ class _SourceCompiler:
             limit = stack_segment(self.memory).limit
             fails.append(f"(M._gpu_sp + 7 & -8) + {self._frame} > "
                          f"{self._literal(limit)}")
+        if self._callees:
+            fails.append(f"M._depth >= {MAX_CALL_DEPTH}")
+        slots = self._table_slots()
+        fails += [f"{_render(low)} < {slot + 8} and {_render(high)} > {slot}"
+                  for low, high in dict.fromkeys(self._store_ranges)
+                  if not (isinstance(low, int) and isinstance(high, int))
+                  for slot in slots]
         if not fails and not self._bases:
             return []
         lines = ["    if grid:"]
+
+        def bind(bases: list) -> None:
+            for base in bases:
+                segment, lows, highs, mask = self._bases[base]
+                lines.append(
+                    f"        {segment} = _cover("
+                    f"{_render(_plus(base, _extreme(min, lows)))}, "
+                    f"{_render(_plus(base, _extreme(max, highs)))}, "
+                    f"{_render(base)}, {mask})")
+            if bases:
+                missing = " or ".join(f"{self._bases[base][0]} is None"
+                                      for base in bases)
+                lines.append(f"        if {missing}:")
+                lines.append("            return None")
+            for (base, shift), lj in self._offsets.items():
+                if base in bases:
+                    lines.append(f"        {lj} = ({_render(base)} - "
+                                 f"{self._bases[base][0]}.base)"
+                                 + (f" >> {shift}" if shift else ""))
+
+        bind(slots)
+        for name, slot in zip(self._tables.values(), slots):
+            lines.append(f"        {name} = {self._bases[slot][0]}"
+                         f".vQ[{self._offsets[slot, 3]}]")
         if fails:
             lines.append(f"        if {' or '.join(fails)}:")
             lines.append("            return None")
-        for base, (segment, lows, highs, mask) in self._bases.items():
-            lines.append(
-                f"        {segment} = _cover("
-                f"{_render(_plus(base, _extreme(min, lows)))}, "
-                f"{_render(_plus(base, _extreme(max, highs)))}, "
-                f"{_render(base)}, {mask})")
-        if self._bases:
-            missing = " or ".join(f"{record[0]} is None"
-                                  for record in self._bases.values())
-            lines.append(f"        if {missing}:")
-            lines.append("            return None")
-        for (base, shift), lj in self._offsets.items():
-            lines.append(f"        {lj} = ({_render(base)} - "
-                         f"{self._bases[base][0]}.base)"
-                         + (f" >> {shift}" if shift else ""))
+        bind([base for base in self._bases if base not in slots])
         return lines
 
     def _emit_alloca(self, inst: Alloca) -> None:
@@ -1768,6 +1647,16 @@ class _SourceCompiler:
         if literal is not None:
             self.names[inst] = literal
             return
+        inline = self._callees.get(inst)
+        if inline is not None:
+            # The callee's body in place (see ``_plan_calls``): it takes
+            # a frame id and assigns the call's register as it breaks.
+            for formal, actual in zip(inline.fn.args, inst.args):
+                self._emit(f"{inline.names[formal]} = {self._ref(actual)}")
+            self._emit("_fr += 1")
+            pad = "    " * self.indent
+            self.lines.extend(pad + line for line in inline.lines)
+            return
         arg_list = ", ".join(self._ref(a) for a in inst.args)
         name = inst.callee.name
         gpu = self.mode == "gpu"
@@ -1820,7 +1709,7 @@ class _SourceCompiler:
             self._emit_block_body(target, index, carry)
         else:
             self._emit_charge(*carry)
-            self._emit(f"_b = {index[target]}")
+            self._emit(f"{self.dispatch} = {index[target]}")
             self._emit("continue")
 
     def _emit_terminator(self, inst: Instruction,
@@ -1848,7 +1737,7 @@ class _SourceCompiler:
                 self._emit_block_body(flat, index, carry)
             else:
                 self._emit_charge(*carry)
-                self._emit(f"_b = {index[true_b]} "
+                self._emit(f"{self.dispatch} = {index[true_b]} "
                            f"if {condition} "
                            f"else {index[false_b]}")
                 self._emit("continue")
@@ -1856,6 +1745,11 @@ class _SourceCompiler:
             self._emit_charge(*carry)
             if self.grid:
                 # Kernels return void: the thread ends, the grid goes on.
+                self._emit("break")
+            elif self.inline:
+                # The caller goes on after the callee's loop.
+                if inst.value is not None and self.result is not None:
+                    self._emit(f"{self.result} = {self._ref(inst.value)}")
                 self._emit("break")
             elif inst.value is None:
                 self._emit("return None")
@@ -1917,7 +1811,9 @@ class _SourceCompiler:
         a kernel's pointer store is never proven), an int div or rem by
         anything but a nonzero constant, a float rem, an alloca but in
         a launch-tested frame, and call (but a pure-math call on
-        constants that returned at codegen), launch and unreachable."""
+        constants that returned at codegen, or to an external that
+        returns on any argument, ``externals.TOTAL``), launch and
+        unreachable."""
         if isinstance(inst, (Load, Store)):
             return self.hooked or self.guarded \
                 or inst.pointer not in self._slots \
@@ -1929,8 +1825,10 @@ class _SourceCompiler:
                 isinstance(inst.rhs, Constant) and inst.rhs.value != 0)
         if isinstance(inst, Alloca):
             return self._frame is None
-        return isinstance(inst, (Call, LaunchKernel, Unreachable)) \
-            and inst not in self._constants
+        if isinstance(inst, Call):
+            return inst not in self._constants and not (
+                inst.callee.is_declaration and inst.callee.name in TOTAL)
+        return isinstance(inst, (LaunchKernel, Unreachable))
 
     @staticmethod
     def _cost(inst: Instruction) -> int:
@@ -2170,7 +2068,7 @@ class _SourceCompiler:
         """Blocks ordered innermost-loop-first for the elif chain, by
         the loop depths the tiering analysis found (all 0 when the CFG
         defeated it: dispatch order is a heuristic)."""
-        depths = tier_of(self.fn).depths
+        depths = self.tier.depths
         order = sorted(range(len(depths)), key=lambda i: -depths[i])
         blocks = self.fn.blocks
         return [blocks[i] for i in order]
@@ -2271,22 +2169,92 @@ class _SourceCompiler:
         """With ``proofs``, in a grid variant that keeps its stack
         pointer local: when every alloca is a promoted slot of the
         entry block, which nothing jumps back to, each thread's frame
-        takes the same bytes past the launch's stack pointer, so the
-        launch tests their end against the stack segment's limit once
+        takes the same bytes past the launch's stack pointer, and an
+        inlined callee's slots the same bytes past those, so the launch
+        tests the deepest end against the stack segment's limit once
         (``_frame``, see ``_proof_lines``) and the allocas keep only
-        their slots' zeros.  Every slot's alignment is 8."""
-        allocas = [inst for inst in self.fn.instructions()
-                   if isinstance(inst, Alloca)]
-        entry = self.fn.entry_block
-        if not self.proofs or self.reaches_out or not allocas \
-                or self._preds.get(entry, 0) \
-                or any(alloca not in self._slots or alloca.parent is not entry
-                       for alloca in allocas):
+        their slots' zeros."""
+        if not self.proofs or self.reaches_out:
             return
-        frame = 0
-        for alloca in allocas:
-            frame = ((frame + 7) & -8) + alloca.allocated_type.size
-        self._frame = frame
+        frame = self._slot_frame()
+        if frame is None:
+            return
+        deepest = max([frame] + [_frame_end(frame, callee._allocas())
+                                 for callee in self._callees.values()])
+        if deepest:
+            self._frame = deepest
+
+    def _allocas(self) -> List[Alloca]:
+        return [inst for inst in self.fn.instructions()
+                if isinstance(inst, Alloca)]
+
+    def _slot_frame(self) -> Optional[int]:
+        """The bytes a frame takes past an 8-aligned stack pointer when
+        every alloca is a promoted slot of an entry block that nothing
+        jumps back to (every slot's alignment is 8), else None."""
+        allocas = self._allocas()
+        entry = self.fn.entry_block
+        if self._preds.get(entry, 0) or any(
+                alloca not in self._slots or alloca.parent is not entry
+                for alloca in allocas):
+            return None
+        return _frame_end(0, allocas)
+
+    def _plan_calls(self) -> None:
+        """With ``proofs``: pick the calls whose callee's body the
+        variant emits in place of a thunk call (``_callees``, see
+        "Kernels run whole grids" in the module docstring), which then
+        no longer reaches out.  Every defined callee must be a *leaf*
+        (:meth:`_leaf`) taking as many arguments as its call passes,
+        the variant must launch nothing, and its allocas must be
+        promoted slots of an entry block nothing jumps back to, as
+        ``_plan_frame`` tests the frame with the deepest callee's slots
+        at launch.  Each call site's callee is planned and emitted once,
+        by a compiler of its own that shares this one's baked names and
+        charges its counters."""
+        insts = list(self.fn.instructions())
+        calls = [inst for inst in insts if isinstance(inst, Call)
+                 and not inst.callee.is_declaration]
+        if not calls or self._slot_frame() is None \
+                or any(isinstance(inst, LaunchKernel) for inst in insts):
+            return
+        callees = {}
+        for k, call in enumerate(calls):
+            if len(call.args) != len(call.callee.args):
+                return
+            callee = _SourceCompiler(self.machine, call.callee, self.mode,
+                                     False, False)
+            callee.prefix, callee.dispatch = f"f{k}", f"f{k}b"
+            callee.inline, callee.result = True, self.names.get(call)
+            callee._exact_args = {
+                formal for formal, actual in zip(call.callee.args, call.args)
+                if self._stores_as_is(actual, formal.type)}
+            callee.charge, callee.counter = "_go", self.counter
+            callee.builders = self.builders
+            callee._helpers, callee._objects = self._helpers, self._objects
+            try:
+                callee._plan()
+                if not callee._leaf():
+                    return
+                callee.indent = 0
+                callee._emit_body()
+            except InterpError:
+                return
+            callees[call] = callee
+        self._callees = callees
+        self.reaches_out = False
+        self.charge, self.sp = "_go", "_sp"
+
+    def _leaf(self) -> bool:
+        """Whether this function's body can run in place of a call
+        from a kernel's grid variant: its allocas are promoted slots of
+        an entry block nothing jumps back to (``_frame``), it accesses
+        no memory but those slots, launches nothing and calls only
+        ``GPU_SAFE`` externals."""
+        return self._frame is not None and not any(
+            isinstance(inst, (Load, Store)) and inst.pointer not in self._slots
+            or isinstance(inst, (Call, LaunchKernel)) and not _pure_call(inst)
+            for inst in self.fn.instructions())
 
     def _plan_dead(self) -> None:
         """Pick the values nothing reads (``_dead``): every value but a
@@ -2423,9 +2391,20 @@ class _SourceCompiler:
                 load for load, (count, _, foldable) in reads.items()
                 if foldable and count == uses.get(load, 0))
 
-    def compile(self):
+    def _plan(self) -> None:
+        """Name the values and make every plan that emission reads.  An
+        inlined callee's loop analysis is not kept: only a function
+        that is entered has a tier."""
         fn = self.fn
         check_definitions(fn)
+        self.tier = Tier(fn) if self.inline else tier_of(fn)
+        for i, arg in enumerate(fn.args):
+            self.names[arg] = f"{self.prefix}a{i}"
+        serial = 0
+        for inst in fn.instructions():
+            if inst.produces_value:
+                self.names[inst] = f"{self.prefix}r{serial}"
+                serial += 1
         self._preds = preds = self._edge_counts()
         self._plan_constants()
         if not self.hooked:
@@ -2438,43 +2417,49 @@ class _SourceCompiler:
             self._prove_ranges()
         self._inlined = self._plan_fusion(preds)
         if self.proofs:
+            self._plan_calls()
             self._plan_sites()
             self._plan_frame()
             self._plan_loops(preds)
+        elif self.inline:
+            self._frame = self._slot_frame()
         self._plan_dead()
         self._plan_folds()
-        for i, arg in enumerate(fn.args):
-            self.names[arg] = f"a{i}"
-        serial = 0
-        for inst in fn.instructions():
-            if inst.produces_value:
-                self.names[inst] = f"r{serial}"
-                serial += 1
+
+    def _emit_body(self) -> None:
+        """Emit the blocks into ``lines``: straight through when every
+        successor chain fused into an entry nothing jumps back to (plus
+        structured conditionals), else as a dispatch loop."""
+        fn = self.fn
         dispatch = [block for block in self._dispatch_order()
                     if block not in self._inlined]
         index = {block: i for i, block in enumerate(dispatch)}
-        # A grid variant's body sits in the thread loop (see
-        # ``_grid_lines``), where a return breaks to the next thread.
-        self.indent = 3 if self.grid else 1
-        if len(dispatch) == 1 and not preds.get(fn.entry_block, 0):
-            # Every successor chain fused into the entry and nothing
-            # jumps back to it: the function is straight-line (plus
-            # structured conditionals) -- no dispatch loop at all,
-            # except a one-pass loop for a grid thread to break out of.
-            if self.grid:
+        if len(dispatch) == 1 and not self._preds.get(fn.entry_block, 0):
+            # No dispatch loop at all, except a one-pass loop for a
+            # grid thread or an inlined callee to break out of.
+            if self.grid or self.inline:
                 self._emit("while True:")
                 self.indent += 1
             self._emit_block_body(fn.entry_block, index)
         else:
-            self._emit(f"_b = {index[fn.entry_block]}")
+            self._emit(f"{self.dispatch} = {index[fn.entry_block]}")
             self._emit("while True:")
             self.indent += 1
             for i, block in enumerate(dispatch):
-                self._emit(("if" if i == 0 else "elif") + f" _b == {i}:")
+                self._emit(("if" if i == 0 else "elif")
+                           + f" {self.dispatch} == {i}:")
                 self.indent += 1
                 self._emit_block_body(block, index)
                 self.indent -= 1
             self.indent -= 1
+
+    def compile(self):
+        fn = self.fn
+        self._plan()
+        # A grid variant's body sits in the thread loop (see
+        # ``_grid_lines``), where a return breaks to the next thread.
+        self.indent = 3 if self.grid else 1
+        self._emit_body()
         body = self.lines
         prologue: List[str] = []
         # A grid variant binds the thread id (``a0``) in its loop.
@@ -2510,7 +2495,8 @@ class _SourceCompiler:
                        and inst.pointer not in self._slots
                        for inst in fn.instructions())
         return source, code_obj, builders, \
-            (len(self._proofs), accesses, len(self._loops), self._streamed)
+            (len(self._proofs), accesses, len(self._loops), self._streamed,
+             len(self._callees))
 
     def _grid_lines(self, body: List[str], sites: str) -> List[str]:
         """Wrap one thread's emitted body in the launch's thread loop.
@@ -2520,8 +2506,9 @@ class _SourceCompiler:
         maximum, which the function returns for the GPU time model.
         A ``finally`` writes the op, instruction and frame-id tallies
         back once (after a fault too); each thread takes one frame
-        id, so ``a0 + 1`` once the loop stops at thread ``a0``.  The
-        access sites' segments are kept for the next launch.
+        id, so ``a0 + 1`` once the loop stops at thread ``a0``, plus
+        one per inlined call made (``_fr``).  The access sites'
+        segments are kept for the next launch.
         """
         framed = self._frame is None and any(
             isinstance(inst, Alloca) for inst in self.fn.instructions())
@@ -2533,8 +2520,9 @@ class _SourceCompiler:
 
         if framed:
             emit(1, "_sp0 = M._gpu_sp")
+        calls = " + _fr" if self._callees else ""
         if local:
-            emit(1, "_ei = _mx = _tot = 0")
+            emit(1, "_ei = _mx = _tot = " + ("_fr = 0" if calls else "0"))
             emit(1, "a0 = -1")
         else:
             emit(1, "_ei = _mx = 0")
@@ -2560,7 +2548,7 @@ class _SourceCompiler:
         emit(2, "M.executed_instructions += _ei")
         if local:
             emit(2, "M._gpu_ops += _tot")
-            emit(2, "M._frame_counter += a0 + 1")
+            emit(2, f"M._frame_counter += a0 + 1{calls}")
         elif framed:
             emit(2, "M._gpu_sp = _sp0")
         if sites:
@@ -2570,7 +2558,8 @@ class _SourceCompiler:
 
 
 def _instantiate(machine, fn: Function, key: tuple, entry) -> "object":
-    source, code_obj, builders, (proven, accesses, loops, streamed) = entry
+    source, code_obj, builders, \
+        (proven, accesses, loops, streamed, inlined) = entry
     mode, hooked, guarded, grid = key
     memory = machine.device.memory if mode == "gpu" \
         else machine.cpu_memory
@@ -2594,6 +2583,8 @@ def _instantiate(machine, fn: Function, key: tuple, entry) -> "object":
     #: of their bodies read from a ``zip``-walked slice.
     code.for_loops = loops
     code.streamed_loads = streamed
+    #: Calls whose leaf callee runs in place of a thunk call.
+    code.inlined_calls = inlined
     return code
 
 

@@ -28,6 +28,16 @@ class TestSignatures:
         for name in external_signatures():
             assert call_cost(name) > 0
 
+    def test_each_machine_gets_its_own_table(self):
+        """The built-in handlers are made once and shared, but each
+        machine's table is its own: a handler registered on one
+        machine is absent from the next."""
+        module = compile_minic("int main(void) { return 0; }")
+        first, second = Machine(module), Machine(module)
+        first.externals["map"] = lambda machine, args: 0
+        assert "map" not in second.externals
+        assert first.externals["sqrt"] is second.externals["sqrt"]
+
 
 class TestMathFunctions:
     def test_trigonometry(self):

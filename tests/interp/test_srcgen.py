@@ -6,7 +6,8 @@ keying regression (a sanitizer-armed run must never reuse an
 unhooked compiled body, and vice versa), the stack-slot promotion
 rules, the fusion plan's nesting cap, and the whole-grid kernel
 variant with its launch-time bounds proofs, its counted loops run as
-nested ``for`` loops and the loads they stream or hoist.
+nested ``for`` loops and the loads they stream or hoist, the pointer
+tables it reads once per launch and the leaf callees it runs in place.
 """
 
 import gc
@@ -21,7 +22,7 @@ from repro.api import Session
 from repro.core import CgcmCompiler, CgcmConfig, OptLevel
 from repro.errors import CgcmUnsupportedError, InterpError, MemoryFault
 from repro.frontend import compile_minic
-from repro.interp import Machine
+from repro.interp import Machine, srcgen
 from repro.interp.machine import CHECKED, hot_ratio
 from repro.interp.srcgen import (_NEST_DEPTH, _SourceCompiler,
                                  compile_function_source)
@@ -1327,9 +1328,9 @@ class TestLaunchProofs:
 
     #: Proven access sites over the grid variants the 24 workloads
     #: compile (of 370 sites in 86 variants).  The sites left checked
-    #: index through pointers loaded from global tables (cfd, srad,
-    #: blackscholes).
-    PROVEN_FLOOR = 312
+    #: are cfd's ``density[nb]``, ``momentum[nb]`` and ``energy[nb]``,
+    #: whose index ``nb`` is loaded from ``neighbours``.
+    PROVEN_FLOOR = 367
 
     def test_workloads_prove_their_sites(self, workload_grids):
         """Every launch of the 24 workloads passes its proof, and the
@@ -1692,10 +1693,10 @@ class TestCountedLoops:
     #: Loops emitted as ``for``, those nested in another ``for``, the
     #: loads they stream, and the variants whose launch tests their
     #: frame, over the 86 grid variants the 24 workloads compile.
-    FOR_FLOOR = 66
+    FOR_FLOOR = 71
     NESTED_FLOOR = 10
     STREAMED_FLOOR = 68
-    FRAMED_FLOOR = 80
+    FRAMED_FLOOR = 83
 
     def test_workloads_run_for_loops(self, workload_grids):
         codes = [code for _, _, codes in workload_grids for code in codes]
@@ -2111,6 +2112,618 @@ class TestStreams:
         text = main_source(source)
         assert "1.5" in text and "8.0" in text
         assert not re.search(r"_p\d+\(", text)
+
+
+def run_launch(program: str, engine: str, kernel: str, grid: int,
+               setup=None, runtime: bool = True):
+    """Launch ``kernel`` of ``program`` over ``grid`` threads, its one
+    operand the mapped ``double O[16]`` (0 without the runtime), after
+    ``setup(machine, runtime)``; the machine and what the launch raised
+    (or None)."""
+    machine = Machine(compile_minic(program), engine=engine)
+    cgcm, args = None, [0]
+    if runtime:
+        cgcm = CgcmRuntime(machine)
+        cgcm.declare_all_globals()
+        args = [cgcm.map_ptr(machine.global_address("O"))]
+    if setup is not None:
+        setup(machine, cgcm)
+    try:
+        machine.launch_evaluated(machine.module.get_function(kernel), grid,
+                                 args)
+    except Exception as error:  # noqa: BLE001 -- compared across engines
+        return machine, error
+    return machine, None
+
+
+def raised(error) -> tuple:
+    return type(error).__name__, str(error)
+
+
+class TestPointerTables:
+    """A kernel's proven grid variant reads each global pointer slot it
+    loads once per launch, as a launch atom ``_tbK``, when every memory
+    store it can run is proven, and the launch shows that none of them
+    reaches a slot.  Every run matches the tree-walker, launch by
+    launch."""
+
+    #: Two heap arrays behind global pointers, read and written in a
+    #: counted loop.
+    TABLES = r"""
+        double *xs;
+        double *ys;
+        __global__ void k(long tid) {
+            for (long j = 0; j < 4; j++)
+                ys[tid * 4 + j] = xs[tid * 4 + j] * 2.0 + ys[tid * 4 + j];
+        }
+        int main(void) {
+            xs = (double *) malloc(64 * 8);
+            ys = (double *) malloc(64 * 8);
+            for (int i = 0; i < 64; i++) { xs[i] = i * 0.5; ys[i] = 1.0; }
+            mapArray((char *) &xs);
+            mapArray((char *) &ys);
+            __launch(k, 16);
+            unmapArray((char *) &ys);
+            releaseArray((char *) &ys);
+            releaseArray((char *) &xs);
+            print_f64(ys[63]);
+            return 0;
+        }
+    """
+
+    @staticmethod
+    def thread_body(code) -> str:
+        """The emitted thread loop, after the launch prologue."""
+        return code.source.split("try:", 1)[1]
+
+    def test_tables_prove_every_site_and_the_loop_runs_as_for(
+            self, monkeypatch):
+        machine = TestLaunchProofs.run_both(self.TABLES, monkeypatch)
+        assert machine.stdout == ["64"] and machine.checked_launches == 0
+        (code,) = TestLaunchProofs.kernel_codes(machine).values()
+        assert code.proven_sites == code.access_sites == 6
+        assert code.for_loops == 1
+        assert re.search(r"^ *_tb0 = _ls\d+\.vQ\[_lj\d+\]$", code.source,
+                         re.M)
+        assert re.search(r"_cover\(_tb\d, _tb\d \+ grid \* 32, ",
+                         code.source)
+        # The slots are read in the prologue only.
+        assert ".vQ[" not in self.thread_body(code)
+
+    #: A ``long *`` to ``xs``'s device slot: thread ``hit`` moves the
+    #: table one element on, so later threads read through the new
+    #: pointer.  The first launch stores into ``spare`` instead.
+    SLOT_STORE = r"""
+        double *xs;
+        long spare[2];
+        __global__ void k(long tid, long *slot, long hit) {
+            xs[tid] = xs[tid] + tid;
+            if (tid == hit) slot[0] = slot[0] + 8;
+        }
+        int main(void) {
+            xs = (double *) malloc(40 * 8);
+            for (int i = 0; i < 40; i++) xs[i] = i;
+            long *slot = (long *) mapArray((char *) &xs);
+            long *other = (long *) map((char *) spare);
+            __launch(k, 16, other, 3);
+            __launch(k, 16, slot, 3);
+            unmap((char *) spare);
+            release((char *) spare);
+            unmapArray((char *) &xs);
+            releaseArray((char *) &xs);
+            double s = 0.0;
+            for (int i = 0; i < 20; i++) s = s * 3.0 + xs[i];
+            print_f64(s);
+            print_i64(spare[0]);
+            return 0;
+        }
+    """
+
+    def test_store_onto_a_slot_runs_the_checked_variant(self, monkeypatch):
+        machine = TestLaunchProofs.run_both(self.SLOT_STORE, monkeypatch)
+        assert machine.checked_launches == 1
+        codes = TestLaunchProofs.kernel_codes(machine)
+        assert set(codes) == {True, CHECKED}
+        assert "_tb0 = " in codes[True].source
+        assert codes[True].proven_sites == codes[True].access_sites
+        assert "_tb" not in codes[CHECKED].source
+
+    #: ``xs[ix[tid]]``: only its type bounds the loaded index.
+    LOADED_INDEX = r"""
+        double *xs;
+        long IX[16];
+        __global__ void k(long tid, long *ix) {
+            xs[ix[tid]] = xs[tid] * 2.0;
+        }
+        int main(void) {
+            xs = (double *) malloc(16 * 8);
+            for (int i = 0; i < 16; i++) { xs[i] = i; IX[i] = 15 - i; }
+            long *dix = (long *) map((char *) IX);
+            mapArray((char *) &xs);
+            __launch(k, 8, dix);
+            unmapArray((char *) &xs);
+            releaseArray((char *) &xs);
+            release((char *) IX);
+            print_f64(xs[15] + xs[8] * 100.0);
+            return 0;
+        }
+    """
+
+    def test_unproven_store_keeps_per_access_table_reads(self, monkeypatch):
+        machine = TestLaunchProofs.run_both(self.LOADED_INDEX, monkeypatch)
+        assert machine.checked_launches == 0
+        (code,) = TestLaunchProofs.kernel_codes(machine).values()
+        assert "_tb" not in code.source
+        assert re.search(r"_ls\d+\.vQ\[_lj\d+\]", self.thread_body(code))
+        # xs[tid] and xs[ix[tid]]; the slot reads and ix[tid] are proven.
+        assert code.access_sites - code.proven_sites == 2
+
+    #: ``xs`` never points anywhere.
+    NULL_TABLE = r"""
+        double *xs;
+        double O[16];
+        __global__ void k(long tid, double *o) { o[tid] = xs[tid]; }
+        int main(void) { return 0; }
+    """
+
+    def test_null_table_faults_in_the_checked_variant(self):
+        after = {}
+        for engine in ("tree", "source"):
+            machine, error = run_launch(
+                self.NULL_TABLE, engine, "k", 8,
+                lambda m, cgcm: cgcm.map_array(m.global_address("xs")))
+            assert isinstance(error, MemoryFault)
+            after[engine] = (raised(error), machine._frame_counter,
+                             machine.clock.totals())
+        assert after["source"] == after["tree"]
+        assert machine.checked_launches == 1
+
+    #: ``bump`` stores through its pointer argument: no leaf.
+    STORING_CALLEE = r"""
+        double *xs;
+        void bump(double *p) { p[0] = p[0] + 1.0; }
+        __global__ void k(long tid) {
+            xs[tid] = xs[tid] * 2.0;
+            bump(xs + tid);
+        }
+        int main(void) {
+            xs = (double *) malloc(16 * 8);
+            for (int i = 0; i < 16; i++) xs[i] = i;
+            mapArray((char *) &xs);
+            __launch(k, 16);
+            unmapArray((char *) &xs);
+            releaseArray((char *) &xs);
+            print_f64(xs[15]);
+            return 0;
+        }
+    """
+
+    def test_callee_kept_as_a_thunk_leaves_no_tables(self, monkeypatch):
+        machine = TestLaunchProofs.run_both(self.STORING_CALLEE, monkeypatch)
+        assert machine.stdout == ["31"]
+        (code,) = TestLaunchProofs.kernel_codes(machine).values()
+        assert code.inlined_calls == 0 and "_tb" not in code.source
+        assert re.search(r"_c\d+\(", code.source)
+
+    @staticmethod
+    def table_kernel(rng) -> str:
+        """A kernel that reads through one to three global pointer
+        tables, calls a random leaf callee, stores through the first
+        table and, at thread ``hit`` of some launches, onto its slot
+        (through ``slot``) and moves it on one element."""
+        tables = rng.randint(1, 3)
+        c1, c2 = rng.randint(1, 5), rng.randint(0, 9)
+        leaf = rng.choice((
+            # A diamond of returns.
+            "double leaf(double x, double y) { double w = fabs(x) + 0.5;"
+            " if (x < y) return w * y; return w - y; }",
+            # Joins: the callee keeps its own dispatch.
+            "double leaf(double x, double y) { double m = x;"
+            " if (y > m) m = y; if (m > 3.0) m = m * 0.5; return m; }",
+            # A counted loop.
+            "double leaf(double x, double y) { double s = 0.0;"
+            " for (long i = 0; i < 3; i++) s = s + x / (i + 1) - y;"
+            " return s; }",
+            # Pure math only.
+            "double leaf(double x, double y) {"
+            " return sqrt(fabs(x) + 1.0) + fmax(x, y) - fmin(x, y); }"))
+        reads = " + ".join(f"T{t}[(tid * {c1} + {c2 + t}) % 40]"
+                           for t in range(tables))
+        declarations = " ".join(f"double *T{t};" for t in range(tables))
+        setup = " ".join(
+            f"T{t} = (double *) malloc(64 * 8);"
+            f" for (int i = 0; i < 64; i++) T{t}[i] = i * {t + 1} - 20;"
+            f" long *slot{t} = (long *) mapArray((char *) &T{t});"
+            for t in range(tables))
+        teardown = " ".join(
+            f"unmapArray((char *) &T{t}); releaseArray((char *) &T{t});"
+            f" for (int i = 0; i < 48; i++) s = s * 1.5 + T{t}[i];"
+            for t in range(tables))
+        launches = []
+        for _ in range(3):
+            target = rng.choice(["other"] * 2 + [f"slot{t}"
+                                                 for t in range(tables)])
+            launches.append(f"__launch(k, {rng.randint(0, 24)}, {target},"
+                            f" {rng.randint(-1, 20)});")
+        return f"""
+            {declarations}
+            long spare[2];
+            {leaf}
+            __global__ void k(long tid, long *slot, long hit) {{
+                double v = {reads};
+                T0[(tid * {c2 + 1} + {c1}) % 40] = leaf(v, tid * 0.25);
+                if (tid == hit) slot[0] = slot[0] + 8;
+            }}
+            int main(void) {{
+                {setup}
+                long *other = (long *) map((char *) spare);
+                {" ".join(launches)}
+                unmap((char *) spare);
+                release((char *) spare);
+                double s = spare[0];
+                {teardown}
+                print_f64(s);
+                return 0;
+            }}
+        """
+
+    def sweep(self, seeds, monkeypatch) -> tuple:
+        """Run ``table_kernel`` of each seed on both engines; the
+        launches, those that failed their proofs and the variants
+        that read tables."""
+        launches = checked = tabled = inlined = 0
+        for seed in seeds:
+            machine = TestLaunchProofs.run_both(
+                self.table_kernel(random.Random(seed)), monkeypatch)
+            monkeypatch.undo()
+            launches += machine.kernel_launch_count
+            checked += machine.checked_launches
+            codes = TestLaunchProofs.kernel_codes(machine)
+            tabled += "_tb0 = " in codes[True].source
+            inlined += codes[True].inlined_calls
+        return launches, checked, tabled, inlined
+
+    def test_random_table_kernels_match(self, monkeypatch):
+        """Seeded random table kernels: launches that read their tables
+        once and launches whose store onto a slot sends them to the
+        checked variant both match the tree-walker."""
+        launches, checked, tabled, inlined = self.sweep(range(12),
+                                                        monkeypatch)
+        assert 0 < checked < launches
+        assert tabled == inlined == 12
+
+    @pytest.mark.slow
+    def test_random_table_kernels_sweep(self, monkeypatch):
+        launches, checked, tabled, inlined = self.sweep(range(200),
+                                                        monkeypatch)
+        assert 0 < checked < launches
+        assert tabled == inlined == 200
+
+
+class TestInlinedCalls:
+    """A kernel's proven grid variant emits the body of each leaf
+    callee in place of a thunk call through ``Machine.activate``, with
+    the same charges, frame ids and faults.  Every run matches the
+    tree-walker, launch by launch."""
+
+    #: ``cndf`` fuses into one block (a one-pass loop); ``fmax3``'s
+    #: joins keep its own dispatch loop.
+    SHAPES = r"""
+        double O[16];
+        double cndf(double x) {
+            double ax = fabs(x);
+            double k = 1.0 / (1.0 + 0.25 * ax);
+            double w = 1.0 - k * exp(-0.5 * x * x);
+            if (x < 0.0) return 1.0 - w;
+            return w;
+        }
+        double fmax3(double a, double b, double c) {
+            double m = a;
+            if (b > m) m = b;
+            if (c > m) m = c;
+            return m;
+        }
+        __global__ void k(long tid, double *o) {
+            double x = tid * 0.5 - 4.0;
+            o[tid] = cndf(x) + fmax3(x, -x, 1.0);
+        }
+        int main(void) {
+            double *d = (double *) map((char *) O);
+            __launch(k, 16, d);
+            unmap((char *) O);
+            release((char *) O);
+            double s = 0.0;
+            for (int i = 0; i < 16; i++) s = s * 2.0 + O[i];
+            print_f64(s);
+            return 0;
+        }
+    """
+
+    def test_shapes_run_in_place(self, monkeypatch):
+        machine = TestLaunchProofs.run_both(self.SHAPES, monkeypatch)
+        assert machine.checked_launches == 0
+        (code,) = TestLaunchProofs.kernel_codes(machine).values()
+        assert code.inlined_calls == 2
+        assert "f1b = 0" in code.source and "f0b" not in code.source
+        assert not re.search(r"_c\d+\(", code.source)
+        assert "M._frame_counter += a0 + 1 + _fr" in code.source
+        # The caller's frame and the deepest callee's: 3 + 4 slots.
+        assert f"{FRAME_TEST}56 > " in code.source
+        assert "M._depth >= 256" in code.source
+
+    def test_callee_in_a_loop_body(self, monkeypatch):
+        machine = TestLaunchProofs.run_both(r"""
+            double O[16];
+            double weigh(double x, long n) {
+                if (n > 2) return x / n;
+                return x * n + 1.0;
+            }
+            __global__ void k(long tid, double *o) {
+                double acc = 0.0;
+                for (long j = 0; j <= tid; j++) acc += weigh(acc + j, j % 4);
+                o[tid] = acc;
+            }
+            int main(void) {
+                double *d = (double *) map((char *) O);
+                __launch(k, 16, d);
+                unmap((char *) O);
+                release((char *) O);
+                print_f64(O[15]);
+                return 0;
+            }
+        """, monkeypatch)
+        (code,) = TestLaunchProofs.kernel_codes(machine).values()
+        assert code.inlined_calls == 1
+        # The calls took frame ids between the threads'.
+        assert machine._frame_counter == 1 + 16 + sum(range(1, 17))
+
+    #: Thread 4 takes ``sqrt(-1.0)`` in the callee, thread 5 would
+    #: take ``exp(1000.0)``.
+    FAULTING = r"""
+        double O[16];
+        double root(double x) { double y = sqrt(x); return y; }
+        double grow(double x) { return exp(x); }
+        __global__ void k(long tid, double *o) { o[tid] = root(3.0 - tid); }
+        __global__ void g(long tid, double *o) {
+            o[tid] = grow(tid * 200.0);
+        }
+        int main(void) { return 0; }
+    """
+
+    @pytest.mark.parametrize("kernel,error", (("k", InterpError),
+                                              ("g", OverflowError)))
+    def test_fault_in_a_callee_keeps_the_thunk_counts(self, kernel, error,
+                                                      monkeypatch):
+        """The inlined launch raises what the launch run through thunk
+        calls (the checked variant, forced by a cover that finds no
+        segment) raises, with the same instruction and frame counts;
+        the frame count is the tree-walker's."""
+        after = {}
+        for engine in ("tree", "source", "checked"):
+            if engine == "checked":
+                monkeypatch.setattr(srcgen, "_make_cover",
+                                    lambda memory: lambda *bounds: None)
+            machine, fault = run_launch(
+                self.FAULTING, "tree" if engine == "tree" else "source",
+                kernel, 8)
+            assert isinstance(fault, error)
+            after[engine] = (raised(fault), machine.executed_instructions,
+                             machine._frame_counter)
+            if engine != "tree":
+                codes = TestLaunchProofs.kernel_codes(machine)
+                assert codes[True].inlined_calls == 1
+                assert machine.checked_launches == (engine == "checked")
+        assert after["source"] == after["checked"]
+        assert after["source"][0] == after["tree"][0]
+        assert after["source"][2] == after["tree"][2]
+
+    #: ``k``'s frame holds the slots of ``tid`` and ``o``, ``twice``'s
+    #: those of ``x`` and ``y``.
+    DEEP_FRAME = r"""
+        double O[16];
+        double twice(double x) { double y = x * 2.0; return y; }
+        __global__ void k(long tid, double *o) { o[tid] = twice(tid); }
+        int main(void) { return 0; }
+    """
+
+    def test_launch_at_the_call_depth_limit(self):
+        after = {}
+        for engine in ("tree", "source"):
+            machine, error = run_launch(
+                self.DEEP_FRAME, engine, "k", 4,
+                lambda m, cgcm: setattr(m, "_depth", 255))
+            assert isinstance(error, InterpError)
+            after[engine] = (raised(error), machine._frame_counter,
+                             machine._depth)
+        assert after["source"] == after["tree"]
+        assert "call depth exceeded at @twice" in after["tree"][0][1]
+        assert machine.checked_launches == 1
+
+    def test_callee_frame_past_the_stack_runs_the_checked_variant(self):
+        """With the device stack pointer 16 bytes below the limit the
+        thread's own frame fits but the callee's does not: the launch
+        fails its frame test, and the checked variant faults in the
+        callee's first alloca, as the tree-walker does."""
+        after = {}
+        for engine in ("tree", "source"):
+            def setup(m, cgcm):
+                limit = m.device.memory.segment("device-stack").limit
+                m._gpu_sp = limit - 16
+            machine, error = run_launch(self.DEEP_FRAME, engine, "k", 4,
+                                        setup)
+            assert isinstance(error, MemoryFault)
+            after[engine] = (raised(error), machine.clock.totals(),
+                             machine._frame_counter, machine._gpu_sp)
+        assert after["source"] == after["tree"]
+        assert "device-stack overflow" in after["tree"][0][1]
+        assert machine.checked_launches == 1
+        codes = TestLaunchProofs.kernel_codes(machine)
+        assert f"{FRAME_TEST}32 > " in codes[True].source
+
+    #: Callees that keep their thunk call.
+    THUNKED = {
+        "stores_through_a_pointer": (
+            "void put(double *p, double v) { p[0] = v; }",
+            "put(o + tid, tid * 1.5);"),
+        "calls_a_defined_function": (
+            "double twice(double x) { return x * 2.0; }"
+            " double outer(double x) { return twice(x) + 1.0; }",
+            "o[tid] = outer(tid);"),
+        "recursive": (
+            "long fact(long n) { if (n < 2) return 1;"
+            " return n * fact(n - 1); }",
+            "o[tid] = fact(tid % 6);"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(THUNKED))
+    def test_callees_that_keep_their_thunk(self, name, monkeypatch):
+        callee, body = self.THUNKED[name]
+        machine = TestLaunchProofs.run_both(f"""
+            double O[16];
+            {callee}
+            __global__ void k(long tid, double *o) {{ {body} }}
+            int main(void) {{
+                double *d = (double *) map((char *) O);
+                __launch(k, 16, d);
+                unmap((char *) O);
+                release((char *) O);
+                print_f64(O[15] + O[7]);
+                return 0;
+            }}
+        """, monkeypatch)
+        (code,) = TestLaunchProofs.kernel_codes(machine).values()
+        assert code.inlined_calls == 0
+        assert re.search(r"_c\d+\(", code.source)
+
+    def test_workloads_inline_their_leaf_calls(self, workload_grids):
+        """blackscholes' two ``cndf`` calls and nw's ``fmax3`` calls,
+        one in each of two kernels."""
+        inlined = {name: sum(code.inlined_calls for code in codes)
+                   for name, _, codes in workload_grids}
+        assert sum(inlined.values()) == 4
+        assert inlined["blackscholes"] == inlined["nw"] == 2
+
+
+class TestExternals:
+    """Pure-math externals are one positional call each, the total ones
+    do not stop a charge from carrying, and a kernel's call to a
+    host-only external raises what the tree-walker raises."""
+
+    def test_pure_externals_bind_their_positional_function(self):
+        from repro.interp.externals import GPU_SAFE
+        from repro.interp.srcgen_runtime import _make_pure_external
+        machine = Machine(compile_minic("int main(void) { return 0; }"),
+                          engine="source")
+        for name in GPU_SAFE:
+            handler = machine.externals[name]
+            assert _make_pure_external(machine, name) is handler.positional
+
+    def test_kernel_loop_calling_fabs_runs_as_for(self, monkeypatch):
+        machine = TestLaunchProofs.run_both(r"""
+            double X[32];
+            double O[8];
+            __global__ void k(long tid, double *x, double *o) {
+                double acc = 0.0;
+                for (long j = 0; j < 4; j++) acc += fabs(x[tid * 4 + j]);
+                o[tid] = acc;
+            }
+            int main(void) {
+                for (int i = 0; i < 32; i++) X[i] = i * 0.5 - 7.0;
+                double *dx = (double *) map((char *) X);
+                double *d = (double *) map((char *) O);
+                __launch(k, 8, dx, d);
+                unmap((char *) O);
+                release((char *) O);
+                release((char *) X);
+                print_f64(O[0] + O[7]);
+                return 0;
+            }
+        """, monkeypatch)
+        (code,) = TestLaunchProofs.kernel_codes(machine).values()
+        assert code.for_loops == 1 and re.search(r"_p\d+\(", code.source)
+
+    #: Thread 4 takes ``sqrt(-1.0)``, or ``exp(1000.0)``.
+    RUN_TIME_FAULTS = r"""
+        double O[16];
+        __global__ void root(long tid, double *o) { o[tid] = sqrt(3.0 - tid); }
+        __global__ void grow(long tid, double *o) { o[tid] = exp(tid * 250.0); }
+        int main(void) { return 0; }
+    """
+
+    @pytest.mark.parametrize("kernel,error", (("root", InterpError),
+                                              ("grow", OverflowError)))
+    def test_run_time_math_faults_match(self, kernel, error):
+        after = {}
+        for engine in ("tree", "source"):
+            machine, fault = run_launch(self.RUN_TIME_FAULTS, engine, kernel,
+                                        8)
+            assert isinstance(fault, error)
+            after[engine] = (raised(fault), machine._frame_counter,
+                             machine.clock.totals())
+        assert after["source"] == after["tree"]
+
+    #: ``map`` in a kernel, on a machine with and without the runtime.
+    HOST_ONLY = r"""
+        double O[16];
+        __global__ void k(long tid, double *o) { map((char *) o); }
+        int main(void) { return 0; }
+    """
+
+    @pytest.mark.parametrize("runtime,message", (
+        (False, "call to undefined external @map"),
+        (True, "kernel called host-only external @map")))
+    def test_host_only_external_in_a_kernel(self, runtime, message):
+        after = {}
+        for engine in ("tree", "source"):
+            machine, error = run_launch(self.HOST_ONLY, engine, "k", 4,
+                                        runtime=runtime)
+            assert isinstance(error, InterpError)
+            after[engine] = (raised(error), machine._frame_counter)
+        assert after["source"] == after["tree"]
+        assert after["tree"][0][1] == message
+
+
+class TestFloatDivision:
+    """A float division by a nonzero constant is one expression, which
+    folds into its user; the zero-divisor branch stays for the rest."""
+
+    NUMERATORS = r"""
+        double X[8];
+        double O[8];
+        __global__ void k(long tid, double *x, double *o) {
+            o[tid] = x[tid] / 24.0 * 3.0;
+        }
+        int main(void) {
+            X[0] = 1.0 / 0.0;
+            X[1] = -1.0 / 0.0;
+            X[2] = 0.0 / 0.0;
+            X[3] = -1.0 * 0.0;
+            X[4] = 48.0;
+            X[5] = -1e-320;
+            X[6] = 1e308;
+            X[7] = 0.0;
+            double *dx = (double *) map((char *) X);
+            double *d = (double *) map((char *) O);
+            __launch(k, 8, dx, d);
+            unmap((char *) O);
+            release((char *) O);
+            release((char *) X);
+            for (int i = 0; i < 8; i++) print_f64(O[i]);
+            return 0;
+        }
+    """
+
+    def test_special_numerators_match(self, monkeypatch):
+        machine = TestLaunchProofs.run_both(self.NUMERATORS, monkeypatch)
+        assert machine.stdout[:5] == ["inf", "-inf", "nan", "-0", "6"]
+        bits = struct.unpack("<8Q", machine.read_global("O"))
+        tree = Machine(compile_minic(self.NUMERATORS), engine="tree")
+        CgcmRuntime(tree).declare_all_globals()
+        tree.run()
+        assert struct.unpack("<8Q", tree.read_global("O")) == bits
+        (code,) = TestLaunchProofs.kernel_codes(machine).values()
+        assert re.search(r"\]\) / 24\.0\) \* 3\.0", code.source)
+        assert "_f = " not in code.source
 
 
 class TestStackOverflow:

@@ -109,12 +109,29 @@ COLD_LAUNCH = r"""
     }
 """
 
-#: Straight-line ``main`` launches 512 threads; each calls a device
-#: function, which turns hot at the 20th thread.
+#: Straight-line ``main`` launches 512 threads; each calls a leaf
+#: device function, which the grid variant runs in place.
 HOT_GRID = r"""
     double out[512];
     double twice(double x) { return x * 2.0; }
     __global__ void seed(long tid, double *o) { o[tid] = twice(tid); }
+    int main(void) {
+        double *d = (double *) map((char *) out);
+        __launch(seed, 512, d);
+        unmap((char *) out);
+        release((char *) out);
+        print_f64(out[511]);
+        return 0;
+    }
+"""
+
+#: ``HOT_GRID`` with a callee that stores through its pointer argument,
+#: so the grid variant keeps the thunk call into it: the callee
+#: turns hot at the 20th thread and runs its own compiled variant.
+HOT_GRID_THUNK = r"""
+    double out[512];
+    void put(double *o, long i) { o[i] = i * 2.0; }
+    __global__ void seed(long tid, double *o) { put(o, tid); }
     int main(void) {
         double *d = (double *) map((char *) out);
         __launch(seed, 512, d);
@@ -240,12 +257,23 @@ class TestMixedTiers:
         assert seed not in srcgen._CODE_CACHE
 
     def test_hot_grid_from_tree_walked_main(self):
-        machine = same_as_tree(HOT_GRID)
+        machine = same_as_tree(HOT_GRID_THUNK)
         assert compiled(machine) == {("seed", "gpu", True),
-                                     ("twice", "gpu", False)}
+                                     ("put", "gpu", False)}
+        put = machine.module.get_function("put")
+        assert tier_of(put).seen["gpu"] \
+            == HOT_RATIO * tier_of(put).predicted
+
+    def test_hot_grid_runs_its_leaf_callee_in_place(self):
+        """The grid variant runs a leaf callee in place, so the callee
+        is neither compiled nor entered on its own."""
+        machine = same_as_tree(HOT_GRID)
+        assert compiled(machine) == {("seed", "gpu", True)}
+        (code,) = machine._compiled.values()
+        assert code.inlined_calls == 1
         twice = machine.module.get_function("twice")
-        assert tier_of(twice).seen["gpu"] \
-            == HOT_RATIO * tier_of(twice).predicted
+        assert twice not in srcgen._CODE_CACHE
+        assert "gpu" not in tier_of(twice).seen
 
     @pytest.mark.parametrize("program", ("COLD_CALLEES", "TURNS_HOT",
                                          "COLD_LAUNCH", "HOT_GRID"))
@@ -319,7 +347,8 @@ class TestMixedTiers:
 
 
 class TestThresholdExtremes:
-    PROGRAMS = (COLD_CALLEES, HOT_CALLEE, TURNS_HOT, COLD_LAUNCH, HOT_GRID)
+    PROGRAMS = (COLD_CALLEES, HOT_CALLEE, TURNS_HOT, COLD_LAUNCH, HOT_GRID,
+                HOT_GRID_THUNK)
 
     def test_zero_compiles_every_entered_function(self):
         with hot_ratio(0):
