@@ -21,6 +21,7 @@ from ..ir.instructions import Call
 from ..ir.module import Module
 from ..ir.values import Constant
 from ..ir.verifier import verify_module
+from ..memory.layout import GlobalLayout
 from ..runtime.cgcm import CgcmRuntime
 from ..transforms.alloca_promotion import AllocaPromotion
 from ..transforms.comm_overlap import CommOverlap
@@ -52,6 +53,9 @@ class CompileReport:
     #: multi-device run: the module no longer changes, and the
     #: coordinator only reads its plan.
     placements: Dict["object", "object"] = field(default_factory=dict)
+    #: The module's global layout, built on the first run for the
+    #: same reason; every run installs its one encoded image.
+    layout: Optional[GlobalLayout] = None
 
     @property
     def kernel_count(self) -> int:
@@ -239,13 +243,16 @@ class CgcmCompiler:
             # schedule independent across runs of the same compiler.
             from ..gpu.faults import FaultInjector
             fault_injector = FaultInjector(self.config.faults)
+        if report.layout is None:
+            report.layout = GlobalLayout(report.module)
         machine = Machine(report.module, self.config.cost_model,
                           self.config.record_events,
                           engine=engine if engine is not None
                           else self.config.engine,
                           streams=self.config.streams,
                           fault_injector=fault_injector,
-                          device_heap_limit=effective_limit)
+                          device_heap_limit=effective_limit,
+                          layout=report.layout)
         if launch_log is not None:
             machine.launch_cost_hooks.append(
                 lambda m, kernel, grid, total, mx, duration:

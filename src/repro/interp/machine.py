@@ -66,6 +66,10 @@ _DIV_EXTRA = 8
 
 MAX_CALL_DEPTH = 256
 
+#: The built-in externals' signatures, copied into every machine (the
+#: runtime adds its own entry points to the copy).
+_EXTERNAL_SIGNATURES = external_signatures()
+
 #: Engines :class:`Machine` can execute IR with; the reference comes
 #: first.
 ENGINES = ("tree", "source")
@@ -223,7 +227,8 @@ class Machine:
                  engine: str = "tree",
                  streams: bool = False,
                  fault_injector: Optional["object"] = None,
-                 device_heap_limit: Optional[int] = None):
+                 device_heap_limit: Optional[int] = None,
+                 layout: Optional[GlobalLayout] = None):
         if engine not in ENGINES:
             raise ConfigError(f"unknown engine {engine!r}; expected one of "
                               f"{ENGINES}")
@@ -237,14 +242,17 @@ class Machine:
         if streams:
             self.clock.enable_streams()
         self.cpu_memory = make_cpu_memory()
-        self.layout = GlobalLayout(module)
+        #: Where ``module``'s globals live.  A compiled artifact passes
+        #: the layout it keeps, so its runs share one encoded image of
+        #: the initializers.
+        self.layout = layout if layout is not None else GlobalLayout(module)
         self.layout.install(self.cpu_memory)
         self.heap = Heap(self.cpu_memory, "heap")
         self.device = GpuDevice(self.clock, fault_injector=fault_injector,
                                 heap_limit=device_heap_limit)
         self.device.load_module(self.layout)
         self.externals = default_externals()
-        self.external_types = external_signatures()
+        self.external_types = dict(_EXTERNAL_SIGNATURES)
         self.stdout: List[str] = []
         self.rng_state = 0x9E3779B97F4A7C15
         self.mode = "cpu"

@@ -158,16 +158,29 @@ class GlobalLayout:
             self.sizes[gv.name] = gv.size
             cursor += gv.size
         self.end = cursor
+        self._image: Optional[bytes] = None
 
     def address_of(self, name: str) -> int:
         return self.addresses[name]
 
+    def image(self) -> bytes:
+        """Every global's initial bytes, from ``GLOBALS_BASE`` to
+        :attr:`end` (zero between globals), encoded on first use: a
+        layout shared by the machines of one compiled artifact encodes
+        its initializers once."""
+        if self._image is None:
+            image = bytearray(self.end - GLOBALS_BASE)
+            for gv in self.module.globals.values():
+                offset = self.addresses[gv.name] - GLOBALS_BASE
+                image[offset:offset + gv.size] = initializer_bytes(
+                    gv.value_type, gv.initializer, self.address_of)
+            self._image = bytes(image)
+        return self._image
+
     def install(self, memory: FlatMemory) -> None:
         """Write every global's initial image into CPU memory."""
-        for gv in self.module.globals.values():
-            data = initializer_bytes(gv.value_type, gv.initializer,
-                                     self.address_of)
-            memory.write(self.addresses[gv.name], data)
+        if self.end > GLOBALS_BASE:
+            memory.write(GLOBALS_BASE, self.image())
 
     def items(self) -> Tuple[Tuple[str, int, int], ...]:
         """(name, address, size) for every global, in layout order."""

@@ -26,11 +26,25 @@ Responsibilities:
   each scheduled on that device's compute stream -- collectives and
   shards on different devices overlap, GC3-style.
 
+The runtime calls the coordinator directly, and only where a unit's
+routing or coherence state changes: a first map homes the unit and
+routes its upload (:meth:`~MultiGpuCoordinator.begin_first_map`,
+:meth:`~MultiGpuCoordinator.end_first_map`), every unmap of a homed
+unit routes its write-back and waits for the home copy
+(:meth:`~MultiGpuCoordinator.begin_unmap`), and the last release of a
+heap or stack unit drops its home
+(:meth:`~MultiGpuCoordinator.drop_home`).  ``CgcmRuntime.op_hooks``
+stays free for observers.  What a launch schedule reads but never
+changes is derived once: lane and stream names per coordinator, the
+size pool and kernel write sets per plan, and the globals a kernel
+references per kernel function (``repro.runtime.cgcm``).
+
 Observers subscribe through :attr:`MultiGpuCoordinator.hooks` and
 receive ``hook(event, payload)`` with event ``"place"`` /
 ``"broadcast"`` / ``"gather"`` / ``"launch"``; the communication
 sanitizer mirrors the valid sets independently and reports a
-cross-device stale read if a launch beats its broadcast.
+cross-device stale read if a launch beats its broadcast.  Payloads
+are built only while some observer is attached.
 """
 
 from __future__ import annotations
@@ -41,10 +55,6 @@ from ..gpu.topology import Topology
 from ..interp.machine import Machine
 from ..runtime.cgcm import AllocationInfo, CgcmRuntime
 from .placement import PlacementPlan
-
-#: Op-hook operations that bracket a comm-lane retarget (fired with
-#: both "pre" and "post" stages, possibly nested for array elements).
-_ROUTED_OPS = frozenset({"map", "unmap", "release"})
 
 
 class UnitHome:
@@ -86,43 +96,32 @@ class MultiGpuCoordinator:
         self.hooks: List[Callable[[str, dict], None]] = []
         self._homes: Dict[int, UnitHome] = {}
         self._loads = [0] * topology.num_devices
-        #: (comm-lane, was-first-map) bracket stack for nested ops.
-        self._route_stack: List[Tuple[str, bool]] = []
-        #: Static sizes from the plan still available for matching
-        #: anonymous heap/stack units, FIFO per size in label order.
-        self._size_pool: Dict[int, List[Tuple[str, int]]] = {}
+        devices = topology.devices()
+        #: Per-device lane and stream names, indexed by device.
+        self._gpu_lanes = tuple(map(topology.gpu_lane, devices))
+        self._comm_lanes = tuple(map(topology.comm_lane, devices))
+        self._h2d_streams = tuple(map(topology.h2d_stream, devices))
+        self.d2h_streams = tuple(map(topology.d2h_stream, devices))
+        self._compute_streams = tuple(map(topology.compute_stream, devices))
+        #: How many of the plan's statically sized labels of each size
+        #: anonymous units have matched so far (FIFO, in label order).
+        self._pool_taken: Dict[int, int] = {}
         #: kernel name -> labels it writes, or None when some launch
         #: site's operands could not be traced (be conservative).
-        self._kernel_writes: Dict[str, Optional[Set[str]]] = {}
-        if plan is not None:
-            for label in sorted(plan.assignment):
-                if label.startswith("g:"):
-                    continue
-                size = plan.graph.sizes.get(label, 0)
-                if size > 0:
-                    self._size_pool.setdefault(size, []).append(
-                        (label, plan.assignment[label]))
-            for site in plan.graph.launches:
-                if site.unknown \
-                        or self._kernel_writes.get(site.kernel,
-                                                   set()) is None:
-                    self._kernel_writes[site.kernel] = None
-                else:
-                    self._kernel_writes.setdefault(
-                        site.kernel, set()).update(site.writes)
-        for d in topology.devices():
-            self.clock.add_lane(topology.gpu_lane(d))
-            self.clock.add_lane(topology.comm_lane(d))
+        self._kernel_writes = plan.kernel_writes if plan is not None \
+            else {}
+        for gpu_lane, comm_lane in zip(self._gpu_lanes, self._comm_lanes):
+            self.clock.add_lane(gpu_lane)
+            self.clock.add_lane(comm_lane)
         runtime.multigpu = self
-        runtime.op_hooks.append(self._on_op)
         machine.grid_scheduler = self.schedule_launch
 
     # -- observers -----------------------------------------------------------
 
     def _emit(self, event: str, **payload) -> None:
-        if self.hooks:
-            for hook in self.hooks:
-                hook(event, payload)
+        """Tell every observer; callers check :attr:`hooks` first."""
+        for hook in self.hooks:
+            hook(event, payload)
 
     # -- unit homes ----------------------------------------------------------
 
@@ -141,9 +140,11 @@ class MultiGpuCoordinator:
                 # placed site of the same byte size, in label order.
                 # Allocation order is program order, identical across
                 # engines, so this match is deterministic.
-                pool = self._size_pool.get(info.size)
-                if pool:
-                    label, home = pool.pop(0)
+                pool = self.plan.size_pool.get(info.size, ())
+                taken = self._pool_taken.get(info.size, 0)
+                if taken < len(pool):
+                    label, home = pool[taken]
+                    self._pool_taken[info.size] = taken + 1
         if home is None:
             home = min(self.topology.devices(),
                        key=lambda d: (self._loads[d], d))
@@ -151,80 +152,74 @@ class MultiGpuCoordinator:
         self._homes[info.base] = state
         self._loads[home] += info.size
         self.clock.count("multigpu_placements")
-        self._emit("place", unit=info, device=home)
+        if self.hooks:
+            self._emit("place", unit=info, device=home)
         return state
 
-    # -- runtime op-hook: lane routing and coherence updates -----------------
+    # -- runtime entry points: lane routing and coherence --------------------
+    #
+    # The runtime calls these where a unit's routing or coherence state
+    # changes, each just before the op hooks of the same stage, so
+    # observers see every operation after the coordinator acted on it.
+    # Only copies charge ``device.comm_lane``: a first map's upload and
+    # an unmap's write-back.
 
-    def _on_op(self, stage: str, op: str, ptr: int,
-               info: AllocationInfo) -> None:
-        if op not in _ROUTED_OPS:
-            return
-        if stage == "pre":
-            state = self._homes.get(info.base)
-            first_map = False
-            if state is None and op == "map":
-                state = self._place(info)
-                first_map = True
-            elif op == "map" and info.ref_count == 0:
-                first_map = True
-            self._route_stack.append((self.device.comm_lane, first_map))
-            if state is not None:
-                self.device.comm_lane = self.topology.comm_lane(state.home)
-                if op == "unmap":
-                    # A blocking write-back reads the home copy: wait
-                    # for the gather that completed it.
-                    self.clock.host_wait(state.ready_on(state.home))
-            return
-        # stage == "post"
-        if not self._route_stack:
-            return
-        lane, first_map = self._route_stack.pop()
+    def begin_first_map(self, info: AllocationInfo) -> str:
+        """A first map (reference count 0) starts: home the unit if it
+        has none and route its upload onto the home's comm lane.
+        Returns the comm lane :meth:`end_first_map` restores."""
+        state = self._homes.get(info.base)
+        if state is None:
+            state = self._place(info)
+        device = self.device
+        lane = device.comm_lane
+        device.comm_lane = self._comm_lanes[state.home]
+        return lane
+
+    def end_first_map(self, info: AllocationInfo, lane: str,
+                      finish: Optional[float]) -> None:
+        """A first map finished: the upload (blocking, so the host is
+        at its end, or async with finish time ``finish``) made the home
+        copy the only valid one."""
         self.device.comm_lane = lane
+        state = self._homes[info.base]
+        home = state.home
+        state.valid = {home}
+        if finish is not None:
+            state.ready[home] = finish
+        host = self.clock.host_time_s
+        if host > state.ready_on(home):
+            state.ready[home] = host
+
+    def begin_unmap(self, info: AllocationInfo) -> Optional[str]:
+        """An unmap of ``info`` starts: route any write-back onto the
+        home's comm lane, and make the host wait for the gather that
+        completed the home copy (a blocking write-back reads it; an
+        async one is thereby ordered after it).  Returns the comm lane
+        to restore after the unmap, or None for an unhomed unit."""
         state = self._homes.get(info.base)
         if state is None:
-            return
-        if op == "map" and first_map:
-            # The upload (sync: host already dragged to its end;
-            # async: note_htod recorded the finish) made the home
-            # copy the only valid one.
-            state.valid = {state.home}
-            host = self.clock.host_time_s
-            if host > state.ready_on(state.home):
-                state.ready[state.home] = host
-        elif op == "release" and info.ref_count == 0 \
-                and not info.is_global:
-            self._homes.pop(info.base, None)
+            return None
+        device = self.device
+        lane = device.comm_lane
+        device.comm_lane = self._comm_lanes[state.home]
+        self.clock.host_wait(state.ready_on(state.home))
+        return lane
+
+    def drop_home(self, info: AllocationInfo) -> None:
+        """The last release of heap or stack unit ``info`` freed its
+        device copy: it has no home until it is mapped again."""
+        state = self._homes.pop(info.base, None)
+        if state is not None:
             self._loads[state.home] -= info.size
-
-    def note_htod(self, info: AllocationInfo, finish: float) -> None:
-        """Record an async upload's finish as the home copy's ready
-        time (called by the runtime's async map paths)."""
-        state = self._homes.get(info.base)
-        if state is None:
-            return
-        state.valid = {state.home}
-        state.ready[state.home] = finish
-
-    def unmap_deps(self, info: AllocationInfo) -> Tuple[float, ...]:
-        """Extra event edges an async write-back of ``info`` must wait
-        for: the gather that made the home copy complete."""
-        state = self._homes.get(info.base)
-        if state is None:
-            return ()
-        return (state.ready_on(state.home),)
 
     def h2d_stream(self, info: AllocationInfo) -> str:
         state = self._homes.get(info.base)
-        return self.topology.h2d_stream(state.home if state else 0)
+        return self._h2d_streams[state.home if state else 0]
 
     def d2h_stream(self, info: AllocationInfo) -> str:
         state = self._homes.get(info.base)
-        return self.topology.d2h_stream(state.home if state else 0)
-
-    def d2h_streams(self) -> List[str]:
-        return [self.topology.d2h_stream(d)
-                for d in self.topology.devices()]
+        return self.d2h_streams[state.home if state else 0]
 
     # -- collectives ---------------------------------------------------------
 
@@ -249,37 +244,22 @@ class MultiGpuCoordinator:
         return finish
 
     def _broadcast(self, info: AllocationInfo, state: UnitHome,
-                   targets: List[int]) -> None:
-        """Give every target device a valid copy of ``info``."""
-        for dst in targets:
-            if dst in state.valid:
-                continue
-            src = state.home if state.home in state.valid \
-                else min(state.valid) if state.valid else state.home
-            finish = self._peer_copy(
-                src, dst, info.size, state.ready_on(src),
-                f"bcast {info.name or hex(info.base)} "
-                f"gpu{src}->gpu{dst}")
-            state.valid.add(dst)
-            state.ready[dst] = finish
+                   dst: int) -> None:
+        """Give device ``dst``, which lacks one, a valid copy of
+        ``info``."""
+        valid = state.valid
+        src = state.home if state.home in valid \
+            else min(valid) if valid else state.home
+        label = f"bcast {info.name or hex(info.base)} gpu{src}->gpu{dst}" \
+            if self.clock.record_events else ""
+        finish = self._peer_copy(src, dst, info.size, state.ready_on(src),
+                                 label)
+        valid.add(dst)
+        state.ready[dst] = finish
+        if self.hooks:
             self._emit("broadcast", unit=info, src=src, dst=dst)
 
     # -- grid scheduling -----------------------------------------------------
-
-    def _may_write(self, kernel_name: str, label: Optional[str]) -> bool:
-        """Whether ``kernel_name`` may write the unit behind ``label``.
-
-        True unless the placement plan has a complete access summary
-        for the kernel AND the unit matched a plan label that summary
-        omits from its write set -- only provably read-only operands
-        skip the post-launch ownership transfer.
-        """
-        if label is None:
-            return True
-        written = self._kernel_writes.get(kernel_name, None)
-        if written is None:
-            return True
-        return label in written
 
     def schedule_launch(self, kernel, grid: int, args: List,
                         total_ops: int, max_ops: int,
@@ -290,73 +270,120 @@ class MultiGpuCoordinator:
         grid launch is scheduled here, so even unsharded kernels run
         on the device holding (most of) their operands.
         """
-        topo = self.topology
-        clock = self.clock
-        model = clock.model
-        units = [(info, state)
-                 for info in self.runtime._operand_units(kernel, args)
-                 for state in (self._homes.get(info.base),)
-                 if state is not None]
+        homes = self._homes
+        units = []
+        device = -1
+        mixed = False
+        for info in self.runtime._operand_units(kernel, args):
+            state = homes.get(info.base)
+            if state is None:
+                continue
+            units.append((info, state))
+            if device < 0:
+                device = state.home
+            elif state.home != device:
+                mixed = True
         # Everything mapped is read; written means writable AND the
         # plan's static access summary says this kernel writes the
         # unit's label (conservatively written when either side is
         # unknown).  Pointer-array device payloads hold translated
         # pointers kernels cannot overwrite (CGCM restriction), so
         # they are never gathered.
-        writes = [(info, state) for info, state in units
-                  if not info.is_read_only and not info.is_array
-                  and grid > 0
-                  and self._may_write(kernel.name, state.label)]
-        exec_devices = sorted({state.home for _, state in units}) or [0]
-        shards = self._shard_plan(kernel, grid, exec_devices, units,
-                                  writes, total_ops, max_ops, duration)
-        if shards is None:
-            primary = max(
-                exec_devices,
-                key=lambda d: (sum(info.size for info, state in units
-                                   if state.home == d), -d))
-            shards = [(primary, grid)]
-        else:
-            clock.count("sharded_launches")
-        shard_devices = [d for d, _ in shards]
+        writes = []
+        if grid > 0:
+            written = self._kernel_writes.get(kernel.name)
+            writes = [(info, state) for info, state in units
+                      if not info.is_read_only and not info.is_array
+                      and (written is None or state.label is None
+                           or state.label in written)]
+        # Operands on one device (or none) run there; only operands
+        # spread over several devices may shard or need a primary.
+        if mixed:
+            exec_devices = sorted({state.home for _, state in units})
+            shards = self._shard_plan(kernel, grid, exec_devices, writes,
+                                      total_ops, max_ops, duration)
+            if shards is not None:
+                self._schedule_sharded(kernel, grid, units, writes,
+                                       shards, total_ops, max_ops)
+                return True
+            # The device homing the most operand bytes runs the grid.
+            sizes = dict.fromkeys(exec_devices, 0)
+            for info, state in units:
+                sizes[state.home] += info.size
+            device = max(exec_devices, key=lambda d: (sizes[d], -d))
+        elif device < 0:
+            device = 0
         if self.auto_broadcast:
             for info, state in units:
-                self._broadcast(info, state, shard_devices)
-        self._emit("launch", kernel=kernel.name, devices=shard_devices,
-                   reads=[info for info, _ in units],
-                   writes=[info for info, _ in writes])
-        # Compute spans: one per shard, on the shard device's compute
-        # stream, after that device's copy streams and operand copies.
+                if device not in state.valid:
+                    self._broadcast(info, state, device)
+        if self.hooks:
+            self._emit("launch", kernel=kernel.name, devices=[device],
+                       reads=[info for info, _ in units],
+                       writes=[info for info, _ in writes])
+        clock = self.clock
+        finish = clock.schedule(
+            self._gpu_lanes[device], duration,
+            self._compute_streams[device],
+            f"{kernel.name}[{grid}/{grid}]" if clock.record_events else "",
+            after=(self._operands_ready(device, units),))
+        # Writes collapse each written unit to a single valid copy and
+        # *re-home* it onto the executing device -- gathering it back
+        # would ping-pong loop-carried units between their static home
+        # and the device the loop actually runs on, one full round
+        # trip per iteration.
+        for info, state in writes:
+            if state.home != device:
+                self._loads[state.home] -= info.size
+                self._loads[device] += info.size
+                state.home = device
+            state.valid = {device}
+            state.ready[device] = max(state.ready_on(device), finish)
+            if self.hooks:
+                self._emit("gather", unit=info, dst=device)
+        clock.count("multi_device_launches")
+        return True
+
+    def _operands_ready(self, device: int, units) -> float:
+        """When a grid on ``device`` may start: after that device's copy
+        streams and every operand's copy there."""
+        clock = self.clock
+        after = max(clock.stream_cursor(self._h2d_streams[device]),
+                    clock.stream_cursor(self.d2h_streams[device]))
+        for _, state in units:
+            ready = state.ready.get(device, 0.0)
+            if ready > after:
+                after = ready
+        return after
+
+    def _schedule_sharded(self, kernel, grid: int, units, writes,
+                          shards: List[Tuple[int, int]], total_ops: int,
+                          max_ops: int) -> None:
+        """Place a launch split into ``shards``: a compute span per
+        shard device, then the written slices gathered to each unit's
+        home over peer links."""
+        clock = self.clock
+        clock.count("sharded_launches")
+        devices = [d for d, _ in shards]
+        if self.auto_broadcast:
+            for info, state in units:
+                for d in devices:
+                    if d not in state.valid:
+                        self._broadcast(info, state, d)
+        if self.hooks:
+            self._emit("launch", kernel=kernel.name, devices=devices,
+                       reads=[info for info, _ in units],
+                       writes=[info for info, _ in writes])
+        model = clock.model
         finishes: Dict[int, float] = {}
         for d, n_d in shards:
-            dur = model.kernel_launch_latency_s
-            if grid and n_d:
-                dur += model.gpu_time(total_ops * n_d / grid, max_ops)
-            deps = [clock.stream_cursor(topo.h2d_stream(d)),
-                    clock.stream_cursor(topo.d2h_stream(d))]
-            for info, state in units:
-                deps.append(state.ready_on(d))
+            dur = model.kernel_launch_latency_s \
+                + model.gpu_time(total_ops * n_d / grid, max_ops)
             finishes[d] = clock.schedule(
-                topo.gpu_lane(d), dur, topo.compute_stream(d),
-                f"{kernel.name}[{n_d}/{grid}]", after=tuple(deps))
-        # Writes collapse each written unit to a single valid copy.
-        # Unsharded launches *re-home* the unit onto the executing
-        # device -- gathering it back would ping-pong loop-carried
-        # units between their static home and the device the loop
-        # actually runs on, one full round trip per iteration.
-        # Sharded launches produced partial writes on every shard
-        # device, so the slices gather to the home over peer links.
+                self._gpu_lanes[d], dur, self._compute_streams[d],
+                f"{kernel.name}[{n_d}/{grid}]",
+                after=(self._operands_ready(d, units),))
         for info, state in writes:
-            if len(shards) == 1:
-                d = shards[0][0]
-                if d != state.home:
-                    self._loads[state.home] -= info.size
-                    self._loads[d] += info.size
-                    state.home = d
-                state.valid = {d}
-                state.ready[d] = max(state.ready_on(d), finishes[d])
-                self._emit("gather", unit=info, dst=d)
-                continue
             ready = state.ready_on(state.home)
             for d, n_d in shards:
                 if d == state.home:
@@ -369,12 +396,12 @@ class MultiGpuCoordinator:
                 ready = max(ready, finish)
             state.valid = {state.home}
             state.ready[state.home] = ready
-            self._emit("gather", unit=info, dst=state.home)
+            if self.hooks:
+                self._emit("gather", unit=info, dst=state.home)
         clock.count("multi_device_launches")
-        return True
 
     def _shard_plan(self, kernel, grid: int, exec_devices: List[int],
-                    units, writes, total_ops: int, max_ops: int,
+                    writes, total_ops: int, max_ops: int,
                     duration: float) -> Optional[List[Tuple[int, int]]]:
         """Contiguous grid split across operand devices, or None.
 

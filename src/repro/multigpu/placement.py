@@ -17,7 +17,8 @@ is explicit and there is no randomized refinement pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from functools import cached_property
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.unitgraph import UnitGraph, build_unit_graph
 from ..gpu.topology import Topology
@@ -39,6 +40,37 @@ class PlacementPlan:
     graph: UnitGraph
     #: total co-access weight on edges crossing device boundaries.
     cut_weight: int
+
+    # What the execution coordinator reads from the plan on every run,
+    # derived once per plan (a plan is built once per compiled
+    # artifact and topology).
+
+    @cached_property
+    def size_pool(self) -> Dict[int, List[Tuple[str, int]]]:
+        """Statically sized non-global labels by byte size, each with
+        its device, in label order: what anonymous heap and stack
+        units match against."""
+        pool: Dict[int, List[Tuple[str, int]]] = {}
+        for label in sorted(self.assignment):
+            if label.startswith("g:"):
+                continue
+            size = self.graph.sizes.get(label, 0)
+            if size > 0:
+                pool.setdefault(size, []).append(
+                    (label, self.assignment[label]))
+        return pool
+
+    @cached_property
+    def kernel_writes(self) -> Dict[str, Optional[Set[str]]]:
+        """Kernel name -> labels its launch sites write, or None when
+        some site's operands could not be traced."""
+        writes: Dict[str, Optional[Set[str]]] = {}
+        for site in self.graph.launches:
+            if site.unknown or writes.get(site.kernel, set()) is None:
+                writes[site.kernel] = None
+            else:
+                writes.setdefault(site.kernel, set()).update(site.writes)
+        return writes
 
     def render(self) -> str:
         lines = [f"placement over {self.topology.num_devices} device(s) "

@@ -30,6 +30,7 @@ frame-exit expiry for stack registrations.
 from __future__ import annotations
 
 import struct
+import weakref
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..errors import (CgcmRuntimeError, CgcmUnsupportedError, GpuLaunchError,
@@ -59,6 +60,35 @@ _RUNTIME_CALL_OPS = 30
 #: launch gate degrades any launch whose operands include one to the
 #: CPU path before the grid runs.
 _SENTINEL_BASE = DEVICE_BASE + DEVICE_CAPACITY
+
+
+#: Names of the globals each kernel (plus its callees) references, by
+#: kernel function: the walk is the same for every run of a module.
+_KERNEL_GLOBALS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _kernel_global_names(kernel) -> Tuple[str, ...]:
+    """Names of every global ``kernel`` or anything it calls
+    references, walked once per kernel function."""
+    names = _KERNEL_GLOBALS.get(kernel)
+    if names is not None:
+        return names
+    found = set()
+    seen = set()
+    stack = [kernel]
+    while stack:
+        fn = stack.pop()
+        if fn.name in seen or not getattr(fn, "blocks", None):
+            continue
+        seen.add(fn.name)
+        for inst in fn.instructions():
+            for operand in inst.operands:
+                if isinstance(operand, GlobalVariable):
+                    found.add(operand.name)
+            if isinstance(inst, Call):
+                stack.append(inst.callee)
+    names = _KERNEL_GLOBALS[kernel] = tuple(sorted(found))
+    return names
 
 
 def declare_runtime(module: Module) -> Dict[str, "object"]:
@@ -138,7 +168,9 @@ class CgcmRuntime:
         #: ``mapArray`` and ``releaseArray`` notify for the
         #: pointer-array unit itself; per-element work (and all of
         #: ``unmapArray``'s) notifies as scalar operations on the
-        #: element units.
+        #: element units.  Observers only: nothing here changes state
+        #: (the multi-GPU coordinator is called directly, just before
+        #: the hooks of the same stage), and empty by default.
         self.op_hooks: List[Callable[[str, str, int, AllocationInfo],
                                      None]] = []
         #: Serve-layer cross-request sharing registry (see
@@ -184,8 +216,9 @@ class CgcmRuntime:
                           or machine.device.heap_limit is not None)
         #: Multi-GPU coordinator (repro.multigpu) when the execution
         #: runs under a multi-device topology; it owns per-unit device
-        #: homes, routes transfers onto per-device lanes/streams via
-        #: the op-hook pipeline, and shards DOALL grids.  None for the
+        #: homes, routes the copies of first maps and unmaps onto
+        #: per-device lanes/streams (called from ``_map``, ``_unmap``
+        #: and ``release_ptr``), and shards DOALL grids.  None for the
         #: classic single-device platform.
         self.multigpu = None
         #: Resident, evictable (non-global) units in least-recently-
@@ -195,6 +228,11 @@ class CgcmRuntime:
         #: or sentinel), keyed by device base -- the reverse index the
         #: launch gate uses to identify operand units from launch args.
         self._device_index = AvlTreeMap()
+        #: The same units by exact device base, which is what a launch
+        #: argument usually is: found without a tree search.
+        self._device_bases: Dict[int, AllocationInfo] = {}
+        #: Declared globals by host base.
+        self._globals: Dict[int, AllocationInfo] = {}
         #: Next virtual address handed to a unit that could not get
         #: device memory at all (see ``_SENTINEL_BASE``).
         self._sentinel_cursor = _SENTINEL_BASE
@@ -202,8 +240,8 @@ class CgcmRuntime:
         #: them host-authoritative after it bumps the epoch.
         self._fallback_marks: List[AllocationInfo] = []
         #: Host addresses of the globals each kernel (plus callees)
-        #: references, cached per kernel name: globals reach device
-        #: code without appearing in the launch argument list.
+        #: references, by kernel name: globals reach device code
+        #: without appearing in the launch argument list.
         self._kernel_globals_cache: Dict[str, Tuple[int, ...]] = {}
         if self.resilient:
             machine.launch_gate = self._launch_gate
@@ -223,6 +261,7 @@ class CgcmRuntime:
         info = AllocationInfo(base, size, is_global=True, name=name,
                               is_read_only=is_read_only)
         self.alloc_map.insert(base, info)
+        self._globals[base] = info
 
     def declare_all_globals(self) -> None:
         """Convenience used by tests and manual-mode programs: register
@@ -300,7 +339,7 @@ class CgcmRuntime:
         host cursor waiting for the copies to drain."""
         clock = self.machine.clock
         if self.multigpu is not None:
-            for stream in self.multigpu.d2h_streams():
+            for stream in self.multigpu.d2h_streams:
                 clock.stream_synchronize(stream)
         else:
             clock.stream_synchronize(STREAM_D2H)
@@ -435,9 +474,14 @@ class CgcmRuntime:
         only a blocking first map may attach to a serve-shared copy.
         """
         info = self.lookup(ptr)
+        first = info.ref_count == 0
+        multigpu = self.multigpu
+        if first and multigpu is not None:
+            lane = multigpu.begin_first_map(info)
         if self.op_hooks:
             self._notify("pre", "map", ptr, info)
-        if info.ref_count == 0:
+        finish = None
+        if first:
             if array:
                 elements = self._read_pointer_array(info)
                 for element in elements:
@@ -460,8 +504,6 @@ class CgcmRuntime:
             if deferred:
                 finish = self._upload(info, array, self._h2d_stream(info),
                                       self._writeback_deps(info))
-                if self.multigpu is not None:
-                    self.multigpu.note_htod(info, finish)
             elif info.resident and (array
                                     or not self._shared_attach(ptr, info)):
                 self._upload(info, array)
@@ -473,6 +515,8 @@ class CgcmRuntime:
         elif self.resilient and not info.is_global:
             self._touch(info)
         info.ref_count += 1
+        if first and multigpu is not None:
+            multigpu.end_first_map(info, lane, finish)
         if self.op_hooks:
             self._notify("post", "map", ptr, info)
         return info.device_ptr + (ptr - info.base)
@@ -529,6 +573,9 @@ class CgcmRuntime:
                 if element:
                     self._unmap(element, False, deferred)
             return
+        lane = None
+        if self.multigpu is not None:
+            lane = self.multigpu.begin_unmap(info)
         if self.op_hooks:
             self._notify("pre", "unmap", ptr, info)
         if info.epoch == self.global_epoch or info.is_read_only:
@@ -545,14 +592,17 @@ class CgcmRuntime:
                     f"{ptr:#x}: allocation unit has no device copy")
             self.machine.flush_cpu()
             if deferred:
+                # Under a topology the host already waited for the
+                # home copy (``begin_unmap``), which orders this copy
+                # after the gather that completed it.
                 deps = (self.machine.clock.event_record(STREAM_COMPUTE),)
-                if self.multigpu is not None:
-                    deps += self.multigpu.unmap_deps(info)
                 finish = self._writeback(info, self._d2h_stream(info), deps)
                 self._pending_writebacks[info.base] = (info.end, finish)
             else:
                 self._writeback(info)
             info.epoch = self.global_epoch
+        if lane is not None:
+            self.device.comm_lane = lane
         if self.op_hooks:
             self._notify("post", "unmap", ptr, info)
 
@@ -578,10 +628,13 @@ class CgcmRuntime:
                 self.device.mem_free(info.device_ptr)
             if self.resilient or self.multigpu is not None:
                 self._device_index.remove(info.device_ptr)
+                self._device_bases.pop(info.device_ptr, None)
                 self._lru.pop(info.base, None)
             info.device_ptr = None
             info.resident = True
             info.needs_refresh = False
+            if self.multigpu is not None:
+                self.multigpu.drop_home(info)
         if self.op_hooks:
             self._notify("post", "release", ptr, info)
 
@@ -682,7 +735,8 @@ class CgcmRuntime:
         if not self.resilient and self.multigpu is None:
             return
         self._device_index.insert(info.device_ptr, info)
-        if not info.is_global and info.resident:
+        self._device_bases[info.device_ptr] = info
+        if self.resilient and not info.is_global and info.resident:
             self._lru.pop(info.base, None)
             self._lru[info.base] = info
 
@@ -815,31 +869,11 @@ class CgcmRuntime:
         appearing in the launch argument list, so the gate must
         discover their units here."""
         cached = self._kernel_globals_cache.get(kernel.name)
-        if cached is not None:
-            return cached
-        names = set()
-        seen = set()
-        stack = [kernel]
-        while stack:
-            fn = stack.pop()
-            if fn.name in seen or not getattr(fn, "blocks", None):
-                continue
-            seen.add(fn.name)
-            for inst in fn.instructions():
-                for operand in inst.operands:
-                    if isinstance(operand, GlobalVariable):
-                        names.add(operand.name)
-                if isinstance(inst, Call):
-                    stack.append(inst.callee)
-        layout = self.machine.layout
-        bases = []
-        for name in names:
-            try:
-                bases.append(layout.address_of(name))
-            except KeyError:
-                pass
-        cached = tuple(sorted(bases))
-        self._kernel_globals_cache[kernel.name] = cached
+        if cached is None:
+            addresses = self.machine.layout.addresses
+            cached = self._kernel_globals_cache[kernel.name] = tuple(sorted(
+                addresses[name] for name in _kernel_global_names(kernel)
+                if name in addresses))
         return cached
 
     def _operand_units(self, kernel, args: List) -> List[AllocationInfo]:
@@ -847,7 +881,9 @@ class CgcmRuntime:
         reverse-translates to a minted device range, every mapped
         global the kernel references, and -- for pointer-array units
         -- every element unit the kernel can load a (translated)
-        pointer to."""
+        pointer to.  An argument at a unit's device base and a
+        declared global are dictionary hits; only an interior pointer
+        searches the device index."""
         units: Dict[int, AllocationInfo] = {}
 
         def add(info: AllocationInfo) -> None:
@@ -866,16 +902,22 @@ class CgcmRuntime:
                 if element < einfo.end and einfo.device_ptr is not None:
                     add(einfo)
 
+        device_bases = self._device_bases
         for arg in args:
-            if not isinstance(arg, int):
+            # Device ranges start at DEVICE_BASE: a smaller int is data.
+            if not isinstance(arg, int) or arg < DEVICE_BASE:
                 continue
-            info = self._unit_for_device_ptr(arg)
-            if info is not None:
-                add(info)
+            info = device_bases.get(arg)
+            if info is None:
+                info = self._unit_for_device_ptr(arg)
+                if info is None:
+                    continue
+            add(info)
+        declared = self._globals
         for base in self._kernel_global_bases(kernel):
-            entry = self.alloc_map.find(base)
-            if entry is not None and entry.device_ptr is not None:
-                add(entry)
+            info = declared.get(base)
+            if info is not None and info.device_ptr is not None:
+                add(info)
         return list(units.values())
 
     def _resident_overlap(

@@ -6,10 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import CgcmCompiler, CgcmConfig
 from repro.errors import MemoryFault
+from repro.frontend.lowering import compile_minic
+from repro.interp import Machine
 from repro.ir import (ArrayType, GlobalRef, Module, StructType, F32, F64, I1,
                       I8, I16, I32, I64, RAW_PTR, pointer_to)
-from repro.memory import GlobalLayout, initializer_bytes, make_cpu_memory
+from repro.memory import (GLOBALS_BASE, GlobalLayout, initializer_bytes,
+                          make_cpu_memory)
 
 
 def resolve_nothing(name):
@@ -130,3 +134,47 @@ class TestGlobalLayout:
         stored = memory.load_scalar(layout.address_of("ptr"),
                                     pointer_to(I8))
         assert stored == layout.address_of("target") + 1
+
+
+#: A program that rewrites its initialized globals, so a run starting
+#: from anything but the pristine image prints something else.
+REWRITES_GLOBALS = """
+char *names[] = {"alpha", "beta"};
+long counts[3] = {1, 2, 3};
+int main(void) {
+    print_str(names[0]);
+    print_i64(counts[2]);
+    names[0] = names[1];
+    counts[2] = counts[2] + 10;
+    return 0;
+}
+"""
+
+
+class TestArtifactImage:
+    def test_runs_of_one_artifact_start_from_identical_bytes(self):
+        compiler = CgcmCompiler(CgcmConfig())
+        report = compiler.compile_source(REWRITES_GLOBALS, "rewrites")
+        first = compiler.execute(report)
+        layout = report.layout
+        second = compiler.execute(report)
+        assert report.layout is layout
+        assert first.stdout == second.stdout == ("alpha", "3")
+        assert first.globals_image == second.globals_image
+        # The shared image is what a fresh layout of the module encodes,
+        # the GlobalRef slots of ``names`` included.
+        shared = Machine(report.module, layout=layout).cpu_memory
+        fresh = Machine(report.module).cpu_memory
+        span = (GLOBALS_BASE, layout.end - GLOBALS_BASE)
+        assert shared.read(*span) == fresh.read(*span)
+        (slot,) = struct.unpack("<Q", shared.read(
+            layout.address_of("names"), 8))
+        assert shared.read_c_string(slot) == b"alpha"
+
+    def test_machine_from_module_installs_current_globals(self):
+        module = compile_minic(REWRITES_GLOBALS)
+        Machine(module)
+        module.add_global("late", ArrayType(I64, 2), [7, 8])
+        machine = Machine(module)
+        address = machine.layout.address_of("late")
+        assert machine.cpu_memory.load_scalar(address + 8, I64) == 8

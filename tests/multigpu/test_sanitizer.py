@@ -7,6 +7,8 @@ exactly that seeded defect; real executions always coordinate, so the
 same pipeline run through the public config must stay clean.
 """
 
+import pytest
+
 from repro import api
 from repro.core import CgcmCompiler, CgcmConfig, OptLevel
 from repro.gpu.topology import Topology
@@ -14,7 +16,7 @@ from repro.interp import Machine
 from repro.multigpu import MultiGpuCoordinator, plan_placement
 from repro.runtime import CgcmRuntime
 from repro.sanitizer import CommSanitizer, ViolationKind
-from repro.workloads import get_workload
+from repro.workloads import ALL_WORKLOADS, get_workload
 
 
 def coordinated_run(workload, auto_broadcast):
@@ -72,3 +74,23 @@ class TestCrossDeviceStale:
         assert result.sanitizer_report is not None
         assert not [k for k in result.sanitizer_report.stats
                     if k.startswith("mg_")]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("workload", ALL_WORKLOADS, ids=lambda w: w.name)
+def test_ring_sanitized_sweep(workload):
+    # Every workload on a 4-device ring: a clean report, and the same
+    # observables as the one-device streams run.
+    base = api.compile_workload(
+        workload.source, CgcmConfig(opt_level=OptLevel.OPTIMIZED,
+                                    streams=True),
+        name=workload.name).run()
+    multi = api.compile_workload(
+        workload.source, CgcmConfig(opt_level=OptLevel.OPTIMIZED,
+                                    topology=Topology.ring(4),
+                                    sanitize=True),
+        name=workload.name).run()
+    report = multi.sanitizer_report
+    assert report is not None and report.clean, report.summary()
+    assert report.stats["mg_launches"] > 0
+    assert multi.observable() == base.observable()
